@@ -100,7 +100,7 @@ pub struct ServiceReport {
     pub shards: Vec<ShardReport>,
     /// Per-stage latency summaries from the pool's telemetry registry.
     /// The in-process harness has no serving front, so only the worker
-    /// stages (`queue`, `solve`) carry samples; all seven stages are
+    /// stages (`queue`, `solve`) carry samples; all eight stages are
     /// present either way. Empty counts everywhere with telemetry off.
     pub stages: Vec<StageSummary>,
 }
@@ -789,7 +789,7 @@ pub struct ReactorLoadReport {
     /// Stream requests answered anything else (must be zero).
     pub errors: u64,
     /// Server-side per-stage latency summaries, fetched over the wire
-    /// with `{"op":"metrics"}` after the timed stream (all seven
+    /// with `{"op":"metrics"}` after the timed stream (all eight
     /// lifecycle stages; zero counts when the reactor ran with
     /// telemetry off). This is the breakdown that localizes the fan-in
     /// ceiling to a stage instead of a guess.
@@ -901,7 +901,10 @@ fn verify_metrics_catalog(metrics: &Json) {
             "shared_store",
             &["hits", "misses", "entries", "flushes"][..],
         ),
-        ("journal", &["appends", "snapshots", "fsyncs"][..]),
+        (
+            "journal",
+            &["appends", "snapshots", "fsyncs", "commits", "torn_tails"][..],
+        ),
     ] {
         let value = metrics.get(block).expect("presence checked above");
         for field in fields {

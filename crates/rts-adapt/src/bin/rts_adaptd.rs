@@ -27,8 +27,9 @@
 //! reactor mode, a watcher thread waits for stdin EOF (Ctrl-D, or the
 //! supervisor closing the pipe) and asks the reactor to drain — the
 //! listener closes, already-connected clients are served until quiet,
-//! and the shard workers are joined. Both paths fsync journal appends
-//! as they happen, so an orderly stop loses no accepted delta.
+//! and the shard workers are joined. A shard worker answers only after
+//! the group commit that syncs the journal appends behind the answer,
+//! so an orderly stop loses no accepted delta.
 //!
 //! With `--journal DIR` every registration and accepted delta is
 //! appended to a per-tenant event log under `DIR`, and existing

@@ -152,14 +152,32 @@ impl LineClient {
         self.addr
     }
 
-    /// Writes one request line (newline appended here).
+    /// Writes one request line (newline appended here) in one write, so
+    /// the request leaves as one segment.
     ///
     /// # Errors
     ///
     /// The underlying write/flush error.
     pub fn send(&mut self, line: &str) -> io::Result<()> {
-        self.stream.write_all(line.as_bytes())?;
-        self.stream.write_all(b"\n")?;
+        self.send_all(&[line])
+    }
+
+    /// Pipelining: writes several request lines (each newline-terminated
+    /// here) in one write; read their answers, in order, with
+    /// [`LineClient::recv`]. Keep the batch well under the socket
+    /// buffers' worth of answers, or both sides can block writing.
+    ///
+    /// # Errors
+    ///
+    /// The underlying write/flush error.
+    pub fn send_all<S: AsRef<str>>(&mut self, lines: &[S]) -> io::Result<()> {
+        let len = lines.iter().map(|l| l.as_ref().len() + 1).sum();
+        let mut buf = Vec::with_capacity(len);
+        for line in lines {
+            buf.extend_from_slice(line.as_ref().as_bytes());
+            buf.push(b'\n');
+        }
+        self.stream.write_all(&buf)?;
         self.stream.flush()
     }
 

@@ -14,6 +14,14 @@
 //! hot path; the hand-off verbs travel the same tenant-hashed dispatch
 //! path as everything else, so they compose with the worker pool for
 //! free.
+//!
+//! Journal writes are group-committed (see [`crate::journal`]):
+//! [`AdaptEngine::handle_deferred`] answers a request with its appends
+//! written but not yet synced or replicated, and [`AdaptEngine::commit`]
+//! makes everything written since the last commit durable. A caller
+//! must not release an answer before the commit that follows it — the
+//! shard workers commit once per group of queued batches, and
+//! [`AdaptEngine::handle`] is the one-request group.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +33,7 @@ use rts_model::delta::DeltaEvent;
 use rts_model::time::Duration;
 use rts_model::{CoreId, Partition, Platform, RtTask, RtTaskSet, SecurityTaskSet, System};
 
-use crate::journal::{self, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
+use crate::journal::{self, AppendGroup, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
 use crate::replication::ReplPayload;
 use crate::tenant::{ApplyError, TenantState};
 
@@ -266,6 +274,10 @@ pub struct AdaptEngine {
     /// restarts; a tenant with an *unknown* owner rejects appends and
     /// ignores retires until a reset re-establishes ownership.
     replica_owner: HashMap<u64, String>,
+    /// Appends to `journal` not yet committed.
+    group: AppendGroup,
+    /// Appends to `replica` not yet committed.
+    replica_group: AppendGroup,
 }
 
 impl AdaptEngine {
@@ -280,6 +292,8 @@ impl AdaptEngine {
             shared: None,
             replica: None,
             replica_owner: HashMap::new(),
+            group: AppendGroup::default(),
+            replica_group: AppendGroup::default(),
         }
     }
 
@@ -302,6 +316,8 @@ impl AdaptEngine {
             journal: Some(journal),
             shared: None,
             replica_owner,
+            group: AppendGroup::default(),
+            replica_group: AppendGroup::default(),
         }
     }
 
@@ -324,7 +340,9 @@ impl AdaptEngine {
     /// rebuilt states. Returns `(restored, failed)`; a tenant whose
     /// journal fails to replay is reported on stderr and skipped — its
     /// file is left untouched for inspection, and a later
-    /// re-registration truncates it.
+    /// re-registration truncates it. A torn final line (an append that
+    /// was never synced, so never acknowledged) is cut off, not fatal
+    /// (see [`JournalDir::recover_tenant`]).
     pub fn recover_journaled(&mut self, filter: impl Fn(u64) -> bool) -> (usize, usize) {
         let Some(journal) = self.journal.clone() else {
             return (0, 0);
@@ -332,7 +350,7 @@ impl AdaptEngine {
         let (mut restored, mut failed) = (0, 0);
         for tenant in journal.tenants().into_iter().filter(|&t| filter(t)) {
             let replayed = journal
-                .load_tenant(tenant)
+                .recover_tenant(tenant)
                 .and_then(|history| replay_slot(&history, self.strategy));
             match replayed {
                 Ok(mut slot) => {
@@ -378,8 +396,23 @@ impl AdaptEngine {
         self.tenants.get(&tenant).map(|slot| &slot.state)
     }
 
-    /// Answers one request.
+    /// Whether this engine journals (and therefore has commits to make).
+    #[must_use]
+    pub fn journals(&self) -> bool {
+        self.journal.is_some()
+    }
+
+    /// Answers one request and commits it: the one-request group.
     pub fn handle(&mut self, request: &Request) -> Response {
+        let response = self.handle_deferred(request);
+        self.commit();
+        response
+    }
+
+    /// Answers one request, leaving its journal appends written but not
+    /// yet synced or replicated. The answer must not be released before
+    /// the next [`AdaptEngine::commit`].
+    pub fn handle_deferred(&mut self, request: &Request) -> Response {
         match request {
             Request::Register { tenant, cores, rt } => self.register(*tenant, *cores, rt),
             Request::Delta { tenant, event } => self.delta(*tenant, event),
@@ -393,6 +426,27 @@ impl AdaptEngine {
                 payload,
             } => self.replicate(*tenant, source, payload),
             Request::Adopt { tenant } => self.adopt(*tenant),
+        }
+    }
+
+    /// Commits every append written since the last commit (see
+    /// [`JournalDir::commit`]): one fsync per touched file, then the
+    /// group's replication ops. A failed sync poisons that tenant's
+    /// journal (or replica). A no-op without a journal.
+    pub fn commit(&mut self) {
+        if let Some(journal) = &self.journal {
+            for (tenant, e) in journal.commit(&mut self.group) {
+                eprintln!("journal: could not sync tenant {tenant}: {e}");
+                poison_after_failed_write(journal, tenant);
+            }
+        }
+        if let Some(replica) = &self.replica {
+            for (tenant, e) in replica.commit(&mut self.replica_group) {
+                // Already answered as applied: move the replica aside so
+                // the primary's next append is rejected and heals it.
+                eprintln!("journal: could not sync the replica of tenant {tenant}: {e}");
+                poison_after_failed_write(replica, tenant);
+            }
         }
     }
 
@@ -416,6 +470,7 @@ impl AdaptEngine {
                         tail_len: 0,
                     },
                 );
+                self.commit();
                 if let Some(journal) = &self.journal {
                     if let Err(e) = journal.begin_tenant(tenant, cores, rt) {
                         eprintln!("journal: could not begin tenant {tenant}: {e}");
@@ -441,44 +496,55 @@ impl AdaptEngine {
         let Some(slot) = self.tenants.get_mut(&tenant) else {
             return unknown_tenant(tenant);
         };
-        match slot.state.apply(event) {
-            Ok(out) => {
-                if let Some(journal) = &self.journal {
-                    match journal.append_event(tenant, event) {
-                        Ok(()) => {
-                            slot.tail_len += 1;
-                            if journal
-                                .compact_every()
-                                .is_some_and(|every| slot.tail_len >= every)
-                            {
-                                // Failure is logged and poisoned inside;
-                                // the verdict already stands.
-                                let _ = compact_slot(journal, tenant, slot);
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("journal: could not append for tenant {tenant}: {e}");
-                            poison_after_failed_write(journal, tenant);
-                        }
+        let out = match slot.state.apply(event) {
+            Ok(out) => out,
+            Err(ApplyError::Rejected(e)) => {
+                return Response::Rejected {
+                    tenant,
+                    reason: e.to_string(),
+                }
+            }
+            Err(usage @ (ApplyError::BadSlot { .. } | ApplyError::Invalid(_))) => {
+                return Response::Error {
+                    tenant,
+                    reason: usage.to_string(),
+                }
+            }
+        };
+        let response = Response::Admitted(Admitted {
+            tenant,
+            periods: out.selection.periods.as_slice().to_vec(),
+            response_times: out.selection.response_times.clone(),
+            fingerprint: out.fingerprint,
+            cached: out.cached,
+        });
+        let Some(journal) = &self.journal else {
+            return response;
+        };
+        match journal.append_deferred(&mut self.group, tenant, event) {
+            Ok(_) => {
+                slot.tail_len += 1;
+                if journal
+                    .compact_every()
+                    .is_some_and(|every| slot.tail_len >= every)
+                {
+                    // A snapshot rewrites the file: commit the group
+                    // first. Failure is logged and poisoned inside; the
+                    // verdict already stands.
+                    self.commit();
+                    if let (Some(journal), Some(slot)) =
+                        (&self.journal, self.tenants.get_mut(&tenant))
+                    {
+                        let _ = compact_slot(journal, tenant, slot);
                     }
                 }
-                Response::Admitted(Admitted {
-                    tenant,
-                    periods: out.selection.periods.as_slice().to_vec(),
-                    response_times: out.selection.response_times.clone(),
-                    fingerprint: out.fingerprint,
-                    cached: out.cached,
-                })
             }
-            Err(ApplyError::Rejected(e)) => Response::Rejected {
-                tenant,
-                reason: e.to_string(),
-            },
-            Err(usage @ (ApplyError::BadSlot { .. } | ApplyError::Invalid(_))) => Response::Error {
-                tenant,
-                reason: usage.to_string(),
-            },
+            Err(e) => {
+                eprintln!("journal: could not append for tenant {tenant}: {e}");
+                poison_after_failed_write(journal, tenant);
+            }
         }
+        response
     }
 
     fn query(&self, tenant: u64) -> Response {
@@ -519,6 +585,7 @@ impl AdaptEngine {
     /// history is analysed, never trusted; on success the tenant's own
     /// journal here starts compacted.
     fn install_history(&mut self, tenant: u64, history: &TenantHistory) -> Response {
+        self.commit();
         let mut slot = match replay_slot(history, self.strategy) {
             Ok(slot) => slot,
             // The payload's configuration does not admit here — an
@@ -564,6 +631,7 @@ impl AdaptEngine {
             return unknown_tenant(tenant);
         };
         let fingerprint = slot.state.admitted_fingerprint();
+        self.commit();
         if let Some(journal) = &self.journal {
             if let Err(retire) = journal.retire_tenant(tenant) {
                 // The file could not be moved aside; poison it so a
@@ -597,7 +665,11 @@ impl AdaptEngine {
     /// the replica is bytes on disk until an [`Request::Adopt`] promotes
     /// it through the full re-admission path.
     fn replicate(&mut self, tenant: u64, source: &str, payload: &ReplPayload) -> Response {
-        let Some(replica) = self.replica.clone() else {
+        if !matches!(payload, ReplPayload::Append { .. }) {
+            // Resets and retires rewrite or move the replica file.
+            self.commit();
+        }
+        let Some(replica) = &self.replica else {
             return Response::Error {
                 tenant,
                 reason: "replication requires a journal on the standby (start with --journal)"
@@ -682,8 +754,8 @@ impl AdaptEngine {
                         ),
                     };
                 }
-                match replica.append_event(tenant, event) {
-                    Ok(()) => Response::Replicated {
+                match replica.append_deferred(&mut self.replica_group, tenant, event) {
+                    Ok(_) => Response::Replicated {
                         tenant,
                         applied: true,
                     },
@@ -739,6 +811,7 @@ impl AdaptEngine {
     /// — or a later replication stream for a re-registered tenant —
     /// starts clean.
     fn adopt(&mut self, tenant: u64) -> Response {
+        self.commit();
         let Some(replica) = self.replica.clone() else {
             return Response::Error {
                 tenant,
@@ -777,6 +850,7 @@ impl AdaptEngine {
     /// Propagates the I/O error after poisoning the tenant's journal
     /// (the on-disk state is unknown, exactly like a failed append).
     pub fn compact_tenant(&mut self, tenant: u64) -> std::io::Result<bool> {
+        self.commit();
         let Some(journal) = self.journal.clone() else {
             return Ok(false);
         };

@@ -46,6 +46,29 @@
 //! fingerprint must match the restored one — so recovery and hand-off
 //! never install a configuration the analysis has not re-admitted.
 //!
+//! # Group commit
+//!
+//! Appends are durable before they are acknowledged, but they do not pay
+//! one `fsync` each. A serving engine collects the appends of one group
+//! — every request its shard worker found queued — in an [`AppendGroup`]:
+//! [`JournalDir::append_deferred`] issues one `write(2)` per event (line
+//! plus newline, no user-space buffer) to a handle the group holds open,
+//! and [`JournalDir::commit`] then fsyncs every touched file once and
+//! only afterwards hands the group's appends to the replication stream.
+//! The engine releases the group's answers after the commit, so
+//! "acknowledged ⇒ durable" holds and a replica never receives bytes its
+//! primary has not synced. Whole-file rewrites (registration, snapshot,
+//! import, retire) commit the group so far first, which keeps every
+//! tenant's replication ops in journal order. [`JournalDir::append_event`]
+//! is the one-event group: write, fsync, replicate.
+//!
+//! A crash inside a group can leave an unterminated final line — an
+//! event that was never synced, hence never acknowledged.
+//! [`JournalDir::load_tenant`] ignores such a torn tail, and boot
+//! recovery ([`JournalDir::recover_tenant`]) truncates it away (counted
+//! as [`JournalStats::torn_tails`]). A malformed line that *is*
+//! newline-terminated was written whole and still fails the load.
+//!
 //! A journal is only trustworthy if it is *complete*: a file missing one
 //! accepted event would still replay cleanly — to the wrong state. The
 //! engine therefore [`poison`](JournalDir::poison_tenant)s a tenant's
@@ -69,6 +92,7 @@
 //! protocol's fractional milliseconds), so the round trip involves no
 //! floating-point rounding at all.
 
+use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
@@ -457,14 +481,24 @@ pub struct JournalStats {
     pub appends: u64,
     /// Snapshot compactions written (write-then-rename cycles).
     pub snapshots: u64,
-    /// `fsync` calls issued — every append and snapshot pays one, so
-    /// this is the journal's syscall cost in the stage picture.
+    /// `fsync` calls issued: one per file a group commit touched, plus
+    /// one per whole-file rewrite and per torn-tail truncation. The
+    /// journal's syscall cost in the stage picture; `fsyncs / appends`
+    /// falls below 1 as groups grow.
     pub fsyncs: u64,
+    /// Group commits that synced at least one appended file (see
+    /// [`JournalDir::commit`]).
+    pub commits: u64,
+    /// Unterminated final lines cut off by boot recovery (see
+    /// [`JournalDir::recover_tenant`]).
+    pub torn_tails: u64,
 }
 
 static APPENDS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static SNAPSHOTS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 static FSYNCS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static COMMITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+static TORN_TAILS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Reads the process-wide journal counters.
 #[must_use]
@@ -474,19 +508,47 @@ pub fn stats() -> JournalStats {
         appends: APPENDS.load(Relaxed),
         snapshots: SNAPSHOTS.load(Relaxed),
         fsyncs: FSYNCS.load(Relaxed),
+        commits: COMMITS.load(Relaxed),
+        torn_tails: TORN_TAILS.load(Relaxed),
     }
 }
 
-fn count_append() {
-    APPENDS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+fn count(counter: &std::sync::atomic::AtomicU64) {
+    counter.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
 }
 
-fn count_snapshot() {
-    SNAPSHOTS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+/// The appends of one group commit: an open handle to every file the
+/// group wrote to (with its length, when replicating), and the
+/// replication ops held back until those files are synced. Filled by
+/// [`JournalDir::append_deferred`], emptied by [`JournalDir::commit`] on
+/// the same directory. Dropping a non-empty group closes its handles
+/// without syncing them and discards the held ops.
+#[derive(Debug, Default)]
+pub struct AppendGroup {
+    files: HashMap<u64, GroupFile>,
+    held: Vec<(u64, DeltaEvent, u64)>,
 }
 
-fn count_fsync() {
-    FSYNCS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+#[derive(Debug)]
+struct GroupFile {
+    file: std::fs::File,
+    len: u64,
+}
+
+impl AppendGroup {
+    /// Drops `tenant`'s handle and held ops (its file is about to be
+    /// poisoned, so nothing of it may be synced or replicated).
+    fn forget(&mut self, tenant: u64) {
+        self.files.remove(&tenant);
+        self.held.retain(|&(t, _, _)| t != tenant);
+    }
+}
+
+/// The length of the complete-line prefix of a journal's bytes: a
+/// crash mid-append leaves an unterminated final line, which was never
+/// synced, so never acknowledged.
+fn complete_len(bytes: &[u8]) -> usize {
+    bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
 }
 
 /// A directory of per-tenant journals, with an optional automatic
@@ -569,8 +631,9 @@ impl JournalDir {
     }
 
     /// Attaches a replication stream: every journal mutation (begin,
-    /// append, snapshot rewrite, retire) is mirrored to the replicator,
-    /// which forwards it to a warm standby over the line protocol. The
+    /// append, snapshot rewrite, retire) is mirrored to the replicator —
+    /// appends once their group commit has synced them — which forwards
+    /// it to a warm standby over the line protocol. The
     /// handle travels with clones, so every shard worker streams
     /// through the same forwarder. Journal writes never block on the
     /// network — replication is asynchronous by design.
@@ -614,11 +677,12 @@ impl JournalDir {
     pub fn begin_tenant(&self, tenant: u64, cores: usize, rt: &[RtSpec]) -> io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
         let mut f = std::fs::File::create(self.path_for(tenant))?;
-        f.write_all(render_registration(cores, rt).as_bytes())?;
-        f.write_all(b"\n")?;
+        let mut line = render_registration(cores, rt);
+        line.push('\n');
+        f.write_all(line.as_bytes())?;
         f.sync_all()?;
-        count_append();
-        count_fsync();
+        count(&APPENDS);
+        count(&FSYNCS);
         if let Some(repl) = &self.replicate {
             repl.reset(
                 tenant,
@@ -633,7 +697,8 @@ impl JournalDir {
         Ok(())
     }
 
-    /// Appends one accepted event to a tenant's journal.
+    /// Appends one accepted event to a tenant's journal and syncs it —
+    /// a group commit of one event (see [`JournalDir::append_deferred`]).
     ///
     /// # Errors
     ///
@@ -641,26 +706,90 @@ impl JournalDir {
     /// tenant was never journaled (no registration line), since the
     /// append deliberately does not create files.
     pub fn append_event(&self, tenant: u64, event: &DeltaEvent) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(self.path_for(tenant))?;
-        // The replicated op carries the byte offset this line starts
-        // at; the byte-identical replica uses it to drop late
-        // duplicates after a self-heal reset and to detect gaps (see
-        // `crate::replication`). Only paid when replication is on.
-        let at = match &self.replicate {
-            Some(_) => f.metadata()?.len(),
-            None => 0,
+        let mut group = AppendGroup::default();
+        self.append_deferred(&mut group, tenant, event)?;
+        match self.commit(&mut group).into_iter().next() {
+            Some((_, e)) => Err(e),
+            None => Ok(()),
+        }
+    }
+
+    /// Appends one accepted event to a tenant's journal inside `group`:
+    /// one `write(2)` of the line and its newline to the group's handle
+    /// for the file (opened on the tenant's first append of the group).
+    /// Nothing is synced or replicated until [`JournalDir::commit`]. On
+    /// failure the tenant's handle and held ops leave the group; the
+    /// caller poisons the journal.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O errors; [`io::ErrorKind::NotFound`] means the
+    /// tenant was never journaled (no registration line), since the
+    /// append deliberately does not create files.
+    pub fn append_deferred(
+        &self,
+        group: &mut AppendGroup,
+        tenant: u64,
+        event: &DeltaEvent,
+    ) -> io::Result<()> {
+        let mut line = render_event(event);
+        line.push('\n');
+        let entry = match group.files.entry(tenant) {
+            std::collections::hash_map::Entry::Occupied(entry) => entry.into_mut(),
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                let file = std::fs::OpenOptions::new()
+                    .append(true)
+                    .open(self.path_for(tenant))?;
+                // The replicated op carries the byte offset its line
+                // starts at; the byte-identical replica uses it to drop
+                // late duplicates and to detect gaps (see
+                // `crate::replication`). Only paid when replication is on.
+                let len = match &self.replicate {
+                    Some(_) => file.metadata()?.len(),
+                    None => 0,
+                };
+                slot.insert(GroupFile { file, len })
+            }
         };
-        f.write_all(render_event(event).as_bytes())?;
-        f.write_all(b"\n")?;
-        f.sync_all()?;
-        count_append();
-        count_fsync();
-        if let Some(repl) = &self.replicate {
-            repl.append(tenant, *event, at);
+        let at = entry.len;
+        if let Err(e) = entry.file.write_all(line.as_bytes()) {
+            group.forget(tenant);
+            return Err(e);
+        }
+        entry.len += line.len() as u64;
+        count(&APPENDS);
+        if self.replicate.is_some() {
+            group.held.push((tenant, *event, at));
         }
         Ok(())
+    }
+
+    /// Commits a group: fsyncs every file it appended to — once per
+    /// file, however many events the file took — closes the handles,
+    /// and only then streams the held appends, in append order, to the
+    /// replicator. Returns the tenants whose sync failed (their
+    /// appends are not replicated; the caller poisons their journals).
+    pub fn commit(&self, group: &mut AppendGroup) -> Vec<(u64, io::Error)> {
+        if group.files.is_empty() {
+            return Vec::new();
+        }
+        let mut failed = Vec::new();
+        for (tenant, entry) in group.files.drain() {
+            count(&FSYNCS);
+            if let Err(e) = entry.file.sync_all() {
+                failed.push((tenant, e));
+            }
+        }
+        count(&COMMITS);
+        if let Some(repl) = &self.replicate {
+            for (tenant, event, at) in group.held.drain(..) {
+                if failed.iter().all(|&(t, _)| t != tenant) {
+                    repl.append(tenant, event, at);
+                }
+            }
+        }
+        group.held.clear();
+        failed
     }
 
     /// Compacts (or initializes) a tenant's journal to a registration +
@@ -683,16 +812,17 @@ impl JournalDir {
         let path = self.path_for(tenant);
         let tmp = path.with_extension("jsonl.tmp");
         {
+            let mut text = render_registration(cores, rt);
+            text.push('\n');
+            text.push_str(&render_snapshot(snapshot));
+            text.push('\n');
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(render_registration(cores, rt).as_bytes())?;
-            f.write_all(b"\n")?;
-            f.write_all(render_snapshot(snapshot).as_bytes())?;
-            f.write_all(b"\n")?;
+            f.write_all(text.as_bytes())?;
             f.sync_all()?;
-            count_fsync();
+            count(&FSYNCS);
         }
         std::fs::rename(&tmp, &path)?;
-        count_snapshot();
+        count(&SNAPSHOTS);
         if let Some(repl) = &self.replicate {
             repl.reset(
                 tenant,
@@ -723,23 +853,13 @@ impl JournalDir {
         let path = self.path_for(tenant);
         let tmp = path.with_extension("jsonl.tmp");
         {
-            let mut text = render_registration(history.cores, &history.rt);
-            text.push('\n');
-            if let Some(snapshot) = &history.snapshot {
-                text.push_str(&render_snapshot(snapshot));
-                text.push('\n');
-            }
-            for event in &history.events {
-                text.push_str(&render_event(event));
-                text.push('\n');
-            }
             let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
+            f.write_all(render_journal(history).as_bytes())?;
             f.sync_all()?;
-            count_fsync();
+            count(&FSYNCS);
         }
         std::fs::rename(&tmp, &path)?;
-        count_append();
+        count(&APPENDS);
         Ok(())
     }
 
@@ -924,13 +1044,61 @@ impl JournalDir {
         }
     }
 
-    /// Reads a tenant's full recorded history.
+    /// Reads a tenant's full recorded history. An unterminated final
+    /// line (a torn append) is ignored, not an error.
     ///
     /// # Errors
     ///
     /// [`ReplayError::Io`] / [`ReplayError::Malformed`].
     pub fn load_tenant(&self, tenant: u64) -> Result<TenantHistory, ReplayError> {
         load_history(&self.path_for(tenant))
+    }
+
+    /// Boot recovery's read of a tenant's journal: like
+    /// [`JournalDir::load_tenant`], but an unterminated final line is
+    /// cut off the file itself (truncate, then fsync) and counted in
+    /// [`JournalStats::torn_tails`], so later appends start on a line
+    /// boundary.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::Io`] (including a failed truncation) /
+    /// [`ReplayError::Malformed`].
+    pub fn recover_tenant(&self, tenant: u64) -> Result<TenantHistory, ReplayError> {
+        let path = self.path_for(tenant);
+        let bytes = std::fs::read(&path)?;
+        let complete = complete_len(&bytes);
+        if complete < bytes.len() {
+            let f = std::fs::OpenOptions::new().write(true).open(&path)?;
+            f.set_len(complete as u64)?;
+            f.sync_all()?;
+            count(&FSYNCS);
+            count(&TORN_TAILS);
+        }
+        parse_journal(&bytes[..complete])
+    }
+
+    /// A tenant's history as it stood when its journal file was `len`
+    /// bytes long: the first `len` bytes, which must end on a line
+    /// boundary. The replication stream heals a replica from such a
+    /// prefix, because bytes past an op's end may belong to a group
+    /// that is not committed yet.
+    ///
+    /// # Errors
+    ///
+    /// [`ReplayError::Io`], or [`ReplayError::Malformed`] when the file
+    /// is shorter than `len` or `len` cuts a line (the file was
+    /// rewritten since).
+    pub fn load_tenant_prefix(&self, tenant: u64, len: u64) -> Result<TenantHistory, ReplayError> {
+        let bytes = std::fs::read(self.path_for(tenant))?;
+        let end = usize::try_from(len).unwrap_or(usize::MAX);
+        if end == 0 || end > bytes.len() || bytes[end - 1] != b'\n' {
+            return Err(ReplayError::Malformed(format!(
+                "{len} bytes is not a line boundary of the {}-byte journal",
+                bytes.len()
+            )));
+        }
+        parse_journal(&bytes[..end])
     }
 
     /// Rebuilds a tenant's state from its journal — snapshot restore (if
@@ -951,10 +1119,34 @@ impl JournalDir {
     }
 }
 
-/// Parses a journal file into its registration, optional snapshot, and
-/// event tail.
+/// Renders a history as the journal file that records it — the exact
+/// bytes [`JournalDir::write_history`] writes.
+#[must_use]
+pub fn render_journal(history: &TenantHistory) -> String {
+    let mut text = render_registration(history.cores, &history.rt);
+    text.push('\n');
+    if let Some(snapshot) = &history.snapshot {
+        text.push_str(&render_snapshot(snapshot));
+        text.push('\n');
+    }
+    for event in &history.events {
+        text.push_str(&render_event(event));
+        text.push('\n');
+    }
+    text
+}
+
+/// Reads a journal file into its registration, optional snapshot, and
+/// event tail, ignoring an unterminated final line.
 fn load_history(path: &Path) -> Result<TenantHistory, ReplayError> {
-    let text = std::fs::read_to_string(path)?;
+    let bytes = std::fs::read(path)?;
+    parse_journal(&bytes[..complete_len(&bytes)])
+}
+
+/// Parses journal bytes (complete lines) into a history.
+fn parse_journal(bytes: &[u8]) -> Result<TenantHistory, ReplayError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| ReplayError::Malformed(format!("journal is not UTF-8: {e}")))?;
     let mut lines = text.lines();
     let first = lines
         .next()
@@ -1483,6 +1675,38 @@ mod tests {
         assert_eq!(dir.tenants(), vec![2]);
         assert!(replica.tenants().is_empty());
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn prefixes_cut_on_line_boundaries_and_torn_tails_are_ignored() {
+        let dir = JournalDir::at(
+            std::env::temp_dir().join(format!("hydra_journal_prefix_{}", std::process::id())),
+        );
+        let _ = std::fs::remove_dir_all(&dir.dir);
+        dir.begin_tenant(8, 2, &rover_rt()).unwrap();
+        let departure = DeltaEvent::Departure { slot: 0 };
+        dir.append_event(8, &departure).unwrap();
+        let first = std::fs::metadata(dir.path_for(8)).unwrap().len();
+        dir.append_event(8, &departure).unwrap();
+        let full = std::fs::metadata(dir.path_for(8)).unwrap().len();
+        assert_eq!(dir.load_tenant_prefix(8, full).unwrap().events.len(), 2);
+        assert_eq!(dir.load_tenant_prefix(8, first).unwrap().events.len(), 1);
+        for bad in [0, first - 1, full + 1] {
+            assert!(matches!(
+                dir.load_tenant_prefix(8, bad),
+                Err(ReplayError::Malformed(_))
+            ));
+        }
+        // An unterminated last line is a torn append: ignored on load,
+        // and the file is left as it is.
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(dir.path_for(8))
+            .unwrap();
+        f.write_all(b"{\"event\":\"dep").unwrap();
+        assert_eq!(dir.load_tenant(8).unwrap().events.len(), 2);
+        assert_eq!(std::fs::metadata(dir.path_for(8)).unwrap().len(), full + 13);
+        let _ = std::fs::remove_dir_all(&dir.dir);
     }
 
     #[test]

@@ -549,8 +549,9 @@ pub fn render_metrics(seq: u64, report: &MetricsReport) -> String {
     let journal = &report.journal;
     let _ = write!(
         out,
-        ",\"journal\":{{\"appends\":{},\"snapshots\":{},\"fsyncs\":{}}}",
-        journal.appends, journal.snapshots, journal.fsyncs
+        ",\"journal\":{{\"appends\":{},\"snapshots\":{},\"fsyncs\":{},\"commits\":{},\
+         \"torn_tails\":{}}}",
+        journal.appends, journal.snapshots, journal.fsyncs, journal.commits, journal.torn_tails
     );
     out.push_str(",\"slow\":[");
     for (i, slow) in report.slow.iter().enumerate() {
@@ -560,13 +561,15 @@ pub fn render_metrics(seq: u64, report: &MetricsReport) -> String {
         let _ = write!(
             out,
             "{{\"tenant\":{},\"conn\":{},\"seq\":{},\"parse_us\":{:.1},\"queue_us\":{:.1},\
-             \"solve_us\":{:.1},\"respond_us\":{:.1},\"flush_us\":{:.1},\"total_us\":{:.1}}}",
+             \"solve_us\":{:.1},\"persist_us\":{:.1},\"respond_us\":{:.1},\"flush_us\":{:.1},\
+             \"total_us\":{:.1}}}",
             slow.tenant,
             slow.conn,
             slow.seq,
             us(slow.parse_ns),
             us(slow.queue_ns),
             us(slow.solve_ns),
+            us(slow.persist_ns),
             us(slow.respond_ns),
             us(slow.flush_ns),
             us(slow.total_ns)
@@ -683,6 +686,8 @@ pub fn render_prometheus(report: &MetricsReport) -> String {
             ("journal_appends", report.journal.appends),
             ("journal_snapshots", report.journal.snapshots),
             ("journal_fsyncs", report.journal.fsyncs),
+            ("journal_commits", report.journal.commits),
+            ("journal_torn_tails", report.journal.torn_tails),
         ]);
     for (name, value) in flat {
         let _ = writeln!(out, "# TYPE rts_adapt_{name} counter");
@@ -1247,6 +1252,9 @@ mod tests {
                     histogram.record(ns);
                 }
             }
+            if *stage == Stage::Persist {
+                histogram.record(150_000);
+            }
         }
         MetricsReport {
             conns: ConnStats {
@@ -1303,6 +1311,8 @@ mod tests {
                 appends: 9,
                 snapshots: 1,
                 fsyncs: 4,
+                commits: 3,
+                torn_tails: 1,
             },
             slow: vec![SlowRequest {
                 tenant: 4,
@@ -1311,9 +1321,10 @@ mod tests {
                 parse_ns: 1_000,
                 queue_ns: 2_000,
                 solve_ns: 3_000,
+                persist_ns: 150_000,
                 respond_ns: 4_000,
                 flush_ns: 5_000,
-                total_ns: 15_000,
+                total_ns: 165_000,
             }],
         }
     }
@@ -1375,11 +1386,28 @@ mod tests {
         assert_eq!(walks.get("quick_confirms").and_then(Json::as_u64), Some(2));
         let store = parsed.get("shared_store").unwrap();
         assert_eq!(store.get("flushes").and_then(Json::as_u64), Some(1));
+        assert_eq!(
+            stages
+                .get("persist")
+                .and_then(|s| s.get("count"))
+                .and_then(Json::as_u64),
+            Some(1)
+        );
         let journal = parsed.get("journal").unwrap();
         assert_eq!(journal.get("fsyncs").and_then(Json::as_u64), Some(4));
+        assert_eq!(journal.get("commits").and_then(Json::as_u64), Some(3));
+        assert!(
+            line.contains("\"fsyncs\":4,\"commits\":3,\"torn_tails\":1}"),
+            "{line}"
+        );
+        assert_eq!(journal.get("torn_tails").and_then(Json::as_u64), Some(1));
         let slow = parsed.get("slow").and_then(Json::as_array).unwrap();
         assert_eq!(slow[0].get("tenant").and_then(Json::as_u64), Some(4));
         assert_eq!(slow[0].get("conn").and_then(Json::as_u64), Some(2));
+        assert_eq!(
+            slow[0].get("persist_us").and_then(Json::as_f64),
+            Some(150.0)
+        );
     }
 
     /// The Prometheus exposition is structurally sound: cumulative
@@ -1396,6 +1424,9 @@ mod tests {
             "rts_adapt_walks_total",
             "rts_adapt_shared_store_hits",
             "rts_adapt_journal_fsyncs",
+            "rts_adapt_journal_commits 3",
+            "rts_adapt_journal_torn_tails 1",
+            "rts_adapt_stage_latency_us_count{stage=\"persist\"} 1",
             "rts_adapt_reactor_flush_passes{reactor=\"1\"} 4",
             "rts_adapt_reactor_iovecs_written{reactor=\"0\"} 18",
         ] {

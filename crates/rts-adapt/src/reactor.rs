@@ -76,8 +76,14 @@
 //! and exits once everything is quiet — nothing in flight, every answer
 //! flushed, no buffered complete line unparsed — bounded by
 //! [`DRAIN_GRACE`]. Only after every reactor has exited is the pool
-//! shut down; journal appends are fsynced as they happen, so an orderly
-//! stop loses no accepted delta.
+//! shut down; a shard worker releases an answer only after its group
+//! commit has synced the journal appends behind it, so an orderly stop
+//! loses no accepted delta.
+//!
+//! Accepted sockets run with `TCP_NODELAY`: responses already leave in
+//! gathered writes, and Nagle would otherwise hold the tail of every
+//! window until the client's delayed ACK (tens of milliseconds), which
+//! stalls pipelined clients such as the replication stream.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Read as _};
@@ -601,6 +607,8 @@ impl Reactor {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Best effort: a socket without it still serves.
+                    let _ = stream.set_nodelay(true);
                     let idx = self.free.pop().unwrap_or_else(|| {
                         self.conns.push(None);
                         self.conns.len() - 1
@@ -849,8 +857,10 @@ impl Reactor {
             conn.next_write += 1;
             self.responses += 1;
             if let Some((tenant, meta)) = pending.trace {
-                self.telemetry
-                    .record_stage(Stage::Respond, self.pass_ns.saturating_sub(meta.solved_ns));
+                self.telemetry.record_stage(
+                    Stage::Respond,
+                    self.pass_ns.saturating_sub(meta.committed_ns),
+                );
                 conn.flush_tags.push_back(FlushTag {
                     end: conn.sent + conn.backlog as u64,
                     tenant,
@@ -953,7 +963,8 @@ impl Reactor {
             parse_ns: meta.submit_ns.saturating_sub(meta.read_ns),
             queue_ns: meta.dequeue_ns.saturating_sub(meta.submit_ns),
             solve_ns: meta.solve_ns,
-            respond_ns: tag.respond_ns.saturating_sub(meta.solved_ns),
+            persist_ns: meta.committed_ns.saturating_sub(meta.solved_ns),
+            respond_ns: tag.respond_ns.saturating_sub(meta.committed_ns),
             flush_ns,
             total_ns,
         });

@@ -22,34 +22,47 @@
 //! drained by a single forwarder thread, so ops for one tenant are
 //! delivered in journal order (the engine's per-tenant FIFO guarantees
 //! the enqueue order, the queue and the single drainer preserve it).
-//! Replication is asynchronous and *lossy by design* under a dead
-//! standby — the primary's own fsynced journal remains the durability
-//! anchor; the standby is a warm copy that re-seeds itself: if the
-//! standby rejects an append (say it restarted and lost the replica
-//! tail), the forwarder self-heals by re-sending the tenant's full
-//! journal as a fresh reset.
+//! A primary enqueues a group's appends only after the group commit has
+//! synced them (see [`crate::journal`]), so every op describes bytes
+//! that are durable on the primary: a replica stays a byte prefix of
+//! its primary's journal. Replication is asynchronous and *lossy by
+//! design* under a dead standby — the primary's own fsynced journal
+//! remains the durability anchor; the standby is a warm copy that
+//! re-seeds itself from it.
 //!
-//! Two mechanisms make that lossiness safe rather than hopeful:
+//! Four mechanisms make that lossiness safe rather than hopeful:
 //!
 //! * **Offset-stamped appends.** Every [`ReplPayload::Append`] carries
 //!   the byte offset its line starts at in the primary's journal file
 //!   (`at`). The replica is byte-identical, so the standby compares
 //!   `at` against its replica file's length: equal means in-sync
 //!   (append), shorter means the replica is missing events (reject, so
-//!   the primary heals with a full reset), **longer means the op is a
-//!   late duplicate** — typically an append that was still queued
-//!   behind a self-heal whose reset already installed it — and it is
-//!   acknowledged but not re-applied. Without the stamp, the heal race
-//!   would append such events twice and the replica would silently
-//!   diverge from the byte-identical guarantee.
-//! * **A bounded backlog.** The queue holds at most
-//!   [`DEFAULT_BACKLOG_CAP`] pending ops (see
-//!   [`Replicator::with_backlog_cap`]); when a dead standby makes the
-//!   forwarder burn its whole retry budget per op while shard threads
-//!   keep enqueueing, the *oldest* pending op is evicted instead of
-//!   growing the queue without bound. Newest state wins, and any gap
-//!   the eviction leaves is exactly the offset mismatch the self-heal
-//!   path already repairs once the standby returns.
+//!   the primary heals), **longer means the op is a late duplicate** —
+//!   an append a heal's reset already installed, or one resent after a
+//!   reconnect — and it is acknowledged but not re-applied.
+//! * **Pipelined delivery.** The forwarder takes every queued op, up to
+//!   [`PIPELINE_DEPTH`], sends them as one write of ordinary
+//!   `replicate` lines, and reads the answers in order. A tenant whose
+//!   appends were rejected (the standby restarted and lost its replica,
+//!   say) is healed once per batch, with a reset built from the
+//!   primary's journal *cut at the rejected op's end*: bytes past it
+//!   may belong to a group that is not committed yet. A connection lost
+//!   mid-batch is redialed and only the unanswered suffix is resent;
+//!   the offset guard makes the resend idempotent.
+//! * **A bounded backlog.** The queue and the batch in flight together
+//!   hold at most [`DEFAULT_BACKLOG_CAP`] ops (see
+//!   [`Replicator::with_backlog_cap`]); when a stalled standby lets
+//!   shard threads outrun the forwarder, the *oldest* queued op is
+//!   evicted (or, with every counted op already in flight, the new op
+//!   itself) instead of growing the queue without bound.
+//! * **Resync after loss.** An op evicted by the cap or abandoned after
+//!   the retry budget marks its tenant. The tenant's next delivery
+//!   starts with a reset cut at that append's `at` — a committed offset
+//!   — and a [`Replicator::flush`] settles every mark still open with a
+//!   reset cut at the dropped op's end. Without it a dropped compaction
+//!   reset leaves the replica longer than the compacted journal, every
+//!   later append looks like a late duplicate, and the replica stays
+//!   stale for good.
 //!
 //! # Fault injection
 //!
@@ -59,7 +72,7 @@
 //! it to freeze the standby at an arbitrary prefix of the stream and
 //! then assert that failover from that prefix is still self-consistent.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -70,7 +83,7 @@ use rts_model::delta::DeltaEvent;
 
 use crate::client::{LineClient, RetryPolicy};
 use crate::engine::Request;
-use crate::journal::{JournalDir, TenantHistory};
+use crate::journal::{render_event, render_journal, JournalDir, TenantHistory};
 use crate::proto::render_request;
 
 /// One replicated journal mutation — the payload of the `replicate`
@@ -106,14 +119,19 @@ pub enum ReplPayload {
 pub struct ReplStats {
     /// Ops accepted into the channel.
     pub enqueued: u64,
-    /// Ops acknowledged by the standby.
+    /// Ops acknowledged by the standby (directly, or through the heal
+    /// or reset that covered them).
     pub delivered: u64,
-    /// Ops abandoned (retry budget spent, standby rejection that could
-    /// not be healed, or severed before delivery).
+    /// Ops abandoned (evicted by the backlog cap, retry budget spent,
+    /// standby rejection that could not be healed, or severed before
+    /// delivery). Their tenants are resynced later (see the module
+    /// docs).
     pub dropped: u64,
-    /// Self-healing full-journal resends after a standby rejection.
+    /// Resets cut from the primary's journal and delivered: heals after
+    /// a standby rejection, and resyncs after a dropped op.
     pub heals: u64,
-    /// Reconnect attempts to the standby.
+    /// Times the forwarder lost its standby connection, or failed to
+    /// open one, and had to dial again.
     pub reconnects: u64,
 }
 
@@ -128,6 +146,21 @@ struct Counters {
     rejection_logged: AtomicBool,
 }
 
+impl Counters {
+    fn add(counter: &AtomicU64, n: u64) {
+        counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    fn log_rejection(&self, tenant: u64, reason: &str) {
+        if !self.rejection_logged.swap(true, Ordering::Relaxed) {
+            eprintln!(
+                "replication: standby rejected tenant {tenant}: {reason} \
+                 (further rejections counted silently)"
+            );
+        }
+    }
+}
+
 #[derive(Debug)]
 enum ReplOp {
     Apply { tenant: u64, payload: ReplPayload },
@@ -138,10 +171,39 @@ enum ReplOp {
 /// [`Replicator::with_backlog_cap`]).
 pub const DEFAULT_BACKLOG_CAP: usize = 1024;
 
+/// Most ops the forwarder sends in one pipelined write. The batch in
+/// flight counts against the backlog cap, so a smaller cap also caps
+/// the depth.
+pub const PIPELINE_DEPTH: usize = 256;
+
+/// What the forwarder owes a tenant that lost an op.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Resync {
+    /// Reset the replica to the primary's journal cut at this many bytes
+    /// (the lost op's end — committed, unlike anything after it).
+    Cut(u64),
+    /// Retire the replica.
+    Retire,
+}
+
+impl Resync {
+    /// The resync that repairs the loss of `payload`.
+    fn after(payload: &ReplPayload) -> Resync {
+        match payload {
+            ReplPayload::Append { event, at } => {
+                Resync::Cut(at + render_event(event).len() as u64 + 1)
+            }
+            ReplPayload::Reset { history } => Resync::Cut(render_journal(history).len() as u64),
+            ReplPayload::Retire => Resync::Retire,
+        }
+    }
+}
+
 /// The bounded op queue between the shard threads and the forwarder.
-/// Capacity applies to `Apply` ops only; when full, the *oldest*
-/// pending `Apply` is evicted (flush markers are never evicted, so a
-/// flush still observes every op that survived ahead of it).
+/// Capacity applies to `Apply` ops, queued or in the forwarder's batch;
+/// when full, the *oldest* queued `Apply` is evicted (flush markers are
+/// never evicted, so a flush still observes every op that survived
+/// ahead of it).
 #[derive(Debug)]
 struct Backlog {
     cap: AtomicUsize,
@@ -152,8 +214,11 @@ struct Backlog {
 #[derive(Debug, Default)]
 struct BacklogInner {
     ops: VecDeque<ReplOp>,
-    /// `Apply` ops currently in `ops` (the capped population).
+    /// `Apply` ops queued or in flight (the capped population).
     applies: usize,
+    /// Tenants that lost an op to the cap, with the resync each is
+    /// owed (the latest loss wins).
+    evicted: HashMap<u64, Resync>,
     closed: bool,
 }
 
@@ -166,8 +231,9 @@ impl Backlog {
         }
     }
 
-    /// Enqueues one op. Returns how many pending ops were evicted to
-    /// make room, or `Err(())` when the forwarder has already exited.
+    /// Enqueues one op. Returns how many ops were dropped to respect
+    /// the cap (possibly `op` itself), or `Err(())` when the forwarder
+    /// has already exited.
     fn push(&self, op: ReplOp) -> Result<u64, ()> {
         let cap = self.cap.load(Ordering::Relaxed).max(1);
         let mut inner = self.inner.lock().expect("backlog lock");
@@ -175,16 +241,20 @@ impl Backlog {
             return Err(());
         }
         let mut evicted = 0;
-        if matches!(op, ReplOp::Apply { .. }) {
+        if let ReplOp::Apply { tenant, payload } = &op {
             while inner.applies >= cap {
                 let Some(pos) = inner
                     .ops
                     .iter()
                     .position(|o| matches!(o, ReplOp::Apply { .. }))
                 else {
-                    break;
+                    // Every counted op is in flight: the new one gives way.
+                    inner.evicted.insert(*tenant, Resync::after(payload));
+                    return Ok(evicted + 1);
                 };
-                inner.ops.remove(pos);
+                if let Some(ReplOp::Apply { tenant, payload }) = inner.ops.remove(pos) {
+                    inner.evicted.insert(tenant, Resync::after(&payload));
+                }
                 inner.applies -= 1;
                 evicted += 1;
             }
@@ -196,22 +266,42 @@ impl Backlog {
         Ok(evicted)
     }
 
-    /// Dequeues the next op, blocking while the queue is empty. `None`
-    /// once the queue is closed *and* drained (the orderly-exit path).
-    fn pop(&self) -> Option<ReplOp> {
+    /// Takes the next batch — queued ops from the front, up to
+    /// [`PIPELINE_DEPTH`] (or the cap) applies, ending after the first
+    /// flush marker — plus the resyncs owed for evicted ops, all of
+    /// which precede the batch. The batch's applies stay counted until
+    /// [`Backlog::finish`]. Blocks while the queue is empty; `None`
+    /// once it is closed *and* drained (the orderly-exit path).
+    fn pop_batch(&self) -> Option<(Vec<ReplOp>, HashMap<u64, Resync>)> {
+        let depth = PIPELINE_DEPTH.min(self.cap.load(Ordering::Relaxed).max(1));
         let mut inner = self.inner.lock().expect("backlog lock");
         loop {
-            if let Some(op) = inner.ops.pop_front() {
-                if matches!(op, ReplOp::Apply { .. }) {
-                    inner.applies -= 1;
+            if !inner.ops.is_empty() {
+                let mut batch = Vec::new();
+                let mut applies = 0;
+                while applies < depth {
+                    let Some(op) = inner.ops.pop_front() else {
+                        break;
+                    };
+                    let flush = matches!(op, ReplOp::Flush { .. });
+                    batch.push(op);
+                    if flush {
+                        break;
+                    }
+                    applies += 1;
                 }
-                return Some(op);
+                return Some((batch, std::mem::take(&mut inner.evicted)));
             }
             if inner.closed {
                 return None;
             }
             inner = self.ready.wait(inner).expect("backlog lock");
         }
+    }
+
+    /// Releases a finished batch's applies from the cap.
+    fn finish(&self, applies: usize) {
+        self.inner.lock().expect("backlog lock").applies -= applies;
     }
 
     fn close(&self) {
@@ -252,8 +342,8 @@ impl Replicator {
     /// a different source, which makes hand-off races (old primary's
     /// retire racing the new primary's reset) harmless. `journal` is
     /// the primary's own journal directory (a clone *without*
-    /// replication attached), used to self-heal by re-reading a
-    /// tenant's file when the standby rejects an append.
+    /// replication attached), read to heal and resync replicas; without
+    /// it, lost ops stay lost.
     #[must_use]
     pub fn spawn(
         source: impl Into<String>,
@@ -270,15 +360,17 @@ impl Replicator {
         std::thread::Builder::new()
             .name("repl-forwarder".into())
             .spawn(move || {
-                forward(
-                    &worker_backlog,
+                let mut forwarder = Forwarder {
+                    conn: None,
                     standby,
-                    &policy,
-                    &worker_counters,
-                    &worker_source,
-                    journal.as_ref(),
-                );
-                // If forward() ever exits abnormally, refuse further
+                    policy,
+                    counters: &worker_counters,
+                    source: &worker_source,
+                    journal: journal.as_ref(),
+                    owed: HashMap::new(),
+                };
+                forwarder.run(&worker_backlog);
+                // If the loop ever exits abnormally, refuse further
                 // enqueues instead of accumulating a dead backlog.
                 worker_backlog.close();
             })
@@ -293,13 +385,13 @@ impl Replicator {
         }
     }
 
-    /// Caps the pending-op backlog (default [`DEFAULT_BACKLOG_CAP`];
-    /// values below 1 are treated as 1). With the standby unreachable,
-    /// the forwarder spends its whole retry budget per op while shard
-    /// threads keep enqueueing every journal mutation; the cap bounds
-    /// that backlog by evicting the *oldest* pending op — newest state
-    /// wins, and anything evicted reconverges through the
-    /// offset-guarded self-heal once the standby returns.
+    /// Caps the backlog — queued ops plus the batch in flight (default
+    /// [`DEFAULT_BACKLOG_CAP`]; values below 1 are treated as 1). With
+    /// the standby unreachable, the forwarder spends its whole retry
+    /// budget per batch while shard threads keep enqueueing every
+    /// journal mutation; the cap bounds that backlog by evicting the
+    /// *oldest* queued op — newest state wins, and every tenant that
+    /// lost an op is resynced once the standby returns.
     #[must_use]
     pub fn with_backlog_cap(self, cap: usize) -> Self {
         self.backlog.cap.store(cap.max(1), Ordering::Relaxed);
@@ -319,7 +411,8 @@ impl Replicator {
 
     /// Streams one appended accepted delta. `at` is the byte offset the
     /// event's line starts at in the primary's journal file (see
-    /// [`ReplPayload::Append`]).
+    /// [`ReplPayload::Append`]); the bytes before it and the line itself
+    /// must already be synced.
     pub fn append(&self, tenant: u64, event: DeltaEvent, at: u64) {
         self.enqueue(tenant, ReplPayload::Append { event, at });
     }
@@ -331,28 +424,23 @@ impl Replicator {
 
     fn enqueue(&self, tenant: u64, payload: ReplPayload) {
         if self.counters.severed.load(Ordering::Relaxed) {
-            self.counters.dropped.fetch_add(1, Ordering::Relaxed);
+            Counters::add(&self.counters.dropped, 1);
             return;
         }
-        self.counters.enqueued.fetch_add(1, Ordering::Relaxed);
+        Counters::add(&self.counters.enqueued, 1);
         match self.backlog.push(ReplOp::Apply { tenant, payload }) {
             // Evicted ops were abandoned to keep the backlog bounded;
-            // the offset guard heals the gap once the standby returns.
-            Ok(evicted) => {
-                if evicted > 0 {
-                    self.counters.dropped.fetch_add(evicted, Ordering::Relaxed);
-                }
-            }
+            // their tenants are resynced once the standby returns.
+            Ok(evicted) => Counters::add(&self.counters.dropped, evicted),
             // A closed backlog means the forwarder exited; ops are then
             // dropped silently, exactly like a severed stream.
-            Err(()) => {
-                self.counters.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(()) => Counters::add(&self.counters.dropped, 1),
         }
     }
 
     /// Quiesces the stream: blocks until every op enqueued before this
-    /// call has been delivered (or abandoned), or `timeout` elapses.
+    /// call has been delivered (or abandoned) and every tenant that
+    /// lost an op has had one resync attempt, or `timeout` elapses.
     /// Returns whether the flush completed in time. The graceful-drain
     /// paths call this so an orderly stop loses no replicated delta.
     pub fn flush(&self, timeout: Duration) -> bool {
@@ -383,145 +471,293 @@ impl Replicator {
     }
 }
 
-enum Delivery {
+/// One line of a pipelined batch: an enqueued op, or a reset the
+/// forwarder cut from the primary's journal itself (`repair`).
+#[derive(Debug)]
+struct WireOp {
+    tenant: u64,
+    payload: ReplPayload,
+    repair: bool,
+}
+
+impl WireOp {
+    fn whole_file(&self) -> bool {
+        !matches!(self.payload, ReplPayload::Append { .. })
+    }
+}
+
+/// The standby's answer to one line.
+enum Outcome {
     Delivered,
     Rejected(String),
-    Exhausted,
+    /// Never answered: the retry budget ran out first.
+    Lost,
 }
 
-fn forward(
-    backlog: &Backlog,
+impl Outcome {
+    /// Classifies an answer line. `applied:false` (the standby ignored
+    /// a stale-source op on purpose) counts as delivered.
+    fn of(answer: &str) -> Outcome {
+        if !answer.contains("\"verdict\":\"error\"") {
+            return Outcome::Delivered;
+        }
+        let reason = crate::json::parse(answer)
+            .ok()
+            .and_then(|v| v.get("reason").and_then(|r| r.as_str().map(String::from)))
+            .unwrap_or_else(|| answer.to_string());
+        Outcome::Rejected(reason)
+    }
+}
+
+/// The forwarder thread's state: its standby connection and the
+/// resyncs owed to tenants that lost an op.
+struct Forwarder<'a> {
+    conn: Option<LineClient>,
     standby: SocketAddr,
-    policy: &RetryPolicy,
-    counters: &Counters,
-    source: &str,
-    journal: Option<&JournalDir>,
-) {
-    let mut conn: Option<LineClient> = None;
-    while let Some(op) = backlog.pop() {
-        match op {
-            ReplOp::Flush { ack } => {
-                // The queue is FIFO: reaching the marker means every
-                // earlier op was delivered or abandoned.
-                let _ = ack.send(());
-            }
-            ReplOp::Apply { tenant, payload } => {
-                if counters.severed.load(Ordering::Relaxed) {
-                    counters.dropped.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                let line = render_request(&Request::Replicate {
-                    tenant,
-                    source: source.to_string(),
-                    payload: payload.clone(),
-                });
-                match deliver(&mut conn, standby, policy, counters, &line) {
-                    Delivery::Delivered => {
-                        counters.delivered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Delivery::Rejected(reason) => {
-                        if matches!(payload, ReplPayload::Append { .. })
-                            && heal(
-                                &mut conn, standby, policy, counters, source, journal, tenant,
-                            )
-                        {
-                            counters.heals.fetch_add(1, Ordering::Relaxed);
-                            counters.delivered.fetch_add(1, Ordering::Relaxed);
-                        } else {
-                            counters.dropped.fetch_add(1, Ordering::Relaxed);
-                            if !counters.rejection_logged.swap(true, Ordering::Relaxed) {
-                                eprintln!(
-                                    "replication: standby rejected tenant {tenant}: {reason} \
-                                     (further rejections counted silently)"
-                                );
+    policy: RetryPolicy,
+    counters: &'a Counters,
+    source: &'a str,
+    journal: Option<&'a JournalDir>,
+    owed: HashMap<u64, Resync>,
+}
+
+impl Forwarder<'_> {
+    fn run(&mut self, backlog: &Backlog) {
+        while let Some((batch, evicted)) = backlog.pop_batch() {
+            // Evictions happened before every op of this batch.
+            self.owed.extend(evicted);
+            let mut applies = 0;
+            let mut flushes = Vec::new();
+            let mut wire = Vec::with_capacity(batch.len());
+            for op in batch {
+                match op {
+                    ReplOp::Flush { ack } => flushes.push(ack),
+                    ReplOp::Apply { tenant, payload } => {
+                        applies += 1;
+                        if self.counters.severed.load(Ordering::Relaxed) {
+                            Counters::add(&self.counters.dropped, 1);
+                            continue;
+                        }
+                        // A tenant that lost an op starts its next
+                        // delivery with a reset cut at this append's
+                        // start; a reset or retire repairs it by itself.
+                        if self.owed.remove(&tenant).is_some() {
+                            if let ReplPayload::Append { at, .. } = payload {
+                                match self.cut(tenant, at) {
+                                    Some(reset) => wire.push(reset),
+                                    None => {
+                                        self.owed.insert(tenant, Resync::after(&payload));
+                                    }
+                                }
                             }
                         }
+                        wire.push(WireOp {
+                            tenant,
+                            payload,
+                            repair: false,
+                        });
                     }
-                    Delivery::Exhausted => {
-                        counters.dropped.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            self.deliver(&wire);
+            if !flushes.is_empty() {
+                self.settle();
+                for ack in flushes {
+                    // FIFO: every op ahead of the marker is settled.
+                    let _ = ack.send(());
+                }
+            }
+            backlog.finish(applies);
+        }
+    }
+
+    /// A reset of `tenant`'s replica to the primary's journal cut at
+    /// `len` bytes, if the journal is at hand and still has that prefix
+    /// (a later rewrite may have replaced it; its own reset follows).
+    fn cut(&self, tenant: u64, len: u64) -> Option<WireOp> {
+        let history = self.journal?.load_tenant_prefix(tenant, len).ok()?;
+        Some(WireOp {
+            tenant,
+            payload: ReplPayload::Reset { history },
+            repair: true,
+        })
+    }
+
+    /// Books an op that was not delivered: dropped, and its tenant owed
+    /// a resync up to the op's end.
+    fn lose(&mut self, op: &WireOp) {
+        if !op.repair {
+            Counters::add(&self.counters.dropped, 1);
+        }
+        self.owed.insert(op.tenant, Resync::after(&op.payload));
+    }
+
+    /// Sends one batch pipelined and books every answer, then heals
+    /// each tenant whose appends were rejected — once, with a reset cut
+    /// at its last rejected append's end. Answers are booked in order,
+    /// so a later rewrite or heal of a tenant supersedes its earlier
+    /// losses, never a later one.
+    fn deliver(&mut self, wire: &[WireOp]) {
+        // Per tenant: the heal's cut and the rejected appends awaiting it.
+        let mut heal: HashMap<u64, (u64, u64)> = HashMap::new();
+        let outcomes = self.exchange(wire);
+        for (op, outcome) in wire.iter().zip(outcomes) {
+            let delivered = matches!(outcome, Outcome::Delivered);
+            if op.whole_file() {
+                // A reset or retire settles the rejections before it.
+                if let Some((_, waiting)) = heal.remove(&op.tenant) {
+                    let counter = if delivered {
+                        &self.counters.delivered
+                    } else {
+                        &self.counters.dropped
+                    };
+                    Counters::add(counter, waiting);
+                }
+            }
+            match outcome {
+                Outcome::Delivered => {
+                    if op.whole_file() {
+                        self.owed.remove(&op.tenant);
                     }
+                    let counter = if op.repair {
+                        &self.counters.heals
+                    } else {
+                        &self.counters.delivered
+                    };
+                    Counters::add(counter, 1);
+                }
+                Outcome::Rejected(_) if !op.whole_file() => {
+                    // The heal, cut at this append's end, covers every
+                    // earlier loss of the tenant.
+                    self.owed.remove(&op.tenant);
+                    if let Resync::Cut(end) = Resync::after(&op.payload) {
+                        let entry = heal.entry(op.tenant).or_insert((end, 0));
+                        *entry = (end, entry.1 + 1);
+                    }
+                }
+                Outcome::Rejected(reason) => {
+                    self.counters.log_rejection(op.tenant, &reason);
+                    self.lose(op);
+                }
+                Outcome::Lost => self.lose(op),
+            }
+        }
+        if heal.is_empty() {
+            return;
+        }
+        let mut resets = Vec::with_capacity(heal.len());
+        let mut waiting = Vec::with_capacity(heal.len());
+        for (tenant, (end, rejected)) in heal {
+            match self.cut(tenant, end) {
+                Some(reset) => {
+                    resets.push(reset);
+                    waiting.push(rejected);
+                }
+                None => {
+                    Counters::add(&self.counters.dropped, rejected);
+                    self.owed.entry(tenant).or_insert(Resync::Cut(end));
+                }
+            }
+        }
+        let outcomes = self.exchange(&resets);
+        for ((op, rejected), outcome) in resets.iter().zip(waiting).zip(outcomes) {
+            if let Outcome::Delivered = outcome {
+                Counters::add(&self.counters.heals, 1);
+                Counters::add(&self.counters.delivered, rejected);
+                continue;
+            }
+            if let Outcome::Rejected(reason) = outcome {
+                self.counters.log_rejection(op.tenant, &reason);
+            }
+            Counters::add(&self.counters.dropped, rejected);
+            // A loss owed from later in the batch stays the target.
+            self.owed
+                .entry(op.tenant)
+                .or_insert(Resync::after(&op.payload));
+        }
+    }
+
+    /// A flush settles every resync still owed — a reset cut at the lost
+    /// op's end, or a retire — so a quiesced stream leaves no replica
+    /// stale. Unsettled resyncs stay owed.
+    fn settle(&mut self) {
+        if self.owed.is_empty() || self.counters.severed.load(Ordering::Relaxed) {
+            return;
+        }
+        let mut wire = Vec::with_capacity(self.owed.len());
+        for (&tenant, &resync) in &self.owed {
+            match resync {
+                Resync::Cut(len) => wire.extend(self.cut(tenant, len)),
+                Resync::Retire => wire.push(WireOp {
+                    tenant,
+                    payload: ReplPayload::Retire,
+                    repair: true,
+                }),
+            }
+        }
+        let outcomes = self.exchange(&wire);
+        for (op, outcome) in wire.iter().zip(outcomes) {
+            if matches!(outcome, Outcome::Delivered) {
+                self.owed.remove(&op.tenant);
+                if matches!(op.payload, ReplPayload::Reset { .. }) {
+                    Counters::add(&self.counters.heals, 1);
                 }
             }
         }
     }
-}
 
-/// A standby that rejected an append has lost the tenant's replica tail
-/// (most likely it restarted). The primary's fsynced journal already
-/// contains the appended event, so re-sending the whole file as a reset
-/// reconverges the replica exactly. The re-read file may also contain
-/// *later* events whose `Append` ops are still queued behind this one —
-/// that is safe: those ops carry a byte offset below the reset's length,
-/// so the standby acknowledges them without re-applying (no duplicates).
-fn heal(
-    conn: &mut Option<LineClient>,
-    standby: SocketAddr,
-    policy: &RetryPolicy,
-    counters: &Counters,
-    source: &str,
-    journal: Option<&JournalDir>,
-    tenant: u64,
-) -> bool {
-    let Some(journal) = journal else {
-        return false;
-    };
-    let Ok(history) = journal.load_tenant(tenant) else {
-        return false;
-    };
-    let line = render_request(&Request::Replicate {
-        tenant,
-        source: source.to_string(),
-        payload: ReplPayload::Reset { history },
-    });
-    matches!(
-        deliver(conn, standby, policy, counters, &line),
-        Delivery::Delivered
-    )
-}
-
-/// Delivers one line to the standby: reconnects with capped backoff on
-/// I/O trouble, classifies the standby's answer. `applied:false` (the
-/// standby ignored a stale-source op on purpose) counts as delivered.
-fn deliver(
-    conn: &mut Option<LineClient>,
-    standby: SocketAddr,
-    policy: &RetryPolicy,
-    counters: &Counters,
-    line: &str,
-) -> Delivery {
-    let attempts = policy.attempts.max(1);
-    for attempt in 0..attempts {
-        if counters.severed.load(Ordering::Relaxed) {
-            return Delivery::Exhausted;
-        }
-        if conn.is_none() {
-            match LineClient::connect(standby, &RetryPolicy::once()) {
-                Ok(client) => *conn = Some(client),
-                Err(_) => {
-                    counters.reconnects.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(policy.delay(attempt));
-                    continue;
+    /// Sends `ops` pipelined — one write of every unanswered line — and
+    /// reads their answers in order. A broken connection is redialed
+    /// with capped backoff and only the unanswered suffix is resent (the
+    /// offset guard makes a resent append idempotent, and a resent reset
+    /// or retire rewrites the same state). Ops still unanswered when the
+    /// retry budget is spent come back [`Outcome::Lost`].
+    fn exchange(&mut self, ops: &[WireOp]) -> Vec<Outcome> {
+        let lines: Vec<String> = ops
+            .iter()
+            .map(|op| {
+                render_request(&Request::Replicate {
+                    tenant: op.tenant,
+                    source: self.source.to_string(),
+                    payload: op.payload.clone(),
+                })
+            })
+            .collect();
+        let mut outcomes = Vec::with_capacity(lines.len());
+        let attempts = self.policy.attempts.max(1);
+        let mut attempt = 0;
+        while outcomes.len() < lines.len() && attempt < attempts {
+            if self.counters.severed.load(Ordering::Relaxed) {
+                break;
+            }
+            let client = match &mut self.conn {
+                Some(client) => client,
+                None => match LineClient::connect(self.standby, &RetryPolicy::once()) {
+                    Ok(client) => self.conn.insert(client),
+                    Err(_) => {
+                        Counters::add(&self.counters.reconnects, 1);
+                        std::thread::sleep(self.policy.delay(attempt));
+                        attempt += 1;
+                        continue;
+                    }
+                },
+            };
+            let mut broken = client.send_all(&lines[outcomes.len()..]).is_err();
+            while !broken && outcomes.len() < lines.len() {
+                match client.recv() {
+                    Ok(answer) => outcomes.push(Outcome::of(&answer)),
+                    Err(_) => broken = true,
                 }
             }
-        }
-        let client = conn.as_mut().expect("connection was just established");
-        match client.request(line) {
-            Ok(answer) => {
-                if answer.contains("\"verdict\":\"error\"") {
-                    let reason = crate::json::parse(&answer)
-                        .ok()
-                        .and_then(|v| v.get("reason").and_then(|r| r.as_str().map(String::from)))
-                        .unwrap_or_else(|| answer.clone());
-                    return Delivery::Rejected(reason);
-                }
-                return Delivery::Delivered;
-            }
-            Err(_) => {
+            if broken {
                 // Broken pipe, timeout, standby restarting: redial.
-                *conn = None;
-                std::thread::sleep(policy.delay(attempt));
+                self.conn = None;
+                Counters::add(&self.counters.reconnects, 1);
+                std::thread::sleep(self.policy.delay(attempt));
+                attempt += 1;
             }
         }
+        outcomes.resize_with(lines.len(), || Outcome::Lost);
+        outcomes
     }
-    Delivery::Exhausted
 }

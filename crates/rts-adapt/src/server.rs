@@ -134,7 +134,7 @@ fn dispatch_round(
     };
     for (seq, response, meta) in answers {
         let trace = (meta.solved_ns != 0).then(|| {
-            telemetry.record_stage(Stage::Respond, respond_ns.saturating_sub(meta.solved_ns));
+            telemetry.record_stage(Stage::Respond, respond_ns.saturating_sub(meta.committed_ns));
             (response.tenant(), meta, respond_ns)
         });
         rendered.push(RoundAnswer {
@@ -329,7 +329,8 @@ fn serve_with<R: Read, W: Write>(
                     parse_ns: meta.submit_ns.saturating_sub(meta.read_ns),
                     queue_ns: meta.dequeue_ns.saturating_sub(meta.submit_ns),
                     solve_ns: meta.solve_ns,
-                    respond_ns: respond_ns.saturating_sub(meta.solved_ns),
+                    persist_ns: meta.committed_ns.saturating_sub(meta.solved_ns),
+                    respond_ns: respond_ns.saturating_sub(meta.committed_ns),
                     flush_ns,
                     total_ns,
                 });
@@ -630,10 +631,17 @@ not json at all
         }
 
         fn recv(&mut self) -> String {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).unwrap();
+            let line = self.try_recv().unwrap();
             assert!(!line.is_empty(), "server closed the connection");
-            line.trim_end().to_string()
+            line
+        }
+
+        /// Like `recv`, but surfaces the error — a refused connection
+        /// may be reset before its refusal line is read.
+        fn try_recv(&mut self) -> std::io::Result<String> {
+            let mut line = String::new();
+            self.reader.read_line(&mut line)?;
+            Ok(line.trim_end().to_string())
         }
     }
 
@@ -682,9 +690,12 @@ not json at all
         loop {
             let mut c = Client::connect(addr);
             // The write races the refusal: a refused socket may already
-            // be closed, which is just another "try again" signal.
+            // be closed or reset, which is just another "try again"
+            // signal.
             let line = match c.try_send("{\"op\":\"query\",\"tenant\":9}") {
-                Ok(()) => c.recv(),
+                Ok(()) => c
+                    .try_recv()
+                    .unwrap_or_else(|_| "connection cap".to_string()),
                 Err(_) => "connection cap".to_string(),
             };
             if line.contains("unknown tenant 9") {

@@ -30,6 +30,18 @@
 //! the `cached` response flag deliberately counts only per-tenant memo
 //! hits, whose sequence is shard-count-independent.
 //!
+//! # Group commit
+//!
+//! A worker whose engine journals coalesces every batch already queued
+//! on its channel (up to [`GROUP_MAX_REQUESTS`]) into one *group*: it
+//! answers each request with its appends written but unsynced
+//! ([`AdaptEngine::handle_deferred`]), commits once — one fsync per
+//! touched journal file, then the group's replication ops — and only
+//! then releases the group's answers. Under load a group holds every
+//! batch that queued up during the previous commit, so appends to one
+//! tenant share its fsync. A worker without a journal has nothing to
+//! commit and answers batch by batch.
+//!
 //! The hand-off verbs (`Export`/`Import`/`Evict`, see
 //! [`crate::engine`]) need no special plumbing here: they are ordinary
 //! requests, so they ride the same tenant-hashed FIFO as the deltas
@@ -81,7 +93,16 @@ pub struct ResponseMeta {
     pub solve_ns: u64,
     /// Tick at which the verdict was produced.
     pub solved_ns: u64,
+    /// Tick at which the verdict's group commit finished (equal to
+    /// `solved_ns` on a worker without a journal) — where the respond
+    /// stage starts.
+    pub committed_ns: u64,
 }
+
+/// Most requests a journaling worker coalesces into one group commit.
+/// Batches stop joining a group once it holds this many, which bounds
+/// how long the group's first answer waits for its commit.
+pub const GROUP_MAX_REQUESTS: usize = 1024;
 
 /// Called by a worker after it pushes a batch of responses onto the
 /// results channel — the event-driven server installs its poll waker
@@ -206,6 +227,92 @@ fn dispatch_envelopes(
                 .send(std::mem::take(bucket))
                 .expect("shard worker died with requests outstanding");
         }
+    }
+}
+
+/// One batch's answers, tagged with the lane that submitted it.
+type LaneAnswers = (usize, Vec<(u64, Response, ResponseMeta)>);
+
+/// Answers one dispatched batch on a worker's engine, leaving journal
+/// appends for the group commit. `trace_tick` is the worker's
+/// round-robin trace-sample counter: request k is fully stamped iff
+/// k % TRACE_SAMPLE == 0 — per worker, so the sample can't alias batch
+/// or tenant structure (see telemetry's module docs for the cost
+/// arithmetic).
+fn answer_batch(
+    engine: &mut AdaptEngine,
+    batch: Vec<Envelope>,
+    telemetry: &Telemetry,
+    trace_tick: &mut u64,
+) -> LaneAnswers {
+    let traced = telemetry.enabled();
+    // A dispatched batch comes from exactly one submit call on one lane
+    // (dispatch buckets per shard per call), so the first sequence's top
+    // byte routes the whole answer batch.
+    let lane = batch.first().map_or(0, |e| (e.seq >> LANE_SHIFT) as usize);
+    let mut answers = Vec::with_capacity(batch.len());
+    for envelope in batch {
+        let Envelope {
+            seq,
+            request,
+            read_ns,
+            submit_ns,
+        } = envelope;
+        // Contain per-request panics: the tenant table is transactional
+        // (it commits only on success) and the selector restores its
+        // environment's migrating-free invariant on unwind
+        // (hydra_core::incremental), so answering an error and serving
+        // on keeps the pool healthy — a dead worker would instead wedge
+        // every drain() forever.
+        let sampled = traced && *trace_tick % TRACE_SAMPLE == 0;
+        *trace_tick += 1;
+        // Sampled requests pay two clock reads (queue exit, verdict);
+        // the other seven pay none.
+        let dequeue_ns = if sampled { telemetry.now_ns() } else { 0 };
+        let response = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.handle_deferred(&request)
+        }))
+        .unwrap_or_else(|_| Response::Error {
+            tenant: request.tenant(),
+            reason: "internal error while handling the request".into(),
+        });
+        let meta = if sampled {
+            let solved_ns = telemetry.now_ns();
+            let solve_ns = solved_ns.saturating_sub(dequeue_ns);
+            telemetry.record_stage(Stage::Queue, dequeue_ns.saturating_sub(submit_ns));
+            telemetry.record_stage(Stage::Solve, solve_ns);
+            ResponseMeta {
+                read_ns,
+                submit_ns,
+                dequeue_ns,
+                solve_ns,
+                solved_ns,
+                committed_ns: solved_ns,
+            }
+        } else {
+            ResponseMeta::default()
+        };
+        answers.push((seq, response, meta));
+    }
+    (lane, answers)
+}
+
+/// Stamps a finished group commit on the group's sampled answers (one
+/// clock read per group) and records their persist stage.
+fn stamp_commit(answered: &mut [LaneAnswers], telemetry: &Telemetry) {
+    let mut sampled = answered
+        .iter_mut()
+        .flat_map(|(_, answers)| answers.iter_mut())
+        .map(|(_, _, meta)| meta)
+        .filter(|meta| meta.solved_ns != 0)
+        .peekable();
+    if sampled.peek().is_none() {
+        return;
+    }
+    let committed_ns = telemetry.now_ns();
+    for meta in sampled {
+        meta.committed_ns = committed_ns;
+        telemetry.record_stage(Stage::Persist, committed_ns.saturating_sub(meta.solved_ns));
     }
 }
 
@@ -390,82 +497,32 @@ impl ShardedEngine {
                     None => AdaptEngine::new(strategy).with_shared_store(shared),
                 };
                 let mut handled = 0u64;
-                // Round-robin trace-sample counter: request k is fully
-                // stamped iff k % TRACE_SAMPLE == 0. Per-worker, so the
-                // sample can't alias batch or tenant structure; see
-                // telemetry's module docs for the cost arithmetic.
                 let mut trace_tick = 0u64;
-                for batch in rx {
-                    let mut answers = Vec::with_capacity(batch.len());
-                    let traced = telemetry.enabled();
-                    // A dispatched batch comes from exactly one submit
-                    // call on one lane (dispatch buckets per shard per
-                    // call), so the first sequence's top byte routes the
-                    // whole answer batch.
-                    let lane = batch.first().map_or(0, |e| (e.seq >> LANE_SHIFT) as usize);
-                    for envelope in batch {
-                        let Envelope {
-                            seq,
-                            request,
-                            read_ns,
-                            submit_ns,
-                        } = envelope;
-                        // Contain per-request panics: the tenant table
-                        // is transactional (it commits only on success)
-                        // and the selector restores its environment's
-                        // migrating-free invariant on unwind
-                        // (hydra_core::incremental), so answering an
-                        // error and serving on keeps the pool healthy —
-                        // a dead worker would instead wedge every
-                        // drain() forever.
-                        let sampled = traced && trace_tick % TRACE_SAMPLE == 0;
-                        trace_tick += 1;
-                        // Sampled requests pay two clock reads (queue
-                        // exit, verdict); the other seven pay none.
-                        let dequeue_ns = if sampled { telemetry.now_ns() } else { 0 };
-                        let response =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                engine.handle(&request)
-                            }))
-                            .unwrap_or_else(|_| Response::Error {
-                                tenant: request.tenant(),
-                                reason: "internal error while handling the request".into(),
-                            });
-                        handled += 1;
-                        let meta = if sampled {
-                            let solved_ns = telemetry.now_ns();
-                            let solve_ns = solved_ns.saturating_sub(dequeue_ns);
-                            telemetry
-                                .record_stage(Stage::Queue, dequeue_ns.saturating_sub(submit_ns));
-                            telemetry.record_stage(Stage::Solve, solve_ns);
-                            ResponseMeta {
-                                read_ns,
-                                submit_ns,
-                                dequeue_ns,
-                                solve_ns,
-                                solved_ns,
-                            }
-                        } else {
-                            ResponseMeta::default()
-                        };
-                        answers.push((seq, response, meta));
-                    }
-                    // One channel message (and below, one waker ping) per
-                    // dispatched batch — not per request. Routed to the
-                    // lane the batch was submitted on.
-                    if lane_txs[lane].send(answers).is_err() {
-                        if lane == 0 {
-                            return; // collector gone — stop quietly
+                let journaled = engine.journals();
+                while let Ok(first) = rx.recv() {
+                    let mut group = vec![first];
+                    if journaled {
+                        let mut queued = group[0].len();
+                        while queued < GROUP_MAX_REQUESTS {
+                            let Ok(batch) = rx.try_recv() else { break };
+                            queued += batch.len();
+                            group.push(batch);
                         }
-                        // A lane owner that already exited dropped its
-                        // receiver; its answers are undeliverable (like
-                        // responses to a dead connection), but the pool
-                        // and the other lanes are still being served.
-                        continue;
                     }
-                    // Refresh the live telemetry, then wake the reactor
-                    // (order matters only for the freshness of a stats
-                    // answer, not for correctness).
+                    handled += group.iter().map(Vec::len).sum::<usize>() as u64;
+                    let mut answered: Vec<_> = group
+                        .into_iter()
+                        .map(|batch| answer_batch(&mut engine, batch, &telemetry, &mut trace_tick))
+                        .collect();
+                    if journaled {
+                        // No answer of the group leaves before its
+                        // appends are synced (acknowledged ⇒ durable).
+                        engine.commit();
+                        stamp_commit(&mut answered, &telemetry);
+                    }
+                    // Refresh the live telemetry before the answers
+                    // leave, so a stats answer never lags an answer its
+                    // client already holds.
                     counters.handled.store(handled, Ordering::Relaxed);
                     let memo = engine.memo_stats();
                     counters.memo_hits.store(memo.hits, Ordering::Relaxed);
@@ -476,7 +533,23 @@ impl ShardedEngine {
                     counters
                         .tenants
                         .store(engine.tenant_count(), Ordering::Relaxed);
-                    notifiers[lane].fire();
+                    // One channel message and one waker ping per
+                    // dispatched batch — not per request — routed to the
+                    // lane the batch was submitted on.
+                    for (lane, answers) in answered {
+                        if lane_txs[lane].send(answers).is_err() {
+                            if lane == 0 {
+                                return; // collector gone — stop quietly
+                            }
+                            // A lane owner that already exited dropped
+                            // its receiver; its answers are
+                            // undeliverable (like responses to a dead
+                            // connection), but the pool and the other
+                            // lanes are still being served.
+                            continue;
+                        }
+                        notifiers[lane].fire();
+                    }
                 }
                 let _ = reports_tx.send(ShardReport {
                     shard,

@@ -8,7 +8,8 @@
 //! the diagnosis ("the per-connection syscall fan-out is the ceiling")
 //! was guesswork: nothing attributed a request's latency to the stage
 //! that spent it. This module gives every request a stage breakdown —
-//! accept → read/parse → enqueue → dequeue → solve → respond → flush —
+//! accept → read/parse → enqueue → dequeue → solve → persist → respond
+//! → flush —
 //! recorded into merge-able histograms that the `{"op":"metrics"}` verb
 //! (see [`crate::proto::render_metrics`]) exposes from all three
 //! serving fronts.
@@ -54,9 +55,9 @@
 //!
 //! The front-side stages whose stamps are free (accept and parse reuse
 //! the reactor's pass tick) are recorded for **every** request. The
-//! stages that need their own clock reads — queue/solve in the shard
-//! workers, and the respond/flush/total chain plus the slow ring that
-//! hang off the worker's stamps — follow a deterministic 1-in-
+//! stages that need their own clock reads — queue/solve/persist in the
+//! shard workers, and the respond/flush/total chain plus the slow ring
+//! that hang off the worker's stamps — follow a deterministic 1-in-
 //! [`TRACE_SAMPLE`] sample (a per-worker round-robin, so it cannot
 //! alias tenant or batch structure). The arithmetic forces this: one
 //! `clock_gettime` is ~40 ns on the benchmark container, and the
@@ -322,8 +323,8 @@ impl AtomicHistogram {
 }
 
 /// One lifecycle stage of a served request. The wire lifecycle is
-/// accept → read → parse/enqueue → dequeue → solve → respond → flush;
-/// each variant names the interval ending at that point.
+/// accept → read → parse/enqueue → dequeue → solve → persist → respond
+/// → flush; each variant names the interval ending at that point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Stage {
     /// Connection accepted → first readable data (per connection, not
@@ -338,8 +339,13 @@ pub enum Stage {
     Queue,
     /// Dequeued → engine verdict produced (solver + memo time).
     Solve,
-    /// Verdict produced → response routed into the connection's write
-    /// queue (worker→reactor hand-back, includes the waker hop).
+    /// Verdict produced → its group commit finished (the rest of the
+    /// group's requests, then one fsync per touched journal file).
+    /// Recorded only by journaling workers.
+    Persist,
+    /// Group commit finished (the verdict, without a journal) →
+    /// response routed into the connection's write queue
+    /// (worker→reactor hand-back, includes the waker hop).
     Respond,
     /// Routed → response bytes handed to the kernel (write-syscall
     /// cost plus any writability wait — the fan-in suspect).
@@ -349,7 +355,7 @@ pub enum Stage {
 }
 
 /// Number of lifecycle stages.
-pub const STAGE_COUNT: usize = 7;
+pub const STAGE_COUNT: usize = 8;
 
 impl Stage {
     /// Every stage, in lifecycle order — the canonical iteration and
@@ -359,6 +365,7 @@ impl Stage {
         Stage::Parse,
         Stage::Queue,
         Stage::Solve,
+        Stage::Persist,
         Stage::Respond,
         Stage::Flush,
         Stage::Total,
@@ -372,6 +379,7 @@ impl Stage {
             Stage::Parse => "parse",
             Stage::Queue => "queue",
             Stage::Solve => "solve",
+            Stage::Persist => "persist",
             Stage::Respond => "respond",
             Stage::Flush => "flush",
             Stage::Total => "total",
@@ -384,9 +392,10 @@ impl Stage {
             Stage::Parse => 1,
             Stage::Queue => 2,
             Stage::Solve => 3,
-            Stage::Respond => 4,
-            Stage::Flush => 5,
-            Stage::Total => 6,
+            Stage::Persist => 4,
+            Stage::Respond => 5,
+            Stage::Flush => 6,
+            Stage::Total => 7,
         }
     }
 }
@@ -407,7 +416,9 @@ pub struct SlowRequest {
     pub queue_ns: u64,
     /// Dequeue → verdict nanoseconds.
     pub solve_ns: u64,
-    /// Verdict → routed-to-connection nanoseconds.
+    /// Verdict → group-commit-done nanoseconds (0 without a journal).
+    pub persist_ns: u64,
+    /// Commit → routed-to-connection nanoseconds.
     pub respond_ns: u64,
     /// Routed → bytes-handed-to-kernel nanoseconds.
     pub flush_ns: u64,
