@@ -1061,7 +1061,7 @@ fn drive_connection(
     totals
 }
 
-/// Replays a recorded workload against a live [`serve_reactor`] over
+/// Replays a recorded workload against a live [`serve_reactors`] front over
 /// real TCP with `conns` connections. Tenants are assigned to
 /// connections with per-tenant affinity (a tenant's requests all ride
 /// one connection, in stream order), which is the only ordering the

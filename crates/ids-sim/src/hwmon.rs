@@ -1,7 +1,7 @@
 //! Hardware event monitoring — the perf/OProfile row of Table 1.
 //!
 //! Statistical anomaly detection over hardware performance counters
-//! (paper reference [21]: "Early detection of system-level anomalous
+//! (paper reference \[21\]: "Early detection of system-level anomalous
 //! behaviour using hardware performance counters"): a profiling phase
 //! learns the per-counter mean/variance of the healthy workload; the
 //! monitor task then flags samples whose z-score exceeds a threshold —

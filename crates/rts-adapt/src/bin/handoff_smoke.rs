@@ -11,20 +11,22 @@
 //! 4. assert B's query answers are byte-identical to A's pre-hand-off
 //!    answers (modulo the `seq` echo), A no longer knows the moved
 //!    tenants but still serves the rest;
-//! 5. restart B from its journal directory alone and assert the moved
-//!    tenants recover bit-identically.
+//! 5. stop B, restart it from its journal directory alone and assert
+//!    the moved tenants recover bit-identically.
 //!
 //! Exits non-zero (panics) on any mismatch; prints a one-line summary
-//! on success. Wall time is a few seconds — CI wraps it in a hard
+//! on success. Wall time is well under a second — CI wraps it in a hard
 //! `timeout` like the other smoke jobs.
 
-use std::net::TcpListener;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::client::{LineClient, RetryPolicy};
 use rts_adapt::journal::JournalDir;
-use rts_adapt::server::{serve_listener, shared};
+use rts_adapt::reactor::{serve_reactors, ReactorOptions, ReactorSummary, Shutdown};
 use rts_adapt::{json, Request, Response, ShardedEngine};
 use rts_analysis::semi::CarryInStrategy;
 
@@ -60,18 +62,32 @@ fn strip_seq(line: &str) -> String {
     }
 }
 
-fn spawn_daemon(journal: JournalDir, shards: usize) -> std::net::SocketAddr {
-    let engine = shared(ShardedEngine::with_journal(
-        CarryInStrategy::TopDiff,
-        shards,
-        journal,
-    ));
+/// An in-process daemon: its address, drain handle and serve thread.
+type Daemon = (
+    SocketAddr,
+    Arc<Shutdown>,
+    JoinHandle<std::io::Result<ReactorSummary>>,
+);
+
+/// Boots a journaled reactor on an ephemeral port.
+fn spawn_daemon(journal: JournalDir, shards: usize) -> Daemon {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
     let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let _ = serve_listener(&engine, &listener, 64, 16);
-    });
-    addr
+    let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
+    options.journal = Some(journal);
+    let shutdown = Shutdown::new();
+    let remote = Arc::clone(&shutdown);
+    let serving = std::thread::spawn(move || serve_reactors(vec![listener], &options, &remote));
+    (addr, shutdown, serving)
+}
+
+/// Drains a daemon and joins its shard workers.
+fn stop((_, shutdown, serving): Daemon) {
+    shutdown.request();
+    serving
+        .join()
+        .expect("the reactor thread never panics")
+        .expect("the daemon drains cleanly");
 }
 
 fn main() {
@@ -82,8 +98,8 @@ fn main() {
     let dir_b = JournalDir::at(root.join("daemon_b")).with_compaction(8);
 
     // 1. Daemon A under a seeded load.
-    let addr_a = spawn_daemon(dir_a, 3);
-    let mut client = Client::connect(addr_a);
+    let daemon_a = spawn_daemon(dir_a, 3);
+    let mut client = Client::connect(daemon_a.0);
     for t in 1..=TENANTS {
         let answer = client.request(&format!(
             "{{\"op\":\"register\",\"tenant\":{t},\"cores\":2,\"rt\":[\
@@ -139,8 +155,8 @@ fn main() {
         .collect();
 
     // 3. Hand the chosen tenants off to daemon B.
-    let addr_b = spawn_daemon(dir_b.clone(), 2);
-    let mut client_b = Client::connect(addr_b);
+    let daemon_b = spawn_daemon(dir_b.clone(), 2);
+    let mut client_b = Client::connect(daemon_b.0);
     for &t in &MOVED {
         let export = client.request(&format!("{{\"op\":\"export\",\"tenant\":{t}}}"));
         assert!(export.contains("\"verdict\":\"export\""), "{export}");
@@ -177,9 +193,11 @@ fn main() {
         }
     }
 
-    // 5. A daemon booted from B's journal alone recovers the moved
-    // tenants bit-identically (periods, response times, fingerprint all
-    // inside the compared line).
+    // 5. With B stopped, a daemon booted from B's journal alone
+    // recovers the moved tenants bit-identically (periods, response
+    // times, fingerprint all inside the compared line).
+    drop(client_b);
+    stop(daemon_b);
     let mut revived = ShardedEngine::with_journal(CarryInStrategy::TopDiff, 4, dir_b);
     for &t in &MOVED {
         let out = revived.process(vec![Request::Query { tenant: t }]);
@@ -191,6 +209,8 @@ fn main() {
         assert_eq!(&line, expected, "tenant {t} post-restart answer");
     }
     let _ = revived.shutdown();
+    drop(client);
+    stop(daemon_a);
     let _ = std::fs::remove_dir_all(&root);
     println!(
         "handoff-smoke OK: {TENANTS} tenants, {DELTAS} deltas ({accepted} accepted, \

@@ -4,29 +4,29 @@
 //!
 //! ```sh
 //! rts_adaptd [--shards N] [--batch N] [--strategy topdiff|exhaustive]
-//!            [--tcp ADDR] [--reactors N] [--threaded] [--max-conns N]
+//!            [--tcp ADDR] [--reactors N] [--max-conns N]
 //!            [--journal DIR] [--compact-every N] [--retain-archives N]
 //!            [--replicate-to ADDR --source ID] [--no-telemetry]
 //! ```
 //!
 //! Without `--tcp` the daemon speaks the line protocol on stdin/stdout
 //! (one JSON request per line, one JSON response per line — see
-//! `rts_adapt::proto`); with `--tcp ADDR` it binds the address and
-//! serves up to `--max-conns` connections (default 64) through the
-//! event-driven reactor (`rts_adapt::reactor`): epoll threads over one
-//! engine shard pool, no per-connection threads. `--reactors N`
-//! (default 1) runs N reactors, each with its own `SO_REUSEPORT`
-//! listener on the same address — the kernel spreads connections across
-//! them and `--max-conns` becomes a global budget split evenly.
-//! `--threaded` selects the legacy thread-per-connection front end
-//! instead (kept for parity testing; it serves until the process is
-//! killed). `--batch` bounds request batching in the stdin and threaded
-//! modes; the reactor sizes batches adaptively by arrival rate.
+//! `rts_adapt::proto`); `--batch` (default 256) bounds how many
+//! buffered lines that stdin pump dispatches per round. With `--tcp
+//! ADDR` it binds the address and serves up to `--max-conns`
+//! connections (default 64) through the event-driven reactor
+//! (`rts_adapt::reactor`): epoll threads over one engine shard pool, no
+//! per-connection threads, batches sized adaptively by arrival rate.
+//! `--reactors N` (default 1) runs N reactors, each with its own
+//! `SO_REUSEPORT` listener on the same address — the kernel spreads
+//! connections across them and `--max-conns` becomes a global budget
+//! split evenly. An unknown flag, a missing value or a value that does
+//! not parse exits with status 2 and the usage line.
 //!
 //! **Graceful shutdown**: in stdin mode, EOF ends the serve loop; in
-//! reactor mode, a watcher thread waits for stdin EOF (Ctrl-D, or the
-//! supervisor closing the pipe) and asks the reactor to drain — the
-//! listener closes, already-connected clients are served until quiet,
+//! TCP mode, a watcher thread waits for stdin EOF (Ctrl-D, or the
+//! supervisor closing the pipe) and asks the reactors to drain — the
+//! listeners close, already-connected clients are served until quiet,
 //! and the shard workers are joined. A shard worker answers only after
 //! the group commit that syncs the journal appends behind the answer,
 //! so an orderly stop loses no accepted delta.
@@ -61,23 +61,77 @@
 //! default in every mode; `--no-telemetry` selects the zero-clock-read
 //! path: the metrics verb still answers, with every histogram empty.
 
+use std::collections::HashMap;
 use std::io::{self, BufReader, Read};
+use std::net::SocketAddr;
 use std::sync::Arc;
 
 use rts_adapt::client::RetryPolicy;
 use rts_adapt::journal::JournalDir;
 use rts_adapt::reactor::{bind_reuseport_listeners, serve_reactors, ReactorOptions, Shutdown};
 use rts_adapt::replication::Replicator;
-use rts_adapt::server::{serve, serve_tcp, shared};
+use rts_adapt::server::serve;
 use rts_adapt::shard::{ShardReport, ShardedEngine};
 use rts_adapt::telemetry::Telemetry;
 use rts_analysis::semi::CarryInStrategy;
 
-fn arg_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
+const USAGE: &str = "usage: rts_adaptd [--shards N] [--batch N] \
+    [--strategy topdiff|exhaustive] [--tcp ADDR] [--reactors N] [--max-conns N] \
+    [--journal DIR] [--compact-every N] [--retain-archives N] \
+    [--replicate-to ADDR --source ID] [--no-telemetry]";
+
+/// Every flag that takes a value (`--no-telemetry` is the one that
+/// does not).
+const VALUE_FLAGS: [&str; 11] = [
+    "--shards",
+    "--batch",
+    "--strategy",
+    "--tcp",
+    "--reactors",
+    "--max-conns",
+    "--journal",
+    "--compact-every",
+    "--retain-archives",
+    "--replicate-to",
+    "--source",
+];
+
+/// Exits with status 2 and the usage line: the daemon refuses what it
+/// does not understand instead of guessing.
+fn usage(e: impl std::fmt::Display) -> ! {
+    eprintln!("rts_adaptd: {e}\n{USAGE}");
+    std::process::exit(2);
+}
+
+/// The command line's flag values, by flag; an unknown argument or a
+/// flag without its value is a usage error.
+fn flag_values(args: &[String]) -> HashMap<&str, &str> {
+    let mut values = HashMap::new();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        if VALUE_FLAGS.contains(&flag.as_str()) {
+            let value = args
+                .next()
+                .unwrap_or_else(|| usage(format!("{flag} needs a value")));
+            values.insert(flag.as_str(), value.as_str());
+        } else if flag != "--no-telemetry" {
+            usage(format!("unknown argument {flag:?}"));
+        }
+    }
+    values
+}
+
+/// `flag`'s value parsed, `None` when the flag is absent; a value that
+/// does not parse is a usage error.
+fn parsed<T: std::str::FromStr>(values: &HashMap<&str, &str>, flag: &str) -> Option<T>
+where
+    T::Err: std::fmt::Display,
+{
+    values.get(flag).map(|value| {
+        value
+            .parse()
+            .unwrap_or_else(|e| usage(format!("{flag} {value:?}: {e}")))
+    })
 }
 
 fn report_shards(reports: &[ShardReport]) {
@@ -97,53 +151,41 @@ fn fail(e: impl std::fmt::Display) -> ! {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let shards = arg_value(&args, "--shards")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4usize);
-    let batch = arg_value(&args, "--batch")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(256usize);
-    let strategy = match arg_value(&args, "--strategy") {
-        None | Some("topdiff") => CarryInStrategy::TopDiff,
-        Some("exhaustive") => CarryInStrategy::Exhaustive,
-        Some(other) => {
-            eprintln!("unknown strategy {other:?} (use topdiff or exhaustive)");
-            std::process::exit(2);
-        }
+    let values = flag_values(&args);
+    let shards = parsed(&values, "--shards").unwrap_or(4usize);
+    let batch = parsed(&values, "--batch").unwrap_or(256usize);
+    let strategy = match values.get("--strategy") {
+        None | Some(&"topdiff") => CarryInStrategy::TopDiff,
+        Some(&"exhaustive") => CarryInStrategy::Exhaustive,
+        Some(other) => usage(format!(
+            "unknown strategy {other:?} (use topdiff or exhaustive)"
+        )),
     };
-
-    let max_conns = arg_value(&args, "--max-conns")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(64usize);
-
-    let compact_every = arg_value(&args, "--compact-every")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(512usize);
-
-    let retain_archives = arg_value(&args, "--retain-archives")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0usize);
+    let max_conns = parsed(&values, "--max-conns").unwrap_or(64usize);
+    let compact_every = parsed(&values, "--compact-every").unwrap_or(512usize);
+    let retain_archives = parsed(&values, "--retain-archives").unwrap_or(0usize);
+    let replicate_to: Option<SocketAddr> = parsed(&values, "--replicate-to");
+    let tcp: Option<SocketAddr> = parsed(&values, "--tcp");
+    let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
 
     // Replication piggybacks on the journal: the replicator mirrors
     // every journal-file mutation to the standby, and self-heals from
     // the journal files themselves (hence the pre-replication clone it
     // is handed). A replication stream without a journal has nothing to
     // mirror, so the combination is refused rather than half-working.
-    let replicate_to = arg_value(&args, "--replicate-to");
     let mut replicator: Option<Replicator> = None;
-    let journal = match arg_value(&args, "--journal") {
+    let journal = match values.get("--journal") {
         Some(dir) => {
             let mut journal = JournalDir::at(dir)
                 .with_compaction(compact_every)
                 .with_archive_retention(retain_archives);
             if let Some(standby) = replicate_to {
-                let standby = standby.parse().unwrap_or_else(|e| fail(e));
                 // No default source id: two primaries sharing one
                 // standby with the same id would defeat the standby's
                 // source-owner guard that makes hand-off races
                 // harmless, so colliding silently is worse than
                 // refusing to start.
-                let source = arg_value(&args, "--source").unwrap_or_else(|| {
+                let source = *values.get("--source").unwrap_or_else(|| {
                     fail(
                         "--replicate-to requires --source ID \
                          (a stable id unique among every daemon replicating to this standby)",
@@ -167,28 +209,14 @@ fn main() {
             None
         }
     };
-    let threaded = args.iter().any(|a| a == "--threaded");
-    let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
-    let build_engine = |journal: Option<JournalDir>| {
-        let telemetry = if telemetry_on {
-            Telemetry::new()
-        } else {
-            Telemetry::off()
-        };
-        ShardedEngine::with_telemetry(strategy, shards, journal, None, telemetry)
-    };
 
-    match arg_value(&args, "--tcp") {
-        Some(addr) if !threaded => {
+    match tcp {
+        Some(addr) => {
             // Event-driven front end. With --reactors N, every listener
             // binds the same address via SO_REUSEPORT so the kernel
             // spreads incoming connections across the reactor threads.
-            let reactors = arg_value(&args, "--reactors")
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(1usize)
-                .max(1);
-            let parsed = addr.parse().unwrap_or_else(|e| fail(e));
-            let listeners = bind_reuseport_listeners(parsed, reactors).unwrap_or_else(|e| fail(e));
+            let reactors = parsed(&values, "--reactors").unwrap_or(1usize).max(1);
+            let listeners = bind_reuseport_listeners(addr, reactors).unwrap_or_else(|e| fail(e));
             if let Ok(local) = listeners[0].local_addr() {
                 eprintln!("rts_adaptd listening on {local} ({reactors} reactors)");
             }
@@ -223,17 +251,14 @@ fn main() {
             report_shards(&summary.reports);
             flush_replication(replicator.as_ref());
         }
-        Some(addr) => {
-            // Legacy thread-per-connection front end, kept for parity
-            // testing; serves until the process is killed.
-            let engine = shared(build_engine(journal));
-            if let Err(e) = serve_tcp(&engine, addr, batch, max_conns) {
-                fail(e);
-            }
-            unreachable!("serve_tcp only returns on error");
-        }
         None => {
-            let mut engine = build_engine(journal);
+            let telemetry = if telemetry_on {
+                Telemetry::new()
+            } else {
+                Telemetry::off()
+            };
+            let mut engine =
+                ShardedEngine::with_telemetry(strategy, shards, journal, None, telemetry);
             let stdin = io::stdin().lock();
             let stdout = io::stdout().lock();
             let result = serve(&mut engine, BufReader::new(stdin), stdout, batch);

@@ -551,6 +551,21 @@ fn complete_len(bytes: &[u8]) -> usize {
     bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
 }
 
+/// Best-effort removal of the `tenant_*.jsonl.tmp` strays in `dir` (see
+/// [`JournalDir::at`]). A missing directory is a clean no-op.
+fn sweep_stray_tmp(dir: &Path) {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if name.starts_with("tenant_") && name.ends_with(".jsonl.tmp") {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
 /// A directory of per-tenant journals, with an optional automatic
 /// compaction policy that the owning engine consults, an optional
 /// archive-retention cap, and an optional replication stream that
@@ -567,9 +582,13 @@ impl JournalDir {
     /// A journal rooted at `dir` (created on first write), without
     /// automatic compaction. Opening the directory sweeps any stray
     /// `tenant_<id>.jsonl.tmp` left by a crash between the snapshot
-    /// rewrite's `create` and `rename` — such a file is never read by
-    /// recovery (the rename never happened, so the previous journal is
-    /// the truth) and would otherwise sit on disk forever.
+    /// rewrite's `create` and `rename`, in `dir` and in its
+    /// [`replica`](JournalDir::replica) store — such a file is never
+    /// read by recovery (the rename never happened, so the previous
+    /// journal is the truth) and would otherwise sit on disk forever.
+    /// The sweep runs here, once, and never from a view derived from an
+    /// open directory: a shard worker starting up must not delete a
+    /// sibling worker's in-flight rewrite.
     #[must_use]
     pub fn at(dir: impl Into<PathBuf>) -> Self {
         let dir = JournalDir {
@@ -578,23 +597,9 @@ impl JournalDir {
             retain_archives: None,
             replicate: None,
         };
-        dir.sweep_stray_tmp();
+        sweep_stray_tmp(&dir.dir);
+        sweep_stray_tmp(&dir.dir.join("replica"));
         dir
-    }
-
-    /// Best-effort removal of `tenant_*.jsonl.tmp` strays (see
-    /// [`JournalDir::at`]). A missing directory is a clean no-op.
-    fn sweep_stray_tmp(&self) {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            if name.starts_with("tenant_") && name.ends_with(".jsonl.tmp") {
-                let _ = std::fs::remove_file(entry.path());
-            }
-        }
     }
 
     /// Sets the automatic compaction policy: the engine snapshots a
@@ -649,16 +654,16 @@ impl JournalDir {
     /// journals so boot recovery never installs a replica as a live
     /// tenant; no compaction and no onward replication apply (the
     /// replica mirrors the primary's compaction decisions verbatim).
+    /// A pure view: it touches no file (crash strays were swept when
+    /// the directory was opened).
     #[must_use]
     pub fn replica(&self) -> JournalDir {
-        let replica = JournalDir {
+        JournalDir {
             dir: self.dir.join("replica"),
             compact_every: None,
             retain_archives: self.retain_archives,
             replicate: None,
-        };
-        replica.sweep_stray_tmp();
-        replica
+        }
     }
 
     /// The journal file of one tenant.
@@ -1595,18 +1600,47 @@ mod tests {
             dir.append_event(4, &DeltaEvent::Departure { slot: 0 })
                 .unwrap();
         }
-        // Plant the stray exactly where snapshot_tenant would write it.
+        // Plant the stray exactly where snapshot_tenant would write it,
+        // and one where a standby's replica rewrite would.
         let stray = root.join("tenant_4.jsonl.tmp");
         std::fs::write(&stray, "{\"event\":\"register\"").unwrap();
+        let replica_stray = root.join("replica").join("tenant_4.jsonl.tmp");
+        std::fs::create_dir_all(root.join("replica")).unwrap();
+        std::fs::write(&replica_stray, "{\"event\":\"register\"").unwrap();
         let unrelated = root.join("notes.tmp");
         std::fs::write(&unrelated, "operator scratch").unwrap();
 
         let dir = JournalDir::at(&root);
         assert!(!stray.exists(), "open must sweep the stray tmp");
+        assert!(!replica_stray.exists(), "open must sweep the replica's too");
         assert!(unrelated.exists(), "only journal tmps are swept");
         assert_eq!(dir.tenants(), vec![4]);
         let history = dir.load_tenant(4).unwrap();
         assert_eq!(history.events, vec![DeltaEvent::Departure { slot: 0 }]);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Every shard worker derives a replica view when it starts. A
+    /// worker starting late must not delete the tmp an earlier worker
+    /// created and is about to rename: the rename would fail with
+    /// ENOENT and the standby would answer that replica op with an
+    /// error.
+    #[test]
+    fn replica_views_never_sweep_an_in_flight_rewrite() {
+        let root =
+            std::env::temp_dir().join(format!("hydra_journal_replica_view_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = JournalDir::at(&root);
+        let first = dir.replica();
+        std::fs::create_dir_all(&first.dir).unwrap();
+        let in_flight = first.path_for(7).with_extension("jsonl.tmp");
+        std::fs::write(&in_flight, "{\"event\":\"register\"").unwrap();
+        let _second = dir.replica();
+        let _worker = crate::engine::AdaptEngine::with_journal(CarryInStrategy::TopDiff, dir);
+        assert!(
+            in_flight.exists(),
+            "a replica view swept another worker's in-flight rewrite"
+        );
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -4,10 +4,11 @@
 //! The paper's Algorithm 1 is a design-time procedure: one frozen system
 //! in, one period vector out. This crate turns it into a long-running,
 //! multi-tenant **query service**: each tenant registers its legacy RT
-//! system once, then streams [`DeltaEvent`]s — monitor arrival and
-//! departure, WCET re-profiling, and Passive↔Active mode switches from
-//! reactive monitors (`ids_sim::reactive`) — and every event is answered
-//! with an accept/reject verdict plus freshly selected periods.
+//! system once, then streams [`DeltaEvent`](rts_model::delta::DeltaEvent)s
+//! — monitor arrival and departure, WCET re-profiling, and
+//! Passive↔Active mode switches from reactive monitors
+//! (`ids_sim::reactive`) — and every event is answered with an
+//! accept/reject verdict plus freshly selected periods.
 //!
 //! * [`tenant`] — per-tenant state: the monitor table, delta application
 //!   with commit-on-accept/rollback-on-reject semantics, and the
@@ -20,9 +21,11 @@
 //!   worker shards with request batching and per-tenant FIFO ordering;
 //! * [`json`] / [`proto`] — a dependency-free JSON subset and the
 //!   line-delimited wire protocol;
-//! * [`server`] — the stdin and TCP front ends (the `rts_adaptd`
-//!   binary); TCP connections are served concurrently by bounded
-//!   threads over one shared engine;
+//! * [`reactor`] — the TCP front end of the `rts_adaptd` binary: epoll
+//!   reactor threads (one per `SO_REUSEPORT` listener), each on its own
+//!   lane into one shard pool, with no per-connection threads;
+//! * [`server`] — the stdin front end: one request stream pumped
+//!   through the shard pool in batches;
 //! * [`telemetry`] — the observability spine: lock-free stage-latency
 //!   histograms, the monotonic tick source, and the worst-N
 //!   slow-request ring behind the `{"op":"metrics"}` verb and the
@@ -48,7 +51,7 @@
 //!
 //! # Why mode-aware re-admission is sound
 //!
-//! The conservative stance ([`ids_sim::reactive`]'s design-time
+//! The conservative stance (`ids_sim::reactive`'s design-time
 //! integration, `ids-sim`'s `conservative_task`) admits every reactive
 //! monitor at its **active** WCET once and never re-visits the decision.
 //! That is sound for any mode sequence, but the common passive case then
@@ -152,11 +155,10 @@ pub use client::{connect_with_retry, LineClient, RetryPolicy};
 pub use engine::{AdaptEngine, Admitted, Request, Response, RtSpec};
 pub use journal::{replay, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
 pub use reactor::{
-    bind_reuseport_listeners, serve_reactor, serve_reactors, ReactorOptions, ReactorSummary,
-    Shutdown,
+    bind_reuseport_listeners, serve_reactors, ReactorOptions, ReactorSummary, Shutdown,
 };
 pub use replication::{ReplPayload, ReplStats, Replicator};
-pub use server::{serve, serve_shared, serve_tcp, shared, SharedEngine};
+pub use server::serve;
 pub use shard::ShardedEngine;
 pub use telemetry::{Histogram, SlowRequest, Stage, StageSummary, Telemetry};
 pub use tenant::{ApplyError, MonitorEntry, TenantState};

@@ -70,24 +70,34 @@ use crate::replication::ReplPayload;
 use crate::shard::ShardSnapshot;
 use crate::telemetry::{Histogram, SlowRequest, Stage};
 
-/// One parsed protocol line: either a request for the engine, or a verb
-/// the *serving layer* answers itself (`stats` and `metrics` need
-/// per-shard queue depths, connection gauges and stage histograms no
-/// single engine worker can see).
+/// One parsed protocol line: either a request for the engine, or an
+/// observability verb the *serving layer* answers itself (`stats` and
+/// `metrics` need per-shard queue depths, connection gauges and stage
+/// histograms no single engine worker can see).
 #[derive(Clone, PartialEq, Debug)]
 pub enum Command {
     /// An ordinary engine request, dispatched to the tenant's shard.
     Engine(Request),
-    /// `{"op":"stats"}` — answered immediately by the front end with
-    /// [`render_stats`], never entering a shard queue.
+    /// `stats` or `metrics` — answered immediately by the front end
+    /// from one [`MetricsReport`] in the requested format, never
+    /// entering a shard queue.
+    Report(ReportFormat),
+}
+
+/// How an observability verb renders the front's [`MetricsReport`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum ReportFormat {
+    /// `{"op":"stats"}` — connection, reactor and shard gauges
+    /// ([`render_stats`]).
     Stats,
-    /// `{"op":"metrics"}` — the full observability report, answered
-    /// immediately by the front end with [`render_metrics`].
-    Metrics,
+    /// `{"op":"metrics"}` — the full report as one JSON line
+    /// ([`render_metrics`]).
+    Json,
     /// `{"op":"metrics","format":"prometheus"}` — the same report as a
     /// Prometheus-style text exposition, wrapped in one JSON line (the
-    /// `text` field) so it stays line-protocol-safe.
-    MetricsText,
+    /// `text` field) so it stays line-protocol-safe
+    /// ([`render_metrics_text`]).
+    Prometheus,
 }
 
 /// Parses one protocol line into a [`Command`].
@@ -103,20 +113,21 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
         .get("op")
         .and_then(Json::as_str)
         .ok_or("missing string field \"op\"")?;
-    if op == "stats" {
-        return Ok(Command::Stats);
+    match op {
+        "stats" => Ok(Command::Report(ReportFormat::Stats)),
+        "metrics" => Ok(Command::Report(
+            match value.get("format").and_then(Json::as_str) {
+                Some("prometheus") => ReportFormat::Prometheus,
+                _ => ReportFormat::Json,
+            },
+        )),
+        _ => parse_engine_request(&value, op).map(Command::Engine),
     }
-    if op == "metrics" {
-        return Ok(match value.get("format").and_then(Json::as_str) {
-            Some("prometheus") => Command::MetricsText,
-            _ => Command::Metrics,
-        });
-    }
-    parse_engine_request(&value, op).map(Command::Engine)
 }
 
-/// Parses one request line for the engine. `stats` — a serving-layer
-/// verb — is rejected here; front ends use [`parse_command`].
+/// Parses one request line for the engine. `stats` and `metrics` —
+/// serving-layer verbs — are rejected here; front ends use
+/// [`parse_command`].
 ///
 /// # Errors
 ///
@@ -124,10 +135,9 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 pub fn parse_request(line: &str) -> Result<Request, String> {
     match parse_command(line)? {
         Command::Engine(request) => Ok(request),
-        Command::Stats => Err("\"stats\" is answered by the serving layer, not the engine".into()),
-        Command::Metrics | Command::MetricsText => {
-            Err("\"metrics\" is answered by the serving layer, not the engine".into())
-        }
+        Command::Report(_) => Err(
+            "\"stats\" and \"metrics\" are answered by the serving layer, not the engine".into(),
+        ),
     }
 }
 
@@ -333,8 +343,9 @@ pub fn render_response(seq: u64, response: &Response) -> String {
     out
 }
 
-/// Connection gauges of a TCP front end, as reported by the `stats`
-/// verb. The stdin front end reports zeros (it has no connections).
+/// Connection gauges of the TCP front end, as reported by the `stats`
+/// and `metrics` verbs. The stdin front end reports zeros (it has no
+/// connections).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ConnStats {
     /// Connections currently being served.
@@ -346,11 +357,11 @@ pub struct ConnStats {
 }
 
 /// One serving reactor's gauges and egress counters, as reported by the
-/// `stats` and `metrics` verbs. Single-reactor and non-reactor fronts
-/// report exactly one entry (reactor 0) so the field set — pinned by
-/// the cross-front byte-shape parity test — never depends on the
-/// serving architecture; the threaded and stdin fronts have no gathered
-/// egress, so their flush counters stay 0.
+/// `stats` and `metrics` verbs. A single-reactor front and the stdin
+/// front report exactly one entry (reactor 0), so the field set —
+/// pinned by the cross-front byte-shape parity test — never depends on
+/// the front; the stdin front has no connections and no gathered
+/// egress, so its entry is all zeros.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReactorStats {
     /// Reactor index (0-based).
@@ -368,9 +379,20 @@ pub struct ReactorStats {
     pub iovecs_written: u64,
 }
 
-fn write_reactor_entries(out: &mut String, reactors: &[ReactorStats]) {
-    out.push('[');
-    for (i, r) in reactors.iter().enumerate() {
+/// Opens a serving-layer answer with the prefix `stats` and `metrics`
+/// share — `seq`, `verdict`, the `conns` gauges, one `reactors` entry
+/// per serving reactor and one `shards` entry per shard (queue depth,
+/// handled count, memo statistics, tenant count) — leaving the object
+/// open for the caller to continue or close.
+fn write_front_prefix(out: &mut String, seq: u64, verdict: &str, report: &MetricsReport) {
+    let conns = report.conns;
+    let _ = write!(
+        out,
+        "{{\"seq\":{seq},\"verdict\":\"{verdict}\",\"conns\":{{\"live\":{},\"refused\":{},\
+         \"max\":{}}},\"reactors\":[",
+        conns.live, conns.refused, conns.max
+    );
+    for (i, r) in report.reactors.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -381,30 +403,8 @@ fn write_reactor_entries(out: &mut String, reactors: &[ReactorStats]) {
             r.reactor, r.live, r.refused, r.max, r.flush_passes, r.iovecs_written
         );
     }
-    out.push(']');
-}
-
-/// Renders the answer to the `stats` verb: connection gauges, one entry
-/// per serving reactor, plus one entry per shard (queue depth, handled
-/// count, memo statistics, tenant count), as a single JSON line (no
-/// trailing newline).
-#[must_use]
-pub fn render_stats(
-    seq: u64,
-    shards: &[ShardSnapshot],
-    conns: ConnStats,
-    reactors: &[ReactorStats],
-) -> String {
-    let mut out = String::with_capacity(192 + 96 * (shards.len() + reactors.len()));
-    let _ = write!(
-        out,
-        "{{\"seq\":{seq},\"verdict\":\"stats\",\"conns\":{{\"live\":{},\"refused\":{},\
-         \"max\":{}}},\"reactors\":",
-        conns.live, conns.refused, conns.max
-    );
-    write_reactor_entries(&mut out, reactors);
-    out.push_str(",\"shards\":[");
-    for (i, s) in shards.iter().enumerate() {
+    out.push_str("],\"shards\":[");
+    for (i, s) in report.shards.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -423,26 +423,49 @@ pub fn render_stats(
             s.tenants
         );
     }
-    out.push_str("]}");
+    out.push(']');
+}
+
+/// Renders the answer to the `stats` verb — the report's connection
+/// gauges, reactor entries and shard entries — as a single JSON line
+/// (no trailing newline).
+#[must_use]
+pub fn render_stats(seq: u64, report: &MetricsReport) -> String {
+    let mut out = String::with_capacity(192 + 96 * (report.shards.len() + report.reactors.len()));
+    write_front_prefix(&mut out, seq, "stats", report);
+    out.push('}');
     out
+}
+
+/// Renders an observability verb's answer in the requested format —
+/// the one call every front makes for `stats` and both `metrics`
+/// variants.
+#[must_use]
+pub(crate) fn render_report(seq: u64, format: ReportFormat, report: &MetricsReport) -> String {
+    match format {
+        ReportFormat::Stats => render_stats(seq, report),
+        ReportFormat::Json => render_metrics(seq, report),
+        ReportFormat::Prometheus => render_metrics_text(seq, report),
+    }
 }
 
 /// Everything the `{"op":"metrics"}` verb reports, assembled in one
 /// place (see [`crate::shard::ShardedEngine::metrics_report`]) so the
-/// reactor, threaded and stdin fronts render byte-shape-identical
-/// answers from the same code path. This is the unification point for
-/// every previously ad-hoc counter in the workspace: connection
-/// gauges, shard snapshots (memo statistics included), stage-latency
-/// histograms, the solver's selection/probe/cascade counters, the
-/// analysis layer's fixed-point walk counters, the cross-tenant
-/// shared-store counters, the journal's durability counters, and the
-/// worst-N slow-request ring.
+/// reactor and stdin fronts render byte-shape-identical answers to
+/// `stats` and both `metrics` formats from the same code path (see
+/// [`render_stats`], [`render_metrics`], [`render_metrics_text`]). This
+/// is the unification point for every previously ad-hoc counter in the
+/// workspace: connection gauges, shard snapshots (memo statistics
+/// included), stage-latency histograms, the solver's
+/// selection/probe/cascade counters, the analysis layer's fixed-point
+/// walk counters, the cross-tenant shared-store counters, the journal's
+/// durability counters, and the worst-N slow-request ring.
 #[derive(Clone, Debug)]
 pub struct MetricsReport {
     /// Connection gauges of the serving front (zeros on stdin).
     pub conns: ConnStats,
     /// Per-reactor gauges and egress counters, ordered by reactor
-    /// index. Non-reactor fronts report one all-zero entry (reactor 0).
+    /// index. The stdin front reports one all-zero entry (reactor 0).
     pub reactors: Vec<ReactorStats>,
     /// Per-shard live snapshots, ordered by shard index.
     pub shards: Vec<ShardSnapshot>,
@@ -485,34 +508,8 @@ fn write_stage_summary(out: &mut String, histogram: &Histogram) {
 #[must_use]
 pub fn render_metrics(seq: u64, report: &MetricsReport) -> String {
     let mut out = String::with_capacity(1024 + 96 * report.shards.len());
-    let _ = write!(
-        out,
-        "{{\"seq\":{seq},\"verdict\":\"metrics\",\"conns\":{{\"live\":{},\"refused\":{},\
-         \"max\":{}}},\"reactors\":",
-        report.conns.live, report.conns.refused, report.conns.max
-    );
-    write_reactor_entries(&mut out, &report.reactors);
-    out.push_str(",\"shards\":[");
-    for (i, s) in report.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shard\":{},\"queue_depth\":{},\"handled\":{},\"memo_hits\":{},\
-             \"memo_shared_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{:.4},\
-             \"tenants\":{}}}",
-            s.shard,
-            s.queue_depth,
-            s.handled,
-            s.memo_hits,
-            s.memo_shared_hits,
-            s.memo_misses,
-            s.memo_hit_rate(),
-            s.tenants
-        );
-    }
-    out.push_str("],\"stages\":{");
+    write_front_prefix(&mut out, seq, "metrics", report);
+    out.push_str(",\"stages\":{");
     for (i, (stage, histogram)) in report.stages.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -983,7 +980,10 @@ mod tests {
 
     #[test]
     fn stats_is_a_serving_layer_command() {
-        assert_eq!(parse_command(r#"{"op":"stats"}"#).unwrap(), Command::Stats);
+        assert_eq!(
+            parse_command(r#"{"op":"stats"}"#).unwrap(),
+            Command::Report(ReportFormat::Stats)
+        );
         // The engine-request parser refuses it with a pointed reason…
         assert!(parse_request(r#"{"op":"stats"}"#)
             .unwrap_err()
@@ -1025,16 +1025,26 @@ mod tests {
             flush_passes: 5,
             iovecs_written: 31,
         }];
-        let line = render_stats(
-            9,
-            &shards,
-            ConnStats {
+        let report = MetricsReport {
+            conns: ConnStats {
                 live: 12,
                 refused: 4,
                 max: 64,
             },
-            &reactors,
-        );
+            reactors: reactors.to_vec(),
+            shards,
+            ..sample_metrics_report()
+        };
+        let line = render_stats(9, &report);
+        // `stats` is the head of `metrics`: both open with one writer.
+        let metrics = render_metrics(9, &report);
+        let head = line
+            .strip_suffix('}')
+            .unwrap()
+            .replace("\"stats\"", "\"metrics\"");
+        assert!(metrics.starts_with(&head), "{line}\n{metrics}");
+        assert_eq!(render_report(9, ReportFormat::Stats, &report), line);
+        assert_eq!(render_report(9, ReportFormat::Json, &report), metrics);
         let parsed = crate::json::parse(&line).unwrap();
         assert_eq!(parsed.get("seq").and_then(Json::as_u64), Some(9));
         assert_eq!(parsed.get("verdict").and_then(Json::as_str), Some("stats"));
@@ -1225,16 +1235,16 @@ mod tests {
     fn metrics_is_a_serving_layer_command() {
         assert_eq!(
             parse_command(r#"{"op":"metrics"}"#).unwrap(),
-            Command::Metrics
+            Command::Report(ReportFormat::Json)
         );
         assert_eq!(
             parse_command(r#"{"op":"metrics","format":"prometheus"}"#).unwrap(),
-            Command::MetricsText
+            Command::Report(ReportFormat::Prometheus)
         );
         // Unknown formats fall back to the JSON report rather than erroring.
         assert_eq!(
             parse_command(r#"{"op":"metrics","format":"xml"}"#).unwrap(),
-            Command::Metrics
+            Command::Report(ReportFormat::Json)
         );
         assert!(parse_request(r#"{"op":"metrics"}"#)
             .unwrap_err()

@@ -1,13 +1,13 @@
-//! The event-driven serving core: epoll reactors, lock-free shard
-//! queues, no per-connection threads.
+//! The TCP front end: epoll reactors, lock-free shard queues, no
+//! per-connection threads.
 //!
-//! [`serve_reactor`] replaces the thread-per-connection front end
-//! ([`crate::server::serve_listener`], kept for parity testing) with a
-//! non-blocking event loop over the vendored `mio` shim, and
-//! [`serve_reactors`] scales it out: N independent reactor threads,
-//! each with its own `SO_REUSEPORT` listener (the kernel spreads
-//! incoming connections across them) and its own submit/receive lane
-//! ([`EngineLane`]) over one shared shard pool.
+//! [`serve_reactors`] runs one non-blocking event loop over the
+//! vendored `mio` shim per listener: N independent reactor threads,
+//! each with its own listener (callers bind N > 1 of them with
+//! `SO_REUSEPORT` on one address, and the kernel spreads incoming
+//! connections across them) and its own submit/receive lane
+//! ([`EngineLane`]) over one shared shard pool. One reactor is the same
+//! code path with N = 1.
 //!
 //! * **Accept** — each listener is polled for readiness; connections
 //!   beyond the reactor's share of the global `--max-conns` budget are
@@ -16,7 +16,7 @@
 //!   complete lines are parsed and dispatched into the
 //!   [`ShardedEngine`]'s per-shard FIFO queues, tagged with a token that
 //!   packs `(connection slot, per-connection seq)` into the envelope's
-//!   `u64`; on a lane, the lane id rides the top byte (see
+//!   `u64`; the lane id rides the top byte (see
 //!   [`crate::shard::LANE_SHIFT`]) so workers route each answer batch
 //!   back to the reactor that submitted it. No lock is ever taken on
 //!   the request path — a reactor is its lane's single producer, each
@@ -25,18 +25,18 @@
 //!   arrival rate: an EWMA of requests-per-pass sets the submit
 //!   threshold, so a sparse trickle dispatches immediately (no
 //!   full-batch latency tax) while a loaded reactor grows batches
-//!   toward [`DISPATCH_BATCH_MAX`] to amortize channel traffic.
+//!   toward a ceiling of 512 requests to amortize channel traffic.
 //!   Splitting a pass into several submissions preserves parse order,
 //!   hence per-tenant FIFO order.
 //! * **Wake** — workers signal finished batches through a poll
-//!   [`Waker`] (an `eventfd`), so responses interrupt the blocked
+//!   `Waker` (an `eventfd`), so responses interrupt the blocked
 //!   reactor immediately instead of riding the next I/O event. The
 //!   completion path is batched end to end: a worker sends **one**
 //!   channel message carrying every answer of a dispatched batch and
 //!   rings the submitting lane's waker **once** per batch.
 //! * **Write** — responses are re-ordered per connection by sequence
 //!   number (a connection's answers always arrive in line order,
-//!   exactly like the threaded front end) and queued as one buffer per
+//!   exactly like the stdin front end's) and queued as one buffer per
 //!   response line. Egress is gathered: each readiness pass drains a
 //!   connection with `writev` over every queued response — one syscall
 //!   covers however many responses accumulated, instead of one write
@@ -44,9 +44,9 @@
 //!   exists.
 //!
 //! Backpressure is per connection and two-sided: a connection pauses
-//! (drops read interest) while it has [`HIGH_WATER`] requests in flight
-//! or an unflushed write backlog beyond [`WRITE_BACKLOG_HIGH`] bytes,
-//! and resumes below the low-water marks. A slow or dead reader
+//! (drops read interest) while it has 1024 requests in flight or an
+//! unflushed write backlog beyond 1 MiB, and resumes below the
+//! low-water marks. A slow or dead reader
 //! therefore throttles only itself; the shard queues stay bounded.
 //!
 //! Telemetry ([`crate::telemetry`]) rides the loop at **one monotonic
@@ -65,17 +65,16 @@
 //! Ordering and determinism are inherited from [`crate::shard`]: a
 //! tenant's requests stay in submission order (they enter one FIFO in
 //! line order and tenants hash to exactly one shard), so verdict
-//! populations are bit-identical to the threaded front end and
-//! invariant to the shard count, the connection fan-out, *and* the
-//! reactor count — pinned by the parity suite in
-//! `tests/proto_torture.rs`.
+//! populations are bit-identical to the stdin front end and invariant
+//! to the shard count, the connection fan-out, *and* the reactor count
+//! — pinned by the parity suite in `tests/proto_torture.rs`.
 //!
 //! Graceful shutdown ([`Shutdown::request`], wired to stdin EOF by the
 //! daemon) wakes every reactor: each closes its listener so nothing new
 //! connects, keeps serving what already-connected clients have sent,
 //! and exits once everything is quiet — nothing in flight, every answer
-//! flushed, no buffered complete line unparsed — bounded by
-//! [`DRAIN_GRACE`]. Only after every reactor has exited is the pool
+//! flushed, no buffered complete line unparsed — bounded by a 10 s
+//! grace. Only after every reactor has exited is the pool
 //! shut down; a shard worker releases an answer only after its group
 //! commit has synced the journal appends behind it, so an orderly stop
 //! loses no accepted delta.
@@ -86,7 +85,7 @@
 //! stalls pipelined clients such as the replication stream.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, IoSlice, Read as _};
+use std::io::{self, IoSlice, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -100,10 +99,8 @@ use rts_analysis::semi::CarryInStrategy;
 use crate::engine::{Request, Response};
 use crate::journal::JournalDir;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
-use crate::server::{oversized_reason, refuse_connection, MAX_LINE_BYTES};
-use crate::shard::{
-    EngineLane, ResponseMeta, ResponseNotifier, ShardReport, ShardSnapshot, ShardedEngine,
-};
+use crate::server::{oversized_reason, MAX_LINE_BYTES};
+use crate::shard::{EngineLane, ResponseMeta, ShardReport, ShardedEngine};
 use crate::telemetry::{SlowRequest, Stage, Telemetry};
 
 /// The listener's poll token.
@@ -115,7 +112,7 @@ const CONN_BASE: usize = 2;
 
 /// Envelope-token split: the low 40 bits carry the per-connection line
 /// sequence, the next 16 the connection slot, and the top byte is left
-/// free for the lane id a multi-reactor submit stamps in
+/// free for the lane id the submit stamps in
 /// ([`crate::shard::LANE_SHIFT`]). 2^40 lines per connection and 2^16
 /// simultaneous slots per reactor are both far beyond reach.
 const SEQ_BITS: u32 = 40;
@@ -147,8 +144,7 @@ const DISPATCH_BATCH_MAX: usize = 512;
 /// dispatch threshold (≈ converges over the last ~10 passes).
 const ARRIVAL_EWMA_ALPHA: f64 = 0.2;
 
-/// Cross-thread shutdown request for running [`serve_reactor`] /
-/// [`serve_reactors`] loops.
+/// Cross-thread shutdown request for running [`serve_reactors`] loops.
 ///
 /// The daemon arms one of these against stdin EOF; tests call
 /// [`Shutdown::request`] directly. Requesting is idempotent and may
@@ -196,9 +192,8 @@ impl Shutdown {
     }
 }
 
-/// Configuration of one [`serve_reactor`] / [`serve_reactors`] run. The
-/// reactor owns its engine pool, so it is built from this spec rather
-/// than passed in.
+/// Configuration of one [`serve_reactors`] run. The front owns its
+/// engine pool, so it is built from this spec rather than passed in.
 #[derive(Clone, Debug)]
 pub struct ReactorOptions {
     /// Carry-in strategy for every shard's engine.
@@ -208,9 +203,9 @@ pub struct ReactorOptions {
     /// Optional per-tenant journal persistence (replayed on startup).
     pub journal: Option<JournalDir>,
     /// Simultaneous-connection cap; connections beyond it are refused
-    /// with a protocol error line. Under [`serve_reactors`] this is a
-    /// *global* budget split evenly across the reactors (give each
-    /// reactor at least one slot: `max_conns >= reactors` is sane).
+    /// with a protocol error line. This is a *global* budget split
+    /// evenly across the reactors (give each reactor at least one slot:
+    /// `max_conns >= reactors` is sane).
     pub max_conns: usize,
     /// Stage-latency telemetry (on by default). When off, the reactor
     /// takes zero clock reads on the hot path and every record call is
@@ -232,8 +227,7 @@ impl ReactorOptions {
     }
 }
 
-/// Totals of one [`serve_reactor`] / [`serve_reactors`] run (summed
-/// across reactors in the multi-reactor case).
+/// Totals of one [`serve_reactors`] run, summed across its reactors.
 #[derive(Debug)]
 pub struct ReactorSummary {
     /// Protocol lines received (including unparsable ones).
@@ -308,65 +302,17 @@ impl ReactorGauges {
     }
 }
 
-/// A reactor's view of the shard pool: the single-reactor loop owns the
-/// pool outright; each multi-reactor loop shares it and submits/receives
-/// on its private [`EngineLane`].
-enum Pool {
-    Owned(ShardedEngine),
-    Shared {
-        shared: Arc<ShardedEngine>,
-        lane: EngineLane,
-    },
-}
-
-impl Pool {
-    fn install_notifier(&self, notifier: ResponseNotifier) {
-        match self {
-            Pool::Owned(pool) => pool.install_notifier(notifier),
-            Pool::Shared { lane, .. } => lane.notify().install(notifier),
-        }
-    }
-
-    fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        match self {
-            Pool::Owned(pool) => pool.submit_batch_traced(batch, submit_ns),
-            Pool::Shared { lane, .. } => lane.submit_batch_traced(batch, submit_ns),
-        }
-    }
-
-    fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        match self {
-            Pool::Owned(pool) => pool.try_recv_traced(),
-            Pool::Shared { lane, .. } => lane.try_recv_traced(),
-        }
-    }
-
-    /// Requests this reactor has submitted and not yet received (other
-    /// lanes' traffic is theirs to drain).
-    fn in_flight(&self) -> usize {
-        match self {
-            Pool::Owned(pool) => pool.in_flight(),
-            Pool::Shared { lane, .. } => lane.in_flight(),
-        }
-    }
-
-    fn snapshots(&self) -> Vec<ShardSnapshot> {
-        match self {
-            Pool::Owned(pool) => pool.snapshots(),
-            Pool::Shared { shared, .. } => shared.snapshots(),
-        }
-    }
-
-    fn metrics_report(
-        &self,
-        conns: ConnStats,
-        reactors: Vec<ReactorStats>,
-    ) -> proto::MetricsReport {
-        match self {
-            Pool::Owned(pool) => pool.metrics_report(conns, reactors),
-            Pool::Shared { shared, .. } => shared.metrics_report(conns, reactors),
-        }
-    }
+/// What every reactor of one front shares: the shard pool (each
+/// reactor submits and receives on its own [`EngineLane`]; the pool
+/// itself serves the observability snapshot), every reactor's
+/// published gauges, and the global connection budget.
+#[derive(Debug)]
+struct Front {
+    pool: ShardedEngine,
+    gauges: Vec<ReactorGauges>,
+    /// The whole front's budget (what refusal lines and the `conns`
+    /// gauge report).
+    global_max: usize,
 }
 
 /// A rendered answer awaiting its in-order turn, plus the trace stamps
@@ -377,12 +323,6 @@ struct PendingLine {
     /// for stats/metrics/error lines (those never enter a shard queue,
     /// so they have no lifecycle to trace).
     trace: Option<(u64, ResponseMeta)>,
-}
-
-impl PendingLine {
-    fn untraced(line: String) -> PendingLine {
-        PendingLine { line, trace: None }
-    }
 }
 
 /// A traced response whose bytes sit in a connection's response queue:
@@ -475,10 +415,6 @@ impl Conn {
         }
     }
 
-    fn write_backlog(&self) -> usize {
-        self.backlog
-    }
-
     /// Drops every queued byte and tag (the socket is gone; nobody will
     /// read them).
     fn clear_egress(&mut self) {
@@ -493,10 +429,10 @@ impl Conn {
     /// high-water mark does not flap interest on every single response.
     fn refresh_pause(&mut self) {
         if self.paused {
-            if self.in_flight <= LOW_WATER && self.write_backlog() < WRITE_BACKLOG_HIGH / 2 {
+            if self.in_flight <= LOW_WATER && self.backlog < WRITE_BACKLOG_HIGH / 2 {
                 self.paused = false;
             }
-        } else if self.in_flight >= HIGH_WATER || self.write_backlog() >= WRITE_BACKLOG_HIGH {
+        } else if self.in_flight >= HIGH_WATER || self.backlog >= WRITE_BACKLOG_HIGH {
             self.paused = true;
         }
     }
@@ -505,14 +441,15 @@ impl Conn {
     /// socket is gone or everything was answered and flushed.
     fn finished(&self) -> bool {
         self.in_flight == 0
-            && (self.dead
-                || (self.read_closed && self.pending.is_empty() && self.write_backlog() == 0))
+            && (self.dead || (self.read_closed && self.pending.is_empty() && self.backlog == 0))
     }
 }
 
 struct Reactor {
     registry: Registry,
-    pool: Pool,
+    /// This reactor's private submit/receive path into the pool.
+    lane: EngineLane,
+    front: Arc<Front>,
     telemetry: Arc<Telemetry>,
     /// The pass tick: one monotonic clock read taken right after each
     /// `poll` return and reused for every event stamp in the pass (the
@@ -522,26 +459,16 @@ struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
-    /// This reactor's share of the connection budget.
-    max_conns: usize,
-    /// The whole front's budget (what refusal lines and the `conns`
-    /// gauge report).
-    global_max: usize,
-    /// This reactor's index into `gauges`.
+    /// This reactor's index into the front's gauges.
     reactor_id: usize,
-    /// Every reactor's published gauges, this one's included.
-    gauges: Arc<Vec<ReactorGauges>>,
     draining: bool,
     /// Arrivals-per-pass EWMA driving the adaptive dispatch threshold.
     /// Starts at 1 (dispatch immediately) and grows under load.
     arrival_ewma: f64,
     /// Engine requests parsed so far in the current pass.
     pass_arrivals: u64,
-    requests: u64,
-    responses: u64,
-    parse_errors: u64,
-    accepted_conns: u64,
-    refused_conns: u64,
+    /// This reactor's counting totals.
+    run: ReactorRun,
     /// Gathered write syscalls issued (the per-reactor metric).
     flush_passes: u64,
     /// Iovecs submitted across those syscalls.
@@ -552,9 +479,11 @@ impl Reactor {
     /// Publishes this reactor's gauges for siblings (and its own next
     /// `stats` answer) to read.
     fn sync_gauges(&self) {
-        let gauges = &self.gauges[self.reactor_id];
+        let gauges = &self.front.gauges[self.reactor_id];
         gauges.live.store(self.live, Ordering::Relaxed);
-        gauges.refused.store(self.refused_conns, Ordering::Relaxed);
+        gauges
+            .refused
+            .store(self.run.refused_conns, Ordering::Relaxed);
         gauges
             .flush_passes
             .store(self.flush_passes, Ordering::Relaxed);
@@ -563,12 +492,13 @@ impl Reactor {
             .store(self.iovecs_written, Ordering::Relaxed);
     }
 
-    /// A point-in-time view over *every* reactor of the front, own
+    /// The observability report over *every* reactor of the front, own
     /// gauges synced first: the per-reactor entries plus the summed
     /// connection gauges, for the `stats`/`metrics` verbs.
-    fn observability(&self) -> (ConnStats, Vec<ReactorStats>) {
+    fn metrics_report(&self) -> proto::MetricsReport {
         self.sync_gauges();
         let reactors: Vec<ReactorStats> = self
+            .front
             .gauges
             .iter()
             .enumerate()
@@ -584,9 +514,9 @@ impl Reactor {
         let conns = ConnStats {
             live: reactors.iter().map(|r| r.live).sum(),
             refused: reactors.iter().map(|r| r.refused).sum(),
-            max: self.global_max,
+            max: self.front.global_max,
         };
-        (conns, reactors)
+        self.front.pool.metrics_report(conns, reactors)
     }
 
     /// Accepts until the listener would block, refusing over the cap.
@@ -594,14 +524,14 @@ impl Reactor {
         while let Some(listener) = &self.listener {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.live >= self.max_conns {
-                        self.refused_conns += 1;
+                    if self.live >= self.front.gauges[self.reactor_id].max {
+                        self.run.refused_conns += 1;
                         // Best effort on a non-blocking socket: the
                         // refusal line is one small write into an empty
                         // send buffer, lost only if the peer is already
                         // gone.
                         let _ = stream.set_nonblocking(true);
-                        refuse_connection(stream, self.global_max);
+                        refuse_connection(stream, self.front.global_max);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -614,7 +544,7 @@ impl Reactor {
                         self.conns.len() - 1
                     });
                     self.live += 1;
-                    self.accepted_conns += 1;
+                    self.run.accepted_conns += 1;
                     let mut conn = Conn::new(stream, self.pass_ns);
                     self.update_interest(idx, &mut conn);
                     self.conns[idx] = Some(conn);
@@ -690,7 +620,7 @@ impl Reactor {
     /// dropping it if the connection died) and recording the slots that
     /// need service.
     fn route_responses(&mut self, touched: &mut Vec<usize>) {
-        while let Some((packed, response, meta)) = self.pool.try_recv_traced() {
+        while let Some((packed, response, meta)) = self.lane.try_recv_traced() {
             let idx = ((packed >> SEQ_BITS) & SLOT_MASK) as usize;
             let seq = packed & SEQ_MASK;
             let conn = self.conns[idx]
@@ -713,40 +643,29 @@ impl Reactor {
         }
     }
 
-    /// Answers one parsed line: `stats`/`metrics` are served from the
-    /// reactor thread (they never enter a shard queue), engine requests
-    /// join `batch` tagged with the packed token and their read stamp,
-    /// parse failures get an error line. Shared by the in-stream and
-    /// EOF-partial-line sites of [`Reactor::parse_lines`].
-    fn answer_command(
+    /// Answers the line at `bytes` of `conn`'s read buffer, consuming
+    /// its seq: `stats`/`metrics` are served from the reactor thread
+    /// (they never enter a shard queue), engine requests join `batch`
+    /// tagged with the packed token and their read stamp, parse failures
+    /// get an error line. Shared by the in-stream and EOF-partial-line
+    /// sites of [`Reactor::parse_lines`].
+    fn answer_line(
         &mut self,
         idx: usize,
         conn: &mut Conn,
-        seq: u64,
-        parsed: Result<Command, String>,
+        bytes: std::ops::Range<usize>,
         batch: &mut Vec<(u64, Request, u64)>,
     ) {
+        let seq = conn.next_seq;
+        conn.next_seq += 1;
+        self.run.requests += 1;
+        let parsed = std::str::from_utf8(&conn.read_buf[bytes])
+            .map_err(|_| "invalid UTF-8".to_string())
+            .and_then(|text| proto::parse_command(text.trim()));
         match parsed {
-            Ok(Command::Stats) => {
-                let (conns, reactors) = self.observability();
-                let line = proto::render_stats(seq, &self.pool.snapshots(), conns, &reactors);
-                conn.pending.insert(seq, PendingLine::untraced(line));
-            }
-            Ok(Command::Metrics) => {
-                let (conns, reactors) = self.observability();
-                let report = self.pool.metrics_report(conns, reactors);
-                conn.pending.insert(
-                    seq,
-                    PendingLine::untraced(proto::render_metrics(seq, &report)),
-                );
-            }
-            Ok(Command::MetricsText) => {
-                let (conns, reactors) = self.observability();
-                let report = self.pool.metrics_report(conns, reactors);
-                conn.pending.insert(
-                    seq,
-                    PendingLine::untraced(proto::render_metrics_text(seq, &report)),
-                );
+            Ok(Command::Report(format)) => {
+                let line = proto::render_report(seq, format, &self.metrics_report());
+                conn.pending.insert(seq, PendingLine { line, trace: None });
             }
             Ok(Command::Engine(request)) => {
                 self.telemetry
@@ -756,9 +675,9 @@ impl Reactor {
                 self.pass_arrivals += 1;
             }
             Err(reason) => {
-                self.parse_errors += 1;
+                self.run.parse_errors += 1;
                 let line = proto::render_response(seq, &Response::Error { tenant: 0, reason });
-                conn.pending.insert(seq, PendingLine::untraced(line));
+                conn.pending.insert(seq, PendingLine { line, trace: None });
             }
         }
     }
@@ -799,14 +718,8 @@ impl Reactor {
             match conn.read_buf[consumed..].iter().position(|&b| b == b'\n') {
                 Some(rel) => {
                     let end = consumed + rel;
-                    let seq = conn.next_seq;
-                    conn.next_seq += 1;
-                    self.requests += 1;
-                    let parsed = std::str::from_utf8(&conn.read_buf[consumed..end])
-                        .map_err(|_| "invalid UTF-8".to_string())
-                        .and_then(|text| proto::parse_command(text.trim()));
+                    self.answer_line(idx, conn, consumed..end, batch);
                     consumed = end + 1;
-                    self.answer_command(idx, conn, seq, parsed, batch);
                 }
                 None => {
                     if conn.read_buf.len() - consumed > MAX_LINE_BYTES {
@@ -819,14 +732,8 @@ impl Reactor {
                     }
                     if conn.read_closed && conn.read_buf.len() > consumed {
                         // EOF: a partial unterminated line still counts.
-                        let seq = conn.next_seq;
-                        conn.next_seq += 1;
-                        self.requests += 1;
-                        let parsed = std::str::from_utf8(&conn.read_buf[consumed..])
-                            .map_err(|_| "invalid UTF-8".to_string())
-                            .and_then(|text| proto::parse_command(text.trim()));
+                        self.answer_line(idx, conn, consumed..conn.read_buf.len(), batch);
                         consumed = conn.read_buf.len();
-                        self.answer_command(idx, conn, seq, parsed, batch);
                     }
                     break;
                 }
@@ -839,10 +746,10 @@ impl Reactor {
     fn answer_error(&mut self, conn: &mut Conn, reason: String) {
         let seq = conn.next_seq;
         conn.next_seq += 1;
-        self.requests += 1;
-        self.parse_errors += 1;
+        self.run.requests += 1;
+        self.run.parse_errors += 1;
         let line = proto::render_response(seq, &Response::Error { tenant: 0, reason });
-        conn.pending.insert(seq, PendingLine::untraced(line));
+        conn.pending.insert(seq, PendingLine { line, trace: None });
     }
 
     /// Moves in-order answers into the response queue and flushes as far
@@ -855,7 +762,7 @@ impl Reactor {
             conn.backlog += line.len();
             conn.outq.push_back(line);
             conn.next_write += 1;
-            self.responses += 1;
+            self.run.responses += 1;
             if let Some((tenant, meta)) = pending.trace {
                 self.telemetry.record_stage(
                     Stage::Respond,
@@ -975,7 +882,7 @@ impl Reactor {
     /// backlog exists).
     fn update_interest(&mut self, idx: usize, conn: &mut Conn) {
         let want_read = !conn.dead && !conn.read_closed && !conn.paused;
-        let want_write = !conn.dead && conn.write_backlog() > 0;
+        let want_write = !conn.dead && conn.backlog > 0;
         let desired = match (want_read, want_write) {
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
             (true, false) => Some(Interest::READABLE),
@@ -1022,7 +929,7 @@ impl Reactor {
     /// Submits whatever the pass has batched so far, if anything.
     fn submit(&mut self, batch: &mut Vec<(u64, Request, u64)>) {
         if !batch.is_empty() {
-            self.pool
+            self.lane
                 .submit_batch_traced(std::mem::take(batch), self.pass_ns);
         }
     }
@@ -1084,7 +991,7 @@ impl Reactor {
         self.conns
             .iter()
             .flatten()
-            .all(|conn| conn.dead || (conn.pending.is_empty() && conn.write_backlog() == 0))
+            .all(|conn| conn.dead || (conn.pending.is_empty() && conn.backlog == 0))
     }
 
     /// No live connection holds a buffered complete line that the
@@ -1099,21 +1006,17 @@ impl Reactor {
     }
 }
 
-/// One reactor thread's event loop over an already-bound listener and a
-/// pool view; shared by the single- and multi-reactor entry points.
-/// Returns the run's totals and the pool view (so the caller can
-/// unwrap/shut down the engine after every reactor has exited).
-#[allow(clippy::too_many_arguments)]
+/// One reactor thread's event loop over an already-bound listener and
+/// its lane into the front's pool. Returns the run's totals; the lane
+/// (and this thread's hold on the front) drops on return, so the caller
+/// can shut the pool down once every reactor has exited.
 fn run_reactor(
     listener: TcpListener,
-    pool: Pool,
-    telemetry: Arc<Telemetry>,
-    gauges: Arc<Vec<ReactorGauges>>,
+    lane: EngineLane,
+    front: Arc<Front>,
     reactor_id: usize,
-    max_conns: usize,
-    global_max: usize,
     shutdown: &Shutdown,
-) -> io::Result<(ReactorRun, Pool)> {
+) -> io::Result<ReactorRun> {
     listener.set_nonblocking(true)?;
     let mut poll = Poll::new()?;
     let listener_fd = listener.as_raw_fd();
@@ -1122,30 +1025,24 @@ fn run_reactor(
     let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
     shutdown.install(Arc::clone(&waker));
     let notify = Arc::clone(&waker);
-    pool.install_notifier(Arc::new(move || {
+    lane.notify().install(Arc::new(move || {
         let _ = notify.wake();
     }));
     let mut reactor = Reactor {
         registry: poll.registry().try_clone()?,
-        pool,
-        telemetry,
+        lane,
+        telemetry: Arc::clone(front.pool.telemetry()),
+        front,
         pass_ns: 0,
         listener: Some(listener),
         conns: Vec::new(),
         free: Vec::new(),
         live: 0,
-        max_conns,
-        global_max,
         reactor_id,
-        gauges,
         draining: false,
         arrival_ewma: 1.0,
         pass_arrivals: 0,
-        requests: 0,
-        responses: 0,
-        parse_errors: 0,
-        accepted_conns: 0,
-        refused_conns: 0,
+        run: ReactorRun::default(),
         flush_passes: 0,
         iovecs_written: 0,
     };
@@ -1208,7 +1105,7 @@ fn run_reactor(
         // no buffered complete line awaits parsing.
         if reactor.draining
             && quiet
-            && reactor.pool.in_flight() == 0
+            && reactor.lane.in_flight() == 0
             && reactor.all_flushed()
             && reactor.no_pending_lines()
         {
@@ -1216,64 +1113,11 @@ fn run_reactor(
         }
     }
 
-    // Teardown: close every socket; the pool view goes back to the
-    // caller (the engine outlives this reactor's siblings).
+    // Teardown: close every socket; dropping the reactor drops its lane
+    // (the workers stop routing to it) and its hold on the front.
     reactor.conns.clear();
     reactor.sync_gauges();
-    Ok((
-        ReactorRun {
-            requests: reactor.requests,
-            responses: reactor.responses,
-            parse_errors: reactor.parse_errors,
-            accepted_conns: reactor.accepted_conns,
-            refused_conns: reactor.refused_conns,
-        },
-        reactor.pool,
-    ))
-}
-
-/// Runs the event-driven front end on an already-bound listener until
-/// `shutdown` is requested, then drains and returns the run's totals.
-/// See the module docs for the architecture.
-///
-/// # Errors
-///
-/// Fatal poller errors (registration, `epoll_wait`) and listener setup
-/// failures. Per-connection I/O errors only ever kill that connection.
-pub fn serve_reactor(
-    listener: TcpListener,
-    options: &ReactorOptions,
-    shutdown: &Shutdown,
-) -> io::Result<ReactorSummary> {
-    let telemetry = if options.telemetry {
-        Telemetry::new()
-    } else {
-        Telemetry::off()
-    };
-    let pool = ShardedEngine::with_telemetry(
-        options.strategy,
-        options.shards,
-        options.journal.clone(),
-        None,
-        Arc::clone(&telemetry),
-    );
-    let max_conns = options.max_conns.clamp(1, MAX_SLOTS - CONN_BASE);
-    let gauges = Arc::new(vec![ReactorGauges::with_max(max_conns)]);
-    let (run, pool) = run_reactor(
-        listener,
-        Pool::Owned(pool),
-        telemetry,
-        gauges,
-        0,
-        max_conns,
-        max_conns,
-        shutdown,
-    )?;
-    let Pool::Owned(pool) = pool else {
-        unreachable!("the single-reactor loop owns its pool");
-    };
-    let reports = pool.shutdown();
-    Ok(run.into_summary(reports))
+    Ok(reactor.run)
 }
 
 /// Binds `n` `SO_REUSEPORT` listeners on one address for
@@ -1309,22 +1153,23 @@ pub fn bind_reuseport_listeners(
 
 /// Runs one reactor thread per listener over a single shared shard
 /// pool until `shutdown` is requested, then drains every reactor and
-/// returns the merged totals. Callers bind the listeners with
-/// `SO_REUSEPORT` on one address ([`mio::net::bind_reuseport`]) so the
-/// kernel spreads incoming connections across them; each reactor
-/// submits and receives on its private [`EngineLane`], so the request
-/// path stays lock-free end to end. `options.max_conns` is a global
-/// budget split evenly across the reactors (each gets at least one
-/// slot).
-///
-/// A single listener degenerates to [`serve_reactor`] exactly.
+/// returns the merged totals. Callers with more than one listener bind
+/// them with `SO_REUSEPORT` on one address
+/// ([`bind_reuseport_listeners`]) so the kernel spreads incoming
+/// connections across them; each reactor submits and receives on its
+/// private [`EngineLane`], so the request path stays lock-free end to
+/// end. `options.max_conns` is a global budget split evenly across the
+/// reactors (each gets at least one slot). See the module docs for the
+/// architecture.
 ///
 /// # Errors
 ///
-/// Fatal poller errors and listener setup failures from any reactor —
-/// a failed reactor requests shutdown so its siblings drain instead of
-/// serving a silently reduced front; the first error is returned after
-/// every thread has exited and the pool is shut down.
+/// Fatal poller errors (registration, `epoll_wait`) and listener setup
+/// failures from any reactor — a failed reactor requests shutdown so
+/// its siblings drain instead of serving a silently reduced front; the
+/// first error is returned after every thread has exited and the pool
+/// is shut down. Per-connection I/O errors only ever kill that
+/// connection.
 ///
 /// # Panics
 ///
@@ -1335,10 +1180,6 @@ pub fn serve_reactors(
     shutdown: &Shutdown,
 ) -> io::Result<ReactorSummary> {
     assert!(!listeners.is_empty(), "at least one listener is required");
-    if listeners.len() == 1 {
-        let listener = listeners.into_iter().next().expect("length checked");
-        return serve_reactor(listener, options, shutdown);
-    }
     let n = listeners.len();
     let telemetry = if options.telemetry {
         Telemetry::new()
@@ -1350,36 +1191,26 @@ pub fn serve_reactors(
         options.shards,
         options.journal.clone(),
         n,
-        Arc::clone(&telemetry),
+        telemetry,
     );
-    let shared = Arc::new(pool);
     let global_max = options.max_conns.clamp(1, n * (MAX_SLOTS - CONN_BASE));
     // Split the global budget evenly, the remainder to the first
     // reactors, at least one slot each.
     let share = |r: usize| (global_max / n + usize::from(r < global_max % n)).max(1);
-    let gauges: Arc<Vec<ReactorGauges>> =
-        Arc::new((0..n).map(|r| ReactorGauges::with_max(share(r))).collect());
-    let outcomes: Vec<io::Result<(ReactorRun, Pool)>> = std::thread::scope(|scope| {
+    let front = Arc::new(Front {
+        pool,
+        gauges: (0..n).map(|r| ReactorGauges::with_max(share(r))).collect(),
+        global_max,
+    });
+    let outcomes: Vec<io::Result<ReactorRun>> = std::thread::scope(|scope| {
         let handles: Vec<_> = listeners
             .into_iter()
             .zip(lanes)
             .enumerate()
             .map(|(r, (listener, lane))| {
-                let shared = Arc::clone(&shared);
-                let telemetry = Arc::clone(&telemetry);
-                let gauges = Arc::clone(&gauges);
+                let front = Arc::clone(&front);
                 scope.spawn(move || {
-                    let pool = Pool::Shared { shared, lane };
-                    let out = run_reactor(
-                        listener,
-                        pool,
-                        telemetry,
-                        gauges,
-                        r,
-                        share(r),
-                        global_max,
-                        shutdown,
-                    );
+                    let out = run_reactor(listener, lane, front, r, shutdown);
                     if out.is_err() {
                         // A dead reactor must not strand its siblings
                         // (or the caller) behind a front that will
@@ -1399,12 +1230,7 @@ pub fn serve_reactors(
     let mut first_err = None;
     for outcome in outcomes {
         match outcome {
-            Ok((run, pool)) => {
-                merged.absorb(&run);
-                // Dropping the pool view drops its lane; the workers
-                // stop routing to it.
-                drop(pool);
-            }
+            Ok(run) => merged.absorb(&run),
             Err(e) => {
                 if first_err.is_none() {
                     first_err = Some(e);
@@ -1412,56 +1238,44 @@ pub fn serve_reactors(
             }
         }
     }
-    let pool =
-        Arc::try_unwrap(shared).expect("every reactor thread has exited and dropped its pool view");
-    let reports = pool.shutdown();
+    let front =
+        Arc::try_unwrap(front).expect("every reactor thread has exited and dropped the front");
+    let reports = front.pool.shutdown();
     match first_err {
         Some(e) => Err(e),
         None => Ok(merged.into_summary(reports)),
     }
 }
 
+/// Answers one over-cap connection with a bounded error line.
+fn refuse_connection(mut stream: TcpStream, max_conns: usize) {
+    let line = proto::render_response(
+        0,
+        &Response::Error {
+            tenant: 0,
+            reason: format!("server at its connection cap ({max_conns}); retry later"),
+        },
+    );
+    let _ = stream.write_all(line.as_bytes());
+    let _ = stream.write_all(b"\n");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader, Write};
+    use crate::client::{LineClient, RetryPolicy};
     use std::net::SocketAddr;
 
-    fn spawn_reactor(
-        shards: usize,
-        max_conns: usize,
-    ) -> (
+    type Served = (
         SocketAddr,
         Arc<Shutdown>,
         std::thread::JoinHandle<io::Result<ReactorSummary>>,
-    ) {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let shutdown = Shutdown::new();
-        let remote = Arc::clone(&shutdown);
-        let handle = std::thread::spawn(move || {
-            let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
-            options.max_conns = max_conns;
-            serve_reactor(listener, &options, &remote)
-        });
-        (addr, shutdown, handle)
-    }
+    );
 
-    fn spawn_reactors(
-        n: usize,
-        shards: usize,
-        max_conns: usize,
-    ) -> (
-        SocketAddr,
-        Arc<Shutdown>,
-        std::thread::JoinHandle<io::Result<ReactorSummary>>,
-    ) {
-        let first = mio::net::bind_reuseport("127.0.0.1:0".parse().unwrap()).unwrap();
-        let addr = first.local_addr().unwrap();
-        let mut listeners = vec![first];
-        for _ in 1..n {
-            listeners.push(mio::net::bind_reuseport(addr).unwrap());
-        }
+    /// `n` reactors on one loopback port, serving on a background thread.
+    fn spawn_reactors(n: usize, shards: usize, max_conns: usize) -> Served {
+        let listeners = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), n).unwrap();
+        let addr = listeners[0].local_addr().unwrap();
         let shutdown = Shutdown::new();
         let remote = Arc::clone(&shutdown);
         let handle = std::thread::spawn(move || {
@@ -1472,31 +1286,24 @@ mod tests {
         (addr, shutdown, handle)
     }
 
-    struct Client {
-        stream: TcpStream,
-        reader: BufReader<TcpStream>,
+    fn spawn_reactor(shards: usize, max_conns: usize) -> Served {
+        spawn_reactors(1, shards, max_conns)
     }
+
+    /// A line client that fails the test on any I/O error.
+    struct Client(LineClient);
 
     impl Client {
         fn connect(addr: SocketAddr) -> Self {
-            let stream = TcpStream::connect(addr).unwrap();
-            stream
-                .set_read_timeout(Some(Duration::from_secs(10)))
-                .unwrap();
-            let reader = BufReader::new(stream.try_clone().unwrap());
-            Client { stream, reader }
+            Client(LineClient::connect(addr, &RetryPolicy::once()).unwrap())
         }
 
         fn send(&mut self, line: &str) {
-            self.stream.write_all(line.as_bytes()).unwrap();
-            self.stream.write_all(b"\n").unwrap();
+            self.0.send(line).unwrap();
         }
 
         fn recv(&mut self) -> String {
-            let mut line = String::new();
-            self.reader.read_line(&mut line).unwrap();
-            assert!(!line.is_empty(), "server closed the connection");
-            line.trim_end().to_string()
+            self.0.recv().unwrap()
         }
     }
 
@@ -1573,6 +1380,33 @@ mod tests {
     }
 
     #[test]
+    fn simultaneous_clients_are_served_over_one_shared_engine() {
+        let (addr, shutdown, handle) = spawn_reactor(2, 4);
+        // Client A connects first and goes idle without sending a byte.
+        let mut a = Client::connect(addr);
+        // Client B is accepted and fully served while A sits idle.
+        let mut b = Client::connect(addr);
+        b.send(REGISTER);
+        assert!(b.recv().contains("\"verdict\":\"accept\""));
+        b.send("{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}");
+        assert!(b.recv().contains("\"periods_ms\":[7582]"));
+        // A — open since before B's requests — sees the tenant B
+        // registered: one engine serves every connection.
+        a.send("{\"op\":\"query\",\"tenant\":1}");
+        assert!(a.recv().contains("\"periods_ms\":[7582]"));
+        // And both can keep interleaving.
+        b.send("{\"op\":\"query\",\"tenant\":1}");
+        a.send("{\"op\":\"query\",\"tenant\":1}");
+        assert!(b.recv().contains("\"verdict\":\"accept\""));
+        assert!(a.recv().contains("\"verdict\":\"accept\""));
+        drop((a, b));
+        shutdown.request();
+        let summary = handle.join().unwrap().unwrap();
+        assert_eq!(summary.accepted_conns, 2);
+        assert_eq!(summary.requests, 5);
+    }
+
+    #[test]
     fn connections_beyond_the_cap_are_refused_then_admitted_again() {
         let (addr, shutdown, handle) = spawn_reactor(1, 1);
         let mut a = Client::connect(addr);
@@ -1587,7 +1421,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             let mut c = Client::connect(addr);
-            let line = match c.stream.write_all(b"{\"op\":\"query\",\"tenant\":9}\n") {
+            let line = match c.0.send("{\"op\":\"query\",\"tenant\":9}") {
                 Ok(()) => c.recv(),
                 Err(_) => "connection cap".to_string(),
             };

@@ -5,7 +5,7 @@
 //! # Design: replicate the *journal*, not the engine
 //!
 //! The replication stream mirrors the three mutations a
-//! [`JournalDir`](crate::journal::JournalDir) ever performs on a tenant
+//! [`JournalDir`] ever performs on a tenant
 //! file — rewrite it whole (registration, snapshot compaction, import),
 //! append one accepted delta, retire it — rather than the requests that
 //! caused them. Because both ends run the same renderers at integer-tick

@@ -3,7 +3,7 @@
 //! Tenants are fully independent (separate RT systems, separate monitor
 //! tables, separate memos), so the service scales by *partitioning*
 //! rather than locking: each worker thread owns one
-//! [`AdaptEngine`](crate::engine::AdaptEngine) and exclusively serves the
+//! [`AdaptEngine`] and exclusively serves the
 //! tenants that hash onto it. Requests travel in **batches** (one
 //! channel message per shard per submitted batch) to amortize channel
 //! overhead at high request rates, and responses travel back the same
@@ -21,7 +21,7 @@
 //! verdict populations regardless of `--shards`.
 //!
 //! The one piece of cross-shard state is the pool-wide
-//! [`SharedSelectionStore`](hydra_core::SharedSelectionStore): every
+//! [`SharedSelectionStore`]: every
 //! worker's engine publishes solved configurations there and consults it
 //! before running Algorithm 1, so structurally identical tenants share
 //! solver work even when they hash onto different shards. This does not
@@ -122,7 +122,7 @@ pub const LANE_SHIFT: u32 = 56;
 pub const MAX_EXTRA_LANES: usize = 255;
 
 /// A lane's response notifier, installable *after* pool construction —
-/// multi-reactor serving builds the shared pool first and each reactor
+/// the reactor front builds the shared pool first and each reactor
 /// creates its poll waker later, on its own thread. Firing before
 /// installation is a no-op, which is sound: a lane has no requests in
 /// flight before its owner has submitted any.
@@ -198,34 +198,6 @@ impl ShardSnapshot {
             0.0
         } else {
             served as f64 / total as f64
-        }
-    }
-}
-
-/// Buckets a batch by tenant hash and forwards one channel message per
-/// involved shard — the dispatch path shared by the pool's own lane and
-/// every [`EngineLane`].
-fn dispatch_envelopes(
-    batch: Vec<Envelope>,
-    in_flight: &mut usize,
-    scratch: &mut [Vec<Envelope>],
-    counters: &[Arc<ShardCounters>],
-    senders: &[Sender<Vec<Envelope>>],
-) {
-    let shards = senders.len();
-    *in_flight += batch.len();
-    for envelope in batch {
-        let shard = shard_index(envelope.request.tenant(), shards);
-        scratch[shard].push(envelope);
-    }
-    for (shard, bucket) in scratch.iter_mut().enumerate() {
-        if !bucket.is_empty() {
-            counters[shard]
-                .submitted
-                .fetch_add(bucket.len() as u64, Ordering::Relaxed);
-            senders[shard]
-                .send(std::mem::take(bucket))
-                .expect("shard worker died with requests outstanding");
         }
     }
 }
@@ -339,26 +311,21 @@ pub struct ShardReport {
     pub memo: MemoStats,
 }
 
-/// A pool of [`AdaptEngine`] workers with tenant-hash dispatch.
+/// A pool of [`AdaptEngine`] workers with tenant-hash dispatch. The
+/// pool's own submit/receive path is lane 0, an [`EngineLane`] like the
+/// ones [`ShardedEngine::with_lanes`] carves out for reactors.
 #[derive(Debug)]
 pub struct ShardedEngine {
-    senders: Vec<Sender<Vec<Envelope>>>,
-    // The receivers sit behind mutexes only to make the pool `Sync`
-    // (multi-reactor serving shares it in an `Arc` for the read-only
-    // snapshot surface); the single consumer reaches them through
-    // `Mutex::get_mut`, which takes no lock.
-    results: Mutex<Receiver<Vec<(u64, Response, ResponseMeta)>>>,
-    /// Responses already pulled off the channel but not yet handed to the
-    /// caller (workers answer a whole dispatched batch per message).
-    ready: VecDeque<(u64, Response, ResponseMeta)>,
+    // The pool's own lane and the reports receiver sit behind mutexes
+    // only to make the pool `Sync` (the reactor front shares it in an
+    // `Arc` for the read-only snapshot surface); `&mut self` methods
+    // reach them through `Mutex::get_mut`, which takes no lock.
+    own: Mutex<EngineLane>,
     reports: Mutex<Receiver<ShardReport>>,
     workers: Vec<JoinHandle<()>>,
-    in_flight: usize,
-    scratch: Vec<Vec<Envelope>>,
     counters: Vec<Arc<ShardCounters>>,
     shared: Arc<SharedSelectionStore>,
     telemetry: Arc<Telemetry>,
-    notify: Arc<LaneNotify>,
 }
 
 impl ShardedEngine {
@@ -366,7 +333,7 @@ impl ShardedEngine {
     /// [`AdaptEngine`] running under `strategy`.
     #[must_use]
     pub fn new(strategy: CarryInStrategy, shards: usize) -> Self {
-        Self::with_config(strategy, shards, None, None)
+        Self::with_telemetry(strategy, shards, None, None, Telemetry::new())
     }
 
     /// Like [`ShardedEngine::new`], with per-tenant event-log
@@ -377,29 +344,18 @@ impl ShardedEngine {
     /// every previously journaled tenant without re-registration.
     #[must_use]
     pub fn with_journal(strategy: CarryInStrategy, shards: usize, journal: JournalDir) -> Self {
-        Self::with_config(strategy, shards, Some(journal), None)
+        Self::with_telemetry(strategy, shards, Some(journal), None, Telemetry::new())
     }
 
-    /// The fully general constructor: optional journal persistence plus
-    /// an optional [`ResponseNotifier`] invoked by a worker every time it
-    /// finishes a dispatched batch (i.e. whenever fresh responses are
-    /// available to [`ShardedEngine::try_recv`]). The event-driven
-    /// server installs its poll waker here; `None` reproduces the plain
-    /// blocking pool exactly.
-    #[must_use]
-    pub fn with_config(
-        strategy: CarryInStrategy,
-        shards: usize,
-        journal: Option<JournalDir>,
-        notifier: Option<ResponseNotifier>,
-    ) -> Self {
-        Self::with_telemetry(strategy, shards, journal, notifier, Telemetry::new())
-    }
-
-    /// Like [`ShardedEngine::with_config`] with an explicit telemetry
-    /// registry — pass [`Telemetry::off`] for the measured runtime-off
-    /// path (no clock reads, no histogram writes; one predictable
-    /// branch per request).
+    /// The fully general constructor: optional journal persistence, an
+    /// optional [`ResponseNotifier`] invoked by a worker every time it
+    /// finishes a dispatched batch submitted on the pool's own lane
+    /// (i.e. whenever fresh responses are available to
+    /// [`ShardedEngine::try_recv`]; `None` is the plain blocking pool —
+    /// the reactor front instead installs one poll waker per
+    /// [`EngineLane`]), and the telemetry registry — pass
+    /// [`Telemetry::off`] for the measured runtime-off path (no clock
+    /// reads, no histogram writes; one predictable branch per request).
     #[must_use]
     pub fn with_telemetry(
         strategy: CarryInStrategy,
@@ -413,7 +369,7 @@ impl ShardedEngine {
 
     /// Like [`ShardedEngine::with_telemetry`], additionally carving out
     /// `extra_lanes` independent submit/receive lanes over the same
-    /// worker pool — one per reactor in multi-reactor serving. Lane
+    /// worker pool — one per reactor of the TCP front. Lane
     /// `k+1` is returned at index `k`; the pool itself stays lane 0.
     /// Each lane owner packs its lane id into every sequence number
     /// (see [`LANE_SHIFT`]) and installs its waker on the lane's
@@ -447,25 +403,19 @@ impl ShardedEngine {
         );
         let shards = shards.max(1);
         let shared = SharedSelectionStore::new();
-        let (results_tx, results) = mpsc::channel();
         let (reports_tx, reports) = mpsc::channel();
         let counters: Vec<Arc<ShardCounters>> = (0..shards)
             .map(|_| Arc::new(ShardCounters::default()))
             .collect();
-        // Lane 0 is the pool's own results channel; its notifier (the
-        // single-reactor waker) arrives pre-installed when given.
-        let lane0_notify = Arc::new(LaneNotify::default());
+        // Lane 0 is the pool's own; its notifier arrives pre-installed
+        // when given.
+        let (lane_txs, lane_rxs): (Vec<_>, Vec<_>) =
+            (0..=extra_lanes).map(|_| mpsc::channel()).unzip();
+        let notifiers: Vec<Arc<LaneNotify>> = (0..=extra_lanes)
+            .map(|_| Arc::new(LaneNotify::default()))
+            .collect();
         if let Some(notifier) = notifier {
-            lane0_notify.install(notifier);
-        }
-        let mut lane_txs = vec![results_tx];
-        let mut notifiers = vec![lane0_notify];
-        let mut lane_rxs = Vec::with_capacity(extra_lanes);
-        for _ in 0..extra_lanes {
-            let (tx, rx) = mpsc::channel();
-            lane_txs.push(tx);
-            notifiers.push(Arc::new(LaneNotify::default()));
-            lane_rxs.push(rx);
+            notifiers[0].install(notifier);
         }
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
@@ -559,42 +509,36 @@ impl ShardedEngine {
                 });
             }));
         }
-        let lanes = lane_rxs
+        let mut lanes: Vec<EngineLane> = lane_rxs
             .into_iter()
+            .zip(notifiers)
             .enumerate()
-            .map(|(k, results)| EngineLane {
-                lane: k + 1,
+            .map(|(lane, (results, notify))| EngineLane {
+                lane,
                 senders: senders.clone(),
                 results,
                 ready: VecDeque::new(),
                 in_flight: 0,
                 scratch: (0..shards).map(|_| Vec::new()).collect(),
                 counters: counters.clone(),
-                notify: Arc::clone(&notifiers[k + 1]),
+                notify,
             })
             .collect();
+        let own = lanes.remove(0);
         let pool = ShardedEngine {
-            senders,
-            results: Mutex::new(results),
-            ready: VecDeque::new(),
+            own: Mutex::new(own),
             reports: Mutex::new(reports),
             workers,
-            in_flight: 0,
-            scratch: (0..shards).map(|_| Vec::new()).collect(),
             counters,
             shared,
             telemetry,
-            notify: Arc::clone(&notifiers[0]),
         };
         (pool, lanes)
     }
 
-    /// Installs the pool's own (lane-0) response notifier after
-    /// construction — the reactor path builds the pool first and its
-    /// poll waker later. First install wins; a no-op if a notifier was
-    /// already given to the constructor.
-    pub fn install_notifier(&self, notifier: ResponseNotifier) {
-        self.notify.install(notifier);
+    /// The pool's own lane (lane 0), reached without locking.
+    fn own(&mut self) -> &mut EngineLane {
+        self.own.get_mut().expect("pool lane poisoned")
     }
 
     /// Statistics of the pool-wide cross-tenant selection store.
@@ -639,19 +583,19 @@ impl ShardedEngine {
     /// Number of shards.
     #[must_use]
     pub fn shards(&self) -> usize {
-        self.senders.len()
+        self.counters.len()
     }
 
     /// The shard a tenant is served by.
     #[must_use]
     pub fn shard_of(&self, tenant: u64) -> usize {
-        shard_index(tenant, self.senders.len())
+        shard_index(tenant, self.counters.len())
     }
 
     /// Responses submitted but not yet received.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.in_flight
+        self.own.lock().expect("pool lane poisoned").in_flight
     }
 
     /// Submits a batch: requests are split by tenant hash and forwarded
@@ -667,7 +611,7 @@ impl ShardedEngine {
         // In-process callers have no wire read, so the read and submit
         // stamps coincide: one clock read per submitted batch.
         let now_ns = self.telemetry.now_ns();
-        self.dispatch(
+        self.own().dispatch(
             batch
                 .into_iter()
                 .map(|(seq, request)| Envelope {
@@ -685,57 +629,15 @@ impl ShardedEngine {
     /// its bytes were read) and one shared `submit_ns` (the front's
     /// current pass tick — the whole batch is enqueued in one pass).
     pub fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        self.dispatch(
-            batch
-                .into_iter()
-                .map(|(seq, request, read_ns)| Envelope {
-                    seq,
-                    request,
-                    read_ns,
-                    submit_ns,
-                })
-                .collect(),
-        );
-    }
-
-    fn dispatch(&mut self, batch: Vec<Envelope>) {
-        dispatch_envelopes(
-            batch,
-            &mut self.in_flight,
-            &mut self.scratch,
-            &self.counters,
-            &self.senders,
-        );
+        self.own().submit_batch_traced(batch, submit_ns);
     }
 
     /// Non-blocking receive: one response if any is ready, `None`
-    /// otherwise (including when nothing is in flight). The event-driven
-    /// server drains this after every waker event.
+    /// otherwise (including when nothing is in flight).
     pub fn try_recv(&mut self) -> Option<(u64, Response)> {
-        self.try_recv_traced()
+        self.own()
+            .receive(false)
             .map(|(seq, response, _)| (seq, response))
-    }
-
-    /// Non-blocking receive keeping the worker's telemetry stamps, so
-    /// a serving front can finish the trace (respond/flush/total).
-    pub fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        loop {
-            if let Some(answer) = self.ready.pop_front() {
-                self.in_flight -= 1;
-                return Some(answer);
-            }
-            let results = self.results.get_mut().expect("results receiver poisoned");
-            match results.try_recv() {
-                Ok(batch) => self.ready.extend(batch),
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => {
-                    panic!("shard workers died with requests outstanding")
-                }
-            }
-        }
     }
 
     /// Point-in-time telemetry of every live shard (ordered by index):
@@ -771,27 +673,12 @@ impl ShardedEngine {
 
     /// Blocking receive keeping the worker's telemetry stamps.
     pub fn recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        loop {
-            if let Some(answer) = self.ready.pop_front() {
-                self.in_flight -= 1;
-                return Some(answer);
-            }
-            let batch = self
-                .results
-                .get_mut()
-                .expect("results receiver poisoned")
-                .recv()
-                .expect("shard workers died with requests outstanding");
-            self.ready.extend(batch);
-        }
+        self.own().receive(true)
     }
 
     /// Receives every outstanding response.
     pub fn drain(&mut self) -> Vec<(u64, Response)> {
-        let mut out = Vec::with_capacity(self.in_flight);
+        let mut out = Vec::with_capacity(self.own().in_flight);
         while let Some(answer) = self.recv() {
             out.push(answer);
         }
@@ -801,7 +688,7 @@ impl ShardedEngine {
     /// [`ShardedEngine::drain`] with each response's worker-side trace
     /// stamps (what the pump front ends feed into the stage histograms).
     pub fn drain_traced(&mut self) -> Vec<(u64, Response, ResponseMeta)> {
-        let mut out = Vec::with_capacity(self.in_flight);
+        let mut out = Vec::with_capacity(self.own().in_flight);
         while let Some(answer) = self.recv_traced() {
             out.push(answer);
         }
@@ -838,13 +725,18 @@ impl ShardedEngine {
     #[must_use]
     pub fn shutdown(mut self) -> Vec<ShardReport> {
         let _ = self.drain();
-        self.senders.clear(); // closes the request channels
-        for worker in self.workers.drain(..) {
+        let ShardedEngine {
+            own,
+            reports,
+            workers,
+            ..
+        } = self;
+        drop(own); // closes the pool's request channels
+        for worker in workers {
             worker.join().expect("shard worker panicked");
         }
-        let mut reports: Vec<ShardReport> = self
-            .reports
-            .get_mut()
+        let mut reports: Vec<ShardReport> = reports
+            .into_inner()
             .expect("reports receiver poisoned")
             .try_iter()
             .collect();
@@ -853,12 +745,12 @@ impl ShardedEngine {
     }
 }
 
-/// One reactor's private submit/receive view of a shared
-/// [`ShardedEngine`]: its own results channel, in-flight accounting and
-/// dispatch scratch over the same worker pool. Lanes are carved out by
-/// [`ShardedEngine::with_lanes`]; each submitted sequence number gets
-/// the lane id stamped into its top byte (see [`LANE_SHIFT`]) so the
-/// workers route every answer batch back to the lane that submitted it.
+/// A private submit/receive view of a [`ShardedEngine`]'s workers: its
+/// own results channel, in-flight accounting and dispatch scratch. The
+/// pool's own path is lane 0; [`ShardedEngine::with_lanes`] carves out
+/// one more per reactor. Each submitted sequence number gets the lane
+/// id stamped into its top byte (see [`LANE_SHIFT`]) so the workers
+/// route every answer batch back to the lane that submitted it.
 ///
 /// A lane is single-owner (one reactor thread) and must be dropped —
 /// after draining its in-flight requests — before the pool itself is
@@ -868,6 +760,8 @@ pub struct EngineLane {
     lane: usize,
     senders: Vec<Sender<Vec<Envelope>>>,
     results: Receiver<Vec<(u64, Response, ResponseMeta)>>,
+    /// Responses already pulled off the channel but not yet handed to
+    /// the caller (workers answer a whole dispatched batch per message).
     ready: VecDeque<(u64, Response, ResponseMeta)>,
     in_flight: usize,
     scratch: Vec<Vec<Envelope>>,
@@ -876,12 +770,6 @@ pub struct EngineLane {
 }
 
 impl EngineLane {
-    /// This lane's id (1-based; the pool itself is lane 0).
-    #[must_use]
-    pub fn lane(&self) -> usize {
-        self.lane
-    }
-
     /// The lane's two-phase notifier — install the reactor's waker here
     /// once it exists.
     #[must_use]
@@ -899,31 +787,57 @@ impl EngineLane {
     /// id into each sequence's top byte and dispatches. Sequences must
     /// keep that byte free (the reactor's packing leaves it zero).
     pub fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        let lane_bits = (self.lane as u64) << LANE_SHIFT;
-        let envelopes = batch
-            .into_iter()
-            .map(|(seq, request, read_ns)| {
-                debug_assert_eq!(seq >> LANE_SHIFT, 0, "sequence collides with the lane byte");
-                Envelope {
-                    seq: seq | lane_bits,
+        self.dispatch(
+            batch
+                .into_iter()
+                .map(|(seq, request, read_ns)| Envelope {
+                    seq,
                     request,
                     read_ns,
                     submit_ns,
-                }
-            })
-            .collect();
-        dispatch_envelopes(
-            envelopes,
-            &mut self.in_flight,
-            &mut self.scratch,
-            &self.counters,
-            &self.senders,
+                })
+                .collect(),
         );
     }
 
-    /// Lane-side [`ShardedEngine::try_recv_traced`]: non-blocking, the
-    /// lane bits already stripped from the returned sequence.
+    /// Buckets a batch by tenant hash and forwards one channel message
+    /// per involved shard, the lane id stamped into every sequence.
+    fn dispatch(&mut self, batch: Vec<Envelope>) {
+        let lane_bits = (self.lane as u64) << LANE_SHIFT;
+        let shards = self.senders.len();
+        self.in_flight += batch.len();
+        for mut envelope in batch {
+            debug_assert_eq!(
+                envelope.seq >> LANE_SHIFT,
+                0,
+                "sequence collides with the lane byte"
+            );
+            envelope.seq |= lane_bits;
+            self.scratch[shard_index(envelope.request.tenant(), shards)].push(envelope);
+        }
+        for (shard, bucket) in self.scratch.iter_mut().enumerate() {
+            if !bucket.is_empty() {
+                self.counters[shard]
+                    .submitted
+                    .fetch_add(bucket.len() as u64, Ordering::Relaxed);
+                self.senders[shard]
+                    .send(std::mem::take(bucket))
+                    .expect("shard worker died with requests outstanding");
+            }
+        }
+    }
+
+    /// Non-blocking receive with the worker's telemetry stamps, so a
+    /// serving front can finish the trace (respond/flush/total); the
+    /// lane bits are already stripped from the returned sequence.
     pub fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
+        self.receive(false)
+    }
+
+    /// The next answer on this lane — waiting for one iff `block` —
+    /// with the lane bits stripped; `None` once nothing is in flight
+    /// (and, without `block`, while nothing has arrived yet).
+    fn receive(&mut self, block: bool) -> Option<(u64, Response, ResponseMeta)> {
         if self.in_flight == 0 {
             return None;
         }
@@ -932,7 +846,12 @@ impl EngineLane {
                 self.in_flight -= 1;
                 return Some((seq & !(0xFF << LANE_SHIFT), response, meta));
             }
-            match self.results.try_recv() {
+            let batch = if block {
+                self.results.recv().map_err(|_| TryRecvError::Disconnected)
+            } else {
+                self.results.try_recv()
+            };
+            match batch {
                 Ok(batch) => self.ready.extend(batch),
                 Err(TryRecvError::Empty) => return None,
                 Err(TryRecvError::Disconnected) => {
@@ -1153,19 +1072,34 @@ mod tests {
         let _ = pool.shutdown();
     }
 
+    /// A worker rings a lane's notifier right after it sends the batch,
+    /// so a receiver can see the answers a moment before the ring: wait
+    /// for it, bounded.
+    fn await_wake(wakes: &AtomicU64) {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while wakes.load(Ordering::Relaxed) == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "worker never notified"
+            );
+            std::thread::yield_now();
+        }
+    }
+
     /// The notifier fires for every processed batch, and try_recv +
     /// snapshots expose the pool's live state without shutting it down.
     #[test]
     fn notifier_fires_and_snapshots_track_live_state() {
         let wakes = Arc::new(AtomicU64::new(0));
         let counting = Arc::clone(&wakes);
-        let mut pool = ShardedEngine::with_config(
+        let mut pool = ShardedEngine::with_telemetry(
             CarryInStrategy::TopDiff,
             2,
             None,
             Some(Arc::new(move || {
                 counting.fetch_add(1, Ordering::Relaxed);
             })),
+            Telemetry::new(),
         );
         let requests = rover_requests(5);
         let n = requests.len() as u64;
@@ -1186,7 +1120,7 @@ mod tests {
             }
         }
         assert!(pool.try_recv().is_none());
-        assert!(wakes.load(Ordering::Relaxed) >= 1, "worker must notify");
+        await_wake(&wakes);
         let snaps = pool.snapshots();
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps.iter().map(|s| s.handled).sum::<u64>(), n);
@@ -1248,7 +1182,7 @@ mod tests {
             assert_eq!(seqs, vec![0, 1, 2], "lane byte must be stripped");
             assert_eq!(lane.in_flight(), 0);
             assert!(lane.try_recv_traced().is_none());
-            assert!(wakes[k].load(Ordering::Relaxed) >= 1);
+            await_wake(&wakes[k]);
         }
         // Lane 0 (the pool) got only its own answer.
         let (seq, _) = pool.recv().expect("the pool's own query is answered");

@@ -11,8 +11,8 @@
 //! accept → read/parse → enqueue → dequeue → solve → persist → respond
 //! → flush —
 //! recorded into merge-able histograms that the `{"op":"metrics"}` verb
-//! (see [`crate::proto::render_metrics`]) exposes from all three
-//! serving fronts.
+//! (see [`crate::proto::render_metrics`]) exposes from both serving
+//! fronts, the reactor and the stdin pump.
 //!
 //! # Histogram layout
 //!

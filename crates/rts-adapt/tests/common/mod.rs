@@ -1,6 +1,8 @@
 //! Shared harness for the rts-adapt integration tests: unique,
 //! self-cleaning temp directories, the paper's rover registration, the
-//! seeded delta-stream builder, and a bounded-retry helper for
+//! seeded delta-stream builder, an in-process reactor on a loopback
+//! port (the TCP front the daemon runs) with a line client for it, and
+//! a bounded-retry helper for
 //! time-dependent waits (never a bare sleep — every wait has a deadline
 //! and a reason).
 
@@ -8,12 +10,18 @@
 // uses a different subset of it.
 #![allow(dead_code)]
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use rts_adapt::{Request, Response, RtSpec};
+use rts_adapt::{
+    serve_reactors, ReactorOptions, ReactorSummary, Request, Response, RtSpec, Shutdown,
+};
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
 use rts_model::time::Duration;
 
@@ -175,4 +183,81 @@ pub fn retry<T>(what: &str, mut f: impl FnMut() -> Option<T>) -> T {
         std::thread::sleep(std::time::Duration::from_millis(20));
     }
     panic!("timed out waiting for {what}");
+}
+
+/// A reactor serving on a background thread: its address, the handle
+/// that drains it, and the serve thread (join it after a shutdown
+/// request for the run's totals). Dropping the handles detaches the
+/// thread; it then dies with the test process.
+pub type Served = (
+    SocketAddr,
+    Arc<Shutdown>,
+    JoinHandle<std::io::Result<ReactorSummary>>,
+);
+
+/// Boots an in-process reactor over `options` on a fresh loopback port.
+pub fn spawn_reactor(options: ReactorOptions) -> Served {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
+    spawn_reactors_on(vec![listener], options)
+}
+
+/// One reactor per listener, on listeners the caller bound (connects
+/// made before this call wait in their accept backlogs); the address is
+/// the first listener's.
+pub fn spawn_reactors_on(listeners: Vec<TcpListener>, options: ReactorOptions) -> Served {
+    let addr = listeners[0].local_addr().expect("listener address");
+    let shutdown = Shutdown::new();
+    let remote = Arc::clone(&shutdown);
+    let serving = std::thread::spawn(move || serve_reactors(listeners, &options, &remote));
+    (addr, shutdown, serving)
+}
+
+/// A line-protocol client on one TCP connection. Reads time out after
+/// 10 s, so a wedged server fails the test instead of hanging it.
+pub struct Client {
+    pub stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Client {
+    pub fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).expect("connect to the server");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        Client { stream, reader }
+    }
+
+    pub fn send(&mut self, line: &str) {
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send a request line");
+    }
+
+    pub fn recv(&mut self) -> String {
+        self.try_recv().expect("server closed the connection")
+    }
+
+    /// The next answer line, or `None` if the connection failed or
+    /// closed first.
+    pub fn try_recv(&mut self) -> Option<String> {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).ok()?;
+        (!line.is_empty()).then(|| line.trim_end().to_string())
+    }
+
+    /// One lockstep exchange, or `None` if the connection fails or
+    /// closes on the way (a refused socket may already be closed when
+    /// the request is written).
+    pub fn try_request(&mut self, line: &str) -> Option<String> {
+        self.stream.write_all(format!("{line}\n").as_bytes()).ok()?;
+        self.try_recv()
+    }
+
+    /// One lockstep exchange on an established connection.
+    pub fn request(&mut self, line: &str) -> String {
+        self.try_request(line)
+            .expect("established connections are served to completion")
+    }
 }

@@ -33,11 +33,10 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration as StdDuration;
 
-use common::{register_rover, retry, TempDir};
+use common::{register_rover, retry, spawn_reactor, TempDir};
 use rts_adapt::journal::{self, JournalDir};
 use rts_adapt::{
-    serve_reactor, AdaptEngine, ReactorOptions, Replicator, Request, Response, RetryPolicy,
-    ShardedEngine, Shutdown,
+    AdaptEngine, ReactorOptions, Replicator, Request, Response, RetryPolicy, ShardedEngine,
 };
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
@@ -98,12 +97,11 @@ fn handle_all(engine: &mut AdaptEngine, requests: &[Request]) {
 /// Boots an in-process standby: a journaled reactor on a fresh port.
 /// The serving thread is detached; it dies with the test process.
 fn spawn_standby(dir: &Path) -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind standby");
-    let addr = listener.local_addr().expect("standby address");
-    let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, 2);
-    options.journal = Some(JournalDir::at(dir));
-    std::thread::spawn(move || serve_reactor(listener, &options, &Shutdown::new()));
-    addr
+    spawn_reactor(ReactorOptions {
+        journal: Some(JournalDir::at(dir)),
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, 2)
+    })
+    .0
 }
 
 fn replica_path(standby_dir: &Path, tenant: u64) -> std::path::PathBuf {

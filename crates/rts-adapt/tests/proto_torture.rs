@@ -1,34 +1,31 @@
 //! Protocol torture: malformed, truncated, adversarial and oversized
 //! line-JSON — plus mid-request disconnects — against both serving
-//! fronts. The service contract under attack is simple: **every line
-//! gets a polite `verdict:"error"`/`"reject"` answer, nothing panics,
-//! no worker wedges, and the stream stays line-synchronized** so a
-//! well-formed request after the garbage is still served. The
+//! fronts (the stdin pump and the TCP reactor). The service contract
+//! under attack is simple: **every line gets a polite
+//! `verdict:"error"`/`"reject"` answer, nothing panics, no worker
+//! wedges, and the stream stays line-synchronized** so a well-formed
+//! request after the garbage is still served. The
 //! Export/Import/Evict verbs get the same treatment as the PR 4 ops —
 //! including payloads that parse but must not install anything.
 //!
-//! The event-driven front (`rts_adapt::reactor`) gets its own battery:
+//! The TCP front (`rts_adapt::reactor`) gets its own battery:
 //! slow-loris drip feeds, clients that vanish with responses still in
 //! flight, a thousand idle connections under one active one, over-cap
-//! refusal — plus the parity pin: the same scripted sessions against
-//! the threaded and reactor fronts (at *different* shard counts) must
-//! produce byte-identical per-connection response streams, and an
+//! refusal — plus the parity pin: the same scripted sessions through
+//! the stdin pump and over reactor connections (at *different* shard
+//! counts) must produce byte-identical response streams, and an
 //! orderly reactor shutdown must lose no accepted delta from the
 //! journal.
 
 mod common;
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
+use std::io::{BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 
-use common::{retry, TempDir};
+use common::{retry, spawn_reactor, spawn_reactors_on, Client, Served, TempDir};
 use rts_adapt::journal::JournalDir;
-use rts_adapt::reactor::{
-    bind_reuseport_listeners, serve_reactor, serve_reactors, ReactorOptions, ReactorSummary,
-    Shutdown,
-};
-use rts_adapt::server::{serve, serve_listener, shared, ServeSummary};
+use rts_adapt::reactor::{bind_reuseport_listeners, ReactorOptions};
+use rts_adapt::server::{serve, ServeSummary};
 use rts_adapt::ShardedEngine;
 use rts_analysis::semi::CarryInStrategy;
 
@@ -37,11 +34,30 @@ use rts_analysis::semi::CarryInStrategy;
 /// worker would hang right here, failing the test by timeout.
 fn run_lines(input: &str) -> (ServeSummary, Vec<String>) {
     let mut engine = ShardedEngine::new(CarryInStrategy::TopDiff, 2);
-    let mut out: Vec<u8> = Vec::new();
-    let summary = serve(&mut engine, BufReader::new(input.as_bytes()), &mut out, 8).unwrap();
+    let (summary, lines) = serve_lines(&mut engine, input, 8);
     let _ = engine.shutdown();
+    (summary, lines)
+}
+
+/// One stdin-pump stream over `engine`, dispatching up to `batch` lines
+/// per round.
+fn serve_lines(
+    engine: &mut ShardedEngine,
+    input: &str,
+    batch: usize,
+) -> (ServeSummary, Vec<String>) {
+    let mut out: Vec<u8> = Vec::new();
+    let summary = serve(engine, BufReader::new(input.as_bytes()), &mut out, batch).unwrap();
     let text = String::from_utf8(out).unwrap();
     (summary, text.lines().map(str::to_owned).collect())
+}
+
+/// Reactor options: `shards` workers, a `max_conns` budget, no journal.
+fn reactor(shards: usize, max_conns: usize) -> ReactorOptions {
+    ReactorOptions {
+        max_conns,
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, shards)
+    }
 }
 
 const REGISTER: &str = "{\"op\":\"register\",\"tenant\":1,\"cores\":2,\"rt\":[\
@@ -176,49 +192,13 @@ fn inadmissible_or_mismatched_imports_install_nothing() {
     );
 }
 
-/// Binds an ephemeral port and serves it on a background thread over a
-/// journaled engine (the journal exercises the recovery-adjacent code
-/// paths under torture too).
-fn spawn_server(dir: &TempDir, max_conns: usize) -> std::net::SocketAddr {
-    let engine = shared(ShardedEngine::with_journal(
-        CarryInStrategy::TopDiff,
-        2,
-        JournalDir::at(dir.path()).with_compaction(2),
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let _ = serve_listener(&engine, &listener, 8, max_conns);
-    });
-    addr
-}
-
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let stream = TcpStream::connect(addr).unwrap();
-        stream
-            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-            .unwrap();
-        let reader = BufReader::new(stream.try_clone().unwrap());
-        Client { stream, reader }
-    }
-
-    fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).unwrap();
-        self.stream.write_all(b"\n").unwrap();
-    }
-
-    fn recv(&mut self) -> String {
-        let mut line = String::new();
-        self.reader.read_line(&mut line).unwrap();
-        assert!(!line.is_empty(), "server closed the connection");
-        line.trim_end().to_string()
-    }
+/// A reactor over a journaled engine (the journal exercises the
+/// recovery-adjacent code paths under torture too).
+fn spawn_server(dir: &TempDir, max_conns: usize) -> Served {
+    spawn_reactor(ReactorOptions {
+        journal: Some(JournalDir::at(dir.path()).with_compaction(2)),
+        ..reactor(2, max_conns)
+    })
 }
 
 /// Clients that disconnect mid-request — after a partial line, after an
@@ -227,7 +207,7 @@ impl Client {
 #[test]
 fn mid_request_disconnects_leave_the_server_serving() {
     let dir = TempDir::new("torture_tcp");
-    let addr = spawn_server(&dir, 8);
+    let (addr, shutdown, handle) = spawn_server(&dir, 8);
 
     // Disconnect after half a request line (no newline).
     {
@@ -273,6 +253,10 @@ fn mid_request_disconnects_leave_the_server_serving() {
     assert!(c.recv().contains("\"verdict\":\"evicted\""), "evict failed");
     c.send("{\"op\":\"query\",\"tenant\":7}");
     assert!(c.recv().contains("unknown tenant 7"));
+    drop(c);
+    shutdown.request();
+    let summary = handle.join().unwrap().unwrap();
+    assert_eq!(summary.refused_conns, 0);
 }
 
 /// An oversized request line (beyond the 1 MiB bound) is answered with
@@ -281,7 +265,7 @@ fn mid_request_disconnects_leave_the_server_serving() {
 #[test]
 fn oversized_import_payloads_are_bounded_politely() {
     let dir = TempDir::new("torture_oversize");
-    let addr = spawn_server(&dir, 8);
+    let (addr, shutdown, handle) = spawn_server(&dir, 8);
     let mut c = Client::connect(addr);
     // A syntactically valid import line, inflated beyond the bound by a
     // giant monitors array.
@@ -308,34 +292,15 @@ fn oversized_import_payloads_are_bounded_politely() {
     // Stream re-synchronized; nothing was installed.
     c.send("{\"op\":\"query\",\"tenant\":3}");
     assert!(c.recv().contains("unknown tenant 3"));
+    drop(c);
+    shutdown.request();
+    let summary = handle.join().unwrap().unwrap();
+    assert_eq!(summary.parse_errors, 1);
 }
 
 // ---------------------------------------------------------------------
 // Event-driven front end (rts_adapt::reactor)
 // ---------------------------------------------------------------------
-
-/// Binds an ephemeral port and runs the reactor on a background thread.
-fn spawn_reactor(
-    shards: usize,
-    max_conns: usize,
-    journal: Option<JournalDir>,
-) -> (
-    SocketAddr,
-    Arc<Shutdown>,
-    std::thread::JoinHandle<std::io::Result<ReactorSummary>>,
-) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let shutdown = Shutdown::new();
-    let remote = Arc::clone(&shutdown);
-    let handle = std::thread::spawn(move || {
-        let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
-        options.max_conns = max_conns;
-        options.journal = journal;
-        serve_reactor(listener, &options, &remote)
-    });
-    (addr, shutdown, handle)
-}
 
 /// A slow-loris client dripping one request a few bytes at a time never
 /// blocks the reactor: a second client is served in full between the
@@ -343,7 +308,7 @@ fn spawn_reactor(
 /// newline finally arrives.
 #[test]
 fn slow_loris_drip_feeds_are_assembled_while_others_are_served() {
-    let (addr, shutdown, handle) = spawn_reactor(2, 8, None);
+    let (addr, shutdown, handle) = spawn_reactor(reactor(2, 8));
     let mut loris = Client::connect(addr);
     let mut other = Client::connect(addr);
     let line = format!("{REGISTER}\n");
@@ -371,7 +336,7 @@ fn slow_loris_drip_feeds_are_assembled_while_others_are_served() {
 /// is served in full.
 #[test]
 fn mid_write_disconnects_never_wedge_the_reactor() {
-    let (addr, shutdown, handle) = spawn_reactor(2, 8, None);
+    let (addr, shutdown, handle) = spawn_reactor(reactor(2, 8));
     // Pipelines a burst and disconnects without reading a byte: every
     // response is computed, routed to a dead connection, and dropped.
     {
@@ -414,7 +379,7 @@ fn mid_write_disconnects_never_wedge_the_reactor() {
 #[test]
 fn a_thousand_idle_connections_hold_no_slots_hostage() {
     let idle_target = 1000;
-    let (addr, shutdown, handle) = spawn_reactor(2, idle_target + 1, None);
+    let (addr, shutdown, handle) = spawn_reactor(reactor(2, idle_target + 1));
     let idle: Vec<TcpStream> = (0..idle_target)
         .map(|_| TcpStream::connect(addr).unwrap())
         .collect();
@@ -449,18 +414,6 @@ fn a_thousand_idle_connections_hold_no_slots_hostage() {
     assert!(summary.refused_conns >= 1);
 }
 
-/// Binds an ephemeral port and serves it with the legacy
-/// thread-per-connection front end (no journal).
-fn spawn_threaded(shards: usize, max_conns: usize) -> SocketAddr {
-    let engine = shared(ShardedEngine::new(CarryInStrategy::TopDiff, shards));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    std::thread::spawn(move || {
-        let _ = serve_listener(&engine, &listener, 8, max_conns);
-    });
-    addr
-}
-
 /// Pipelines each script on its own connection (one thread per client)
 /// and collects each connection's full response stream in order.
 fn run_scripts(addr: SocketAddr, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
@@ -481,13 +434,13 @@ fn run_scripts(addr: SocketAddr, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
 }
 
 /// The parity pin: the same scripted sessions — registrations, deltas,
-/// garbage, mode flips, queries, with per-tenant connection affinity —
-/// against the threaded front at 1 shard and the reactor front at 3
-/// shards produce **byte-identical per-connection response streams**.
-/// Verdict populations are therefore invariant to both the serving
-/// architecture and the shard count.
+/// garbage, mode flips, queries, with per-tenant stream affinity —
+/// through the stdin pump at 1 shard (one `serve` stream per script)
+/// and over reactor connections at 3 shards produce **byte-identical
+/// response streams**. Verdict populations are therefore invariant to
+/// both the serving front and the shard count.
 #[test]
-fn reactor_and_threaded_fronts_answer_byte_identically() {
+fn stdin_and_reactor_fronts_answer_byte_identically() {
     let scripts: Vec<Vec<String>> = (0..6u64)
         .map(|i| {
             let tenant = 100 + i;
@@ -513,24 +466,31 @@ fn reactor_and_threaded_fronts_answer_byte_identically() {
         })
         .collect();
 
-    let threaded = run_scripts(spawn_threaded(1, 16), &scripts);
-    let (addr, shutdown, handle) = spawn_reactor(3, 16, None);
-    let reactor = run_scripts(addr, &scripts);
+    let mut engine = ShardedEngine::new(CarryInStrategy::TopDiff, 1);
+    let stdin: Vec<Vec<String>> = scripts
+        .iter()
+        .map(|script| serve_lines(&mut engine, &(script.join("\n") + "\n"), 8).1)
+        .collect();
+    let _ = engine.shutdown();
+    let (addr, shutdown, handle) = spawn_reactor(reactor(3, 16));
+    let tcp = run_scripts(addr, &scripts);
     shutdown.request();
     let summary = handle.join().unwrap().unwrap();
 
-    assert_eq!(threaded, reactor, "per-connection streams must match");
+    assert_eq!(stdin, tcp, "per-stream answers must match");
     let expected: usize = scripts.iter().map(Vec::len).sum();
     assert_eq!(summary.requests, expected as u64);
     assert_eq!(summary.responses, expected as u64);
 }
 
 /// The observability parity pin: `stats`, `metrics`, and the Prometheus
-/// exposition answer with the **exact same field set** on the threaded
-/// and reactor fronts. Numeric values legitimately differ (timings,
-/// process-wide counters), so every digit run is masked to `#` and the
-/// remaining byte shape — field names, nesting, ordering, units — must
-/// be identical.
+/// exposition answer with the **exact same field set** on the stdin and
+/// reactor fronts. Numeric values legitimately differ (timings,
+/// connection gauges, process-wide counters), so every digit run is
+/// masked to `#` and the remaining byte shape — field names, nesting,
+/// ordering, units — must be identical. Both fronts answer the verbs
+/// only after the engine answers have left, so the slow-request ring
+/// holds the same one sampled request on each.
 #[test]
 fn stats_and_metrics_share_a_byte_shape_across_fronts() {
     fn mask(line: &str) -> String {
@@ -549,27 +509,47 @@ fn stats_and_metrics_share_a_byte_shape_across_fronts() {
         }
         out
     }
-    let script: Vec<String> = vec![
-        REGISTER.to_string(),
-        "{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}".into(),
-        "{\"op\":\"mode\",\"tenant\":1,\"slot\":0,\"mode\":\"active\"}".into(),
-        "{\"op\":\"query\",\"tenant\":1}".into(),
-        "{\"op\":\"stats\"}".into(),
-        "{\"op\":\"metrics\"}".into(),
-        "{\"op\":\"metrics\",\"format\":\"prometheus\"}".into(),
+    let engine_lines = [
+        REGISTER,
+        "{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}",
+        "{\"op\":\"mode\",\"tenant\":1,\"slot\":0,\"mode\":\"active\"}",
+        "{\"op\":\"query\",\"tenant\":1}",
     ];
-    let threaded = run_scripts(spawn_threaded(2, 16), std::slice::from_ref(&script));
-    let (addr, shutdown, handle) = spawn_reactor(2, 16, None);
-    let reactor = run_scripts(addr, std::slice::from_ref(&script));
+    let verbs = [
+        "{\"op\":\"stats\"}",
+        "{\"op\":\"metrics\"}",
+        "{\"op\":\"metrics\",\"format\":\"prometheus\"}",
+    ];
+    // One line per round: every verb follows the flushed engine answers.
+    let mut engine = ShardedEngine::new(CarryInStrategy::TopDiff, 2);
+    let script: String = engine_lines
+        .iter()
+        .chain(&verbs)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    let (_, stdin) = serve_lines(&mut engine, &script, 1);
+    let _ = engine.shutdown();
+    let (addr, shutdown, handle) = spawn_reactor(reactor(2, 16));
+    let mut c = Client::connect(addr);
+    for line in engine_lines {
+        c.send(line);
+    }
+    let mut tcp: Vec<String> = engine_lines.iter().map(|_| c.recv()).collect();
+    for line in verbs {
+        c.send(line);
+    }
+    tcp.extend(verbs.iter().map(|_| c.recv()));
+    drop(c);
     shutdown.request();
     handle.join().unwrap().unwrap();
     // The first four lines are engine answers (covered by the strict
     // parity pin above); the last three are the observability verbs.
-    for (i, (t, r)) in threaded[0].iter().zip(&reactor[0]).enumerate().skip(4) {
+    assert_eq!(stdin.len(), tcp.len());
+    for (i, (s, r)) in stdin.iter().zip(&tcp).enumerate().skip(4) {
         assert_eq!(
-            mask(t),
+            mask(s),
             mask(r),
-            "line {i}: field sets diverged\nthreaded: {t}\nreactor:  {r}"
+            "line {i}: field sets diverged\nstdin:   {s}\nreactor: {r}"
         );
     }
 }
@@ -582,7 +562,10 @@ fn stats_and_metrics_share_a_byte_shape_across_fronts() {
 fn orderly_reactor_shutdown_loses_no_accepted_delta() {
     let dir = TempDir::new("torture_drain_journal");
     let journal = JournalDir::at(dir.path()).with_compaction(3);
-    let (addr, shutdown, handle) = spawn_reactor(2, 4, Some(journal));
+    let (addr, shutdown, handle) = spawn_reactor(ReactorOptions {
+        journal: Some(journal),
+        ..reactor(2, 4)
+    });
     let mut c = Client::connect(addr);
     c.send(REGISTER);
     c.send("{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}");
@@ -645,7 +628,7 @@ fn orderly_reactor_shutdown_loses_no_accepted_delta() {
 /// full.
 #[test]
 fn disconnect_mid_gathered_writev_pass_never_wedges_the_reactor() {
-    let (addr, shutdown, handle) = spawn_reactor(2, 8, None);
+    let (addr, shutdown, handle) = spawn_reactor(reactor(2, 8));
     {
         let mut c = Client::connect(addr);
         // Synchronous setup so the burst below is pure mode churn.
@@ -686,31 +669,6 @@ fn disconnect_mid_gathered_writev_pass_never_wedges_the_reactor() {
     assert_eq!(summary.refused_conns, 0);
 }
 
-/// Binds `n` `SO_REUSEPORT` listeners on one ephemeral port and runs
-/// the multi-reactor serve on a background thread.
-fn spawn_reactors(
-    n: usize,
-    shards: usize,
-    max_conns: usize,
-    journal: Option<JournalDir>,
-) -> (
-    SocketAddr,
-    Arc<Shutdown>,
-    std::thread::JoinHandle<std::io::Result<ReactorSummary>>,
-) {
-    let listeners = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), n).unwrap();
-    let addr = listeners[0].local_addr().unwrap();
-    let shutdown = Shutdown::new();
-    let remote = Arc::clone(&shutdown);
-    let handle = std::thread::spawn(move || {
-        let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
-        options.max_conns = max_conns;
-        options.journal = journal;
-        serve_reactors(listeners, &options, &remote)
-    });
-    (addr, shutdown, handle)
-}
-
 /// The multi-reactor no-lost-delta pin: three journaled pipelines land
 /// on four `SO_REUSEPORT` reactors over one shard pool, a shutdown
 /// races the in-flight bursts, and every reactor still owes — and
@@ -721,7 +679,13 @@ fn spawn_reactors(
 fn multi_reactor_drain_loses_no_accepted_delta() {
     let dir = TempDir::new("torture_drain_multi");
     let journal = JournalDir::at(dir.path()).with_compaction(3);
-    let (addr, shutdown, handle) = spawn_reactors(4, 2, 16, Some(journal));
+    let (addr, shutdown, handle) = spawn_reactors_on(
+        bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), 4).unwrap(),
+        ReactorOptions {
+            journal: Some(journal),
+            ..reactor(2, 16)
+        },
+    );
     let tenants = [1u64, 2, 3];
     let n_flips = 16u64;
     let mut clients: Vec<(u64, Client)> = tenants

@@ -1,26 +1,24 @@
 //! Concurrency soak: several clients churn register/delta/query plus
 //! the full hand-off cycle (export → evict → import) against **one**
-//! shared TCP engine, under `--max-conns` pressure (more clients than
-//! connection slots, so refusals and re-admissions happen for real),
-//! with journaling and aggressive compaction on.
+//! reactor front over one shard pool, under `--max-conns` pressure
+//! (more clients than connection slots, so refusals and re-admissions
+//! happen for real), with journaling and aggressive compaction on.
 //!
 //! The correctness oracle is sequential replay: each client owns
 //! disjoint tenants and records the deltas the live engine *accepted*,
 //! in order. At the end, every tenant's committed state must equal a
-//! fresh sequential replay of exactly that accepted-event order — and a
-//! daemon restarted over the soak's journal directory must agree too.
+//! fresh sequential replay of exactly that accepted-event order — and,
+//! once the reactor has drained and stopped, a daemon restarted over
+//! the soak's journal directory must agree too.
 
 mod common;
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
-
-use common::{random_event, retry, rover_rt, TempDir};
+use common::{random_event, retry, rover_rt, spawn_reactor, Client, TempDir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::journal::{self, JournalDir, TenantHistory};
-use rts_adapt::server::{serve_listener, shared};
-use rts_adapt::{json, Request, Response, ShardedEngine};
+use rts_adapt::proto::render_request;
+use rts_adapt::{json, ReactorOptions, Request, Response, ShardedEngine};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::DeltaEvent;
 use rts_model::time::TICKS_PER_MS;
@@ -29,87 +27,19 @@ const CLIENTS: usize = 6;
 const MAX_CONNS: usize = 3;
 const DELTAS_PER_CLIENT: usize = 24;
 
-struct Client {
-    stream: TcpStream,
-    reader: BufReader<TcpStream>,
-}
-
-impl Client {
-    /// Connects until actually *served* (not refused): the first
-    /// response to a probe query must be a real engine answer, not the
-    /// connection-cap error line. Bounded by [`retry`]'s deadline.
-    fn connect_served(addr: std::net::SocketAddr, probe_tenant: u64) -> Self {
-        retry("a free connection slot", || {
-            let stream = TcpStream::connect(addr).ok()?;
-            stream
-                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-                .unwrap();
-            let mut client = Client {
-                reader: BufReader::new(stream.try_clone().ok()?),
-                stream,
-            };
-            // A refused socket may already be closed when we write — any
-            // failure along the probe is just "try again".
-            client
-                .try_request(&format!("{{\"op\":\"query\",\"tenant\":{probe_tenant}}}"))
-                .filter(|line| !line.contains("connection cap"))
-                .map(|_| client)
-        })
-    }
-
-    fn try_request(&mut self, line: &str) -> Option<String> {
-        self.stream.write_all(line.as_bytes()).ok()?;
-        self.stream.write_all(b"\n").ok()?;
-        let mut answer = String::new();
-        self.reader.read_line(&mut answer).ok()?;
-        (!answer.is_empty()).then(|| answer.trim_end().to_string())
-    }
-
-    /// One lockstep request/response exchange.
-    fn request(&mut self, line: &str) -> String {
-        self.try_request(line)
-            .expect("established connections are served to completion")
-    }
-}
-
-fn render_delta_request(tenant: u64, event: &DeltaEvent) -> String {
-    // The wire protocol speaks fractional milliseconds; ticks are tenths
-    // of a millisecond, so every tick count renders exactly.
-    let ms = |d: rts_model::time::Duration| {
-        let ticks = d.as_ticks();
-        if ticks % TICKS_PER_MS == 0 {
-            format!("{}", ticks / TICKS_PER_MS)
-        } else {
-            format!("{}.{}", ticks / TICKS_PER_MS, ticks % TICKS_PER_MS)
-        }
-    };
-    match *event {
-        DeltaEvent::Arrival { monitor } => format!(
-            "{{\"op\":\"arrival\",\"tenant\":{tenant},\"passive_ms\":{},\"active_ms\":{},\"t_max_ms\":{}}}",
-            ms(monitor.passive_wcet()),
-            ms(monitor.active_wcet()),
-            ms(monitor.t_max()),
-        ),
-        DeltaEvent::Departure { slot } => {
-            format!("{{\"op\":\"departure\",\"tenant\":{tenant},\"slot\":{slot}}}")
-        }
-        DeltaEvent::WcetUpdate {
-            slot,
-            passive_wcet,
-            active_wcet,
-        } => format!(
-            "{{\"op\":\"wcet_update\",\"tenant\":{tenant},\"slot\":{slot},\"passive_ms\":{},\"active_ms\":{}}}",
-            ms(passive_wcet),
-            ms(active_wcet),
-        ),
-        DeltaEvent::ModeChange { slot, mode } => format!(
-            "{{\"op\":\"mode\",\"tenant\":{tenant},\"slot\":{slot},\"mode\":\"{}\"}}",
-            match mode {
-                rts_model::delta::MonitorMode::Passive => "passive",
-                rts_model::delta::MonitorMode::Active => "active",
-            }
-        ),
-    }
+/// Connects until actually *served* (not refused): the first response
+/// to a probe query must be a real engine answer, not the
+/// connection-cap error line. Bounded by [`retry`]'s deadline.
+fn connect_served(addr: std::net::SocketAddr, probe_tenant: u64) -> Client {
+    retry("a free connection slot", || {
+        let mut client = Client::connect(addr);
+        // A refused socket may already be closed when we write — any
+        // failure along the probe is just "try again".
+        client
+            .try_request(&format!("{{\"op\":\"query\",\"tenant\":{probe_tenant}}}"))
+            .filter(|line| !line.contains("connection cap"))
+            .map(|_| client)
+    })
 }
 
 /// One client's script: register both tenants, churn seeded deltas and
@@ -121,7 +51,7 @@ fn run_client(
     index: usize,
     tenants: [u64; 2],
 ) -> Vec<(u64, DeltaEvent)> {
-    let mut client = Client::connect_served(addr, tenants[0]);
+    let mut client = connect_served(addr, tenants[0]);
     let mut rng = StdRng::seed_from_u64(0x50AC ^ ((index as u64) << 8));
     for &t in &tenants {
         let answer = client.request(&format!(
@@ -135,7 +65,7 @@ fn run_client(
     for step in 0..DELTAS_PER_CLIENT {
         let tenant = tenants[rng.gen_range(0..2usize)];
         let event = random_event(&mut rng);
-        let answer = client.request(&render_delta_request(tenant, &event));
+        let answer = client.request(&render_request(&Request::Delta { tenant, event }));
         if answer.contains("\"verdict\":\"accept\"") {
             accepted.push((tenant, event));
         }
@@ -164,22 +94,31 @@ fn run_client(
     accepted
 }
 
+/// A fresh sequential replay of exactly the deltas accepted for tenant
+/// `t`, in their commit order.
+fn replay_accepted(accepted: &[(u64, DeltaEvent)], t: u64) -> rts_adapt::TenantState {
+    let history = TenantHistory {
+        cores: 2,
+        rt: rover_rt(),
+        snapshot: None,
+        events: accepted
+            .iter()
+            .filter(|(tenant, _)| *tenant == t)
+            .map(|(_, e)| *e)
+            .collect(),
+    };
+    journal::replay(&history, CarryInStrategy::TopDiff)
+        .expect("the accepted order must replay cleanly")
+}
+
 #[test]
 fn soaked_engine_matches_sequential_replay_of_the_accepted_order() {
     let dir = TempDir::new("soak");
-    let engine = shared(ShardedEngine::with_journal(
-        CarryInStrategy::TopDiff,
-        3,
-        JournalDir::at(dir.path()).with_compaction(4),
-    ));
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    {
-        let engine = engine.clone();
-        std::thread::spawn(move || {
-            let _ = serve_listener(&engine, &listener, 8, MAX_CONNS);
-        });
-    }
+    let (addr, shutdown, serving) = spawn_reactor(ReactorOptions {
+        journal: Some(JournalDir::at(dir.path()).with_compaction(4)),
+        max_conns: MAX_CONNS,
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, 3)
+    });
 
     // More clients than connection slots: some are refused and must
     // retry their way in; every script still completes.
@@ -202,21 +141,10 @@ fn soaked_engine_matches_sequential_replay_of_the_accepted_order() {
 
     // Oracle 1: every tenant's live state equals a sequential replay of
     // its accepted-event order.
-    let mut checker = Client::connect_served(addr, 100);
+    let mut checker = connect_served(addr, 100);
     for i in 0..CLIENTS {
         for t in [100 + 2 * i as u64, 101 + 2 * i as u64] {
-            let history = TenantHistory {
-                cores: 2,
-                rt: rover_rt(),
-                snapshot: None,
-                events: accepted
-                    .iter()
-                    .filter(|(tenant, _)| *tenant == t)
-                    .map(|(_, e)| *e)
-                    .collect(),
-            };
-            let replayed = journal::replay(&history, CarryInStrategy::TopDiff)
-                .expect("the accepted order must replay cleanly");
+            let replayed = replay_accepted(&accepted, t);
             let line = checker.request(&format!("{{\"op\":\"query\",\"tenant\":{t}}}"));
             let answer = json::parse(&line).unwrap();
             assert_eq!(
@@ -243,24 +171,21 @@ fn soaked_engine_matches_sequential_replay_of_the_accepted_order() {
     }
     drop(checker);
 
-    // Oracle 2: the journal written under all that concurrency (with
-    // compaction every 4 deltas) boots a fresh daemon to the same
-    // states, at a different shard count.
+    // Oracle 2: a real restart. Drain the serving reactor and join its
+    // shard workers, then the journal written under all that
+    // concurrency (with compaction every 4 deltas) must boot a fresh
+    // daemon to the same states, at a different shard count.
+    shutdown.request();
+    let summary = serving
+        .join()
+        .expect("the reactor thread never panics")
+        .expect("the reactor drains cleanly");
+    assert_eq!(summary.requests, summary.responses);
     let mut revived =
         ShardedEngine::with_journal(CarryInStrategy::TopDiff, 2, JournalDir::at(dir.path()));
     for i in 0..CLIENTS {
         for t in [100 + 2 * i as u64, 101 + 2 * i as u64] {
-            let history = TenantHistory {
-                cores: 2,
-                rt: rover_rt(),
-                snapshot: None,
-                events: accepted
-                    .iter()
-                    .filter(|(tenant, _)| *tenant == t)
-                    .map(|(_, e)| *e)
-                    .collect(),
-            };
-            let replayed = journal::replay(&history, CarryInStrategy::TopDiff).unwrap();
+            let replayed = replay_accepted(&accepted, t);
             let out = revived.process(vec![Request::Query { tenant: t }]);
             let Response::Admitted(a) = &out[0] else {
                 panic!("tenant {t} not recovered after the soak: {out:?}");

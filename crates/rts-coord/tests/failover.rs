@@ -1,5 +1,5 @@
 //! Crash-injection battery for the coordinator: in-process daemons
-//! (real sharded engines behind real TCP accept loops), a real
+//! (real sharded engines behind the reactor the daemon runs), a real
 //! replication pipe, and deliberately induced failures at the worst
 //! moments. Pins the PR-10 safety claims:
 //!
@@ -29,8 +29,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::journal::JournalDir;
 use rts_adapt::proto::render_request;
-use rts_adapt::server;
-use rts_adapt::{Replicator, Request, RetryPolicy, RtSpec, ShardedEngine};
+use rts_adapt::{
+    serve_reactors, ReactorOptions, Replicator, Request, RetryPolicy, RtSpec, Shutdown,
+};
 use rts_analysis::semi::CarryInStrategy;
 use rts_coord::{Coordinator, FaultAction, Step};
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
@@ -65,11 +66,19 @@ impl Drop for TempDir {
     }
 }
 
-/// Boots an in-process daemon — a journaled sharded engine behind a
-/// real TCP accept loop, optionally replicating to `standby` — and
-/// returns its address (plus the replicator handle when replicating,
-/// so tests can flush/sever it). The serve thread is detached; it dies
+/// Serves `options` on an in-process reactor bound to a fresh loopback
+/// port and returns its address. The serve thread is detached; it dies
 /// with the test process.
+fn serve_daemon(options: ReactorOptions) -> SocketAddr {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon listener");
+    let addr = listener.local_addr().expect("daemon address");
+    std::thread::spawn(move || serve_reactors(vec![listener], &options, &Shutdown::new()));
+    addr
+}
+
+/// Boots an in-process daemon — a journaled reactor, optionally
+/// replicating to `standby` — and returns its address (plus the
+/// replicator handle when replicating, so tests can flush/sever it).
 fn spawn_daemon(
     dir: &Path,
     standby: Option<(&str, SocketAddr)>,
@@ -86,12 +95,9 @@ fn spawn_daemon(
         handle = Some(replicator.clone());
         journal = journal.with_replication(replicator);
     }
-    let engine = ShardedEngine::with_journal(CarryInStrategy::TopDiff, 2, journal);
-    let shared = server::shared(engine);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon listener");
-    let addr = listener.local_addr().expect("daemon address");
-    std::thread::spawn(move || {
-        let _ = server::serve_listener(&shared, &listener, 16, 32);
+    let addr = serve_daemon(ReactorOptions {
+        journal: Some(journal),
+        ..ReactorOptions::new(CarryInStrategy::TopDiff, 2)
     });
     (addr, handle)
 }
@@ -184,14 +190,7 @@ fn record_answers(
 /// fails ("adoption requires a journal"), which is exactly what the
 /// quarantine drill needs.
 fn spawn_journalless_daemon() -> SocketAddr {
-    let engine = ShardedEngine::new(CarryInStrategy::TopDiff, 2);
-    let shared = server::shared(engine);
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon listener");
-    let addr = listener.local_addr().expect("daemon address");
-    std::thread::spawn(move || {
-        let _ = server::serve_listener(&shared, &listener, 16, 32);
-    });
-    addr
+    serve_daemon(ReactorOptions::new(CarryInStrategy::TopDiff, 2))
 }
 
 #[test]

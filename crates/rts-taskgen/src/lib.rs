@@ -4,7 +4,7 @@
 //! exploration (§5.2.1, Table 3):
 //!
 //! * [`randfixedsum`](crate::randfixedsum::randfixedsum) — unbiased
-//!   utilization vectors (Emberson/Stafford, the paper's citation [51]);
+//!   utilization vectors (Emberson/Stafford, the paper's citation \[51\]);
 //! * [`periods`] — log-uniform period sampling;
 //! * [`table3`] — the full Table 3 generator with the ten
 //!   base-utilization groups.

@@ -5,7 +5,7 @@
 //! `u ∈ [0, 1]^n` with `Σ u_i = s`, uniformly distributed over that
 //! simplex slice. This is the paper's Table 3 choice for generating
 //! per-task utilizations without the bias of naive normalization
-//! (citation [51] in the paper).
+//! (citation \[51\] in the paper).
 //!
 //! The implementation is a direct port of Roger Stafford's
 //! `randfixedsum.m` with one numerical change: the dynamic-programming
