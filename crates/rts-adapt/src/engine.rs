@@ -1,19 +1,20 @@
 //! The protocol-agnostic request/response surface and the
 //! single-threaded admission engine.
 //!
-//! [`AdaptEngine`] owns a map of tenants and answers six request kinds:
-//! `Register` (freeze a tenant's legacy RT system), `Delta` (apply one
-//! [`DeltaEvent`] transactionally), `Query` (read the committed
-//! configuration), plus the hand-off trio — `Export` (emit the tenant's
-//! portable state as a [`TenantHistory`]), `Import` (re-admit and
-//! install such a state) and `Evict` (drop the tenant and retire its
-//! journal). One engine instance is single-threaded by design — the
-//! scale-out story is *sharding* ([`crate::shard`]), not locking:
-//! tenants are independent, so hashing them across engine instances
-//! preserves exact per-tenant semantics with zero synchronization on the
-//! hot path; the hand-off verbs travel the same tenant-hashed dispatch
-//! path as everything else, so they compose with the worker pool for
-//! free.
+//! [`AdaptEngine`] owns a map of tenants and answers eight request
+//! kinds: `Register` (freeze a tenant's legacy RT system), `Delta`
+//! (apply one [`DeltaEvent`] transactionally), `Query` (read the
+//! committed configuration), the hand-off trio — `Export` (emit the
+//! tenant's portable state as a [`TenantHistory`]), `Import` (re-admit
+//! and install such a state) and `Evict` (drop the tenant and retire its
+//! journal) — and the standby pair, `Replicate` and `Adopt`, whose
+//! replica side lives in [`crate::replication`]. One engine instance is
+//! single-threaded by design — the scale-out story is *sharding*
+//! ([`crate::shard`]), not locking: tenants are independent, so hashing
+//! them across engine instances preserves exact per-tenant semantics
+//! with zero synchronization on the hot path; the hand-off verbs travel
+//! the same tenant-hashed dispatch path as everything else, so they
+//! compose with the worker pool for free.
 //!
 //! Journal writes are group-committed (see [`crate::journal`]):
 //! [`AdaptEngine::handle_deferred`] answers a request with its appends
@@ -34,7 +35,7 @@ use rts_model::time::Duration;
 use rts_model::{CoreId, Partition, Platform, RtTask, RtTaskSet, SecurityTaskSet, System};
 
 use crate::journal::{self, AppendGroup, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
-use crate::replication::ReplPayload;
+use crate::replication::{ReplPayload, ReplicaStore};
 use crate::tenant::{ApplyError, TenantState};
 
 /// One legacy RT task as it crosses the registration boundary.
@@ -108,9 +109,7 @@ pub enum Request {
     Replicate {
         /// Tenant identifier.
         tenant: u64,
-        /// The primary the op came from. The standby tracks the most
-        /// recent resetter per tenant and ignores appends/retires from
-        /// anyone else, so hand-off races resolve to the new owner.
+        /// The primary the op came from.
         source: String,
         /// The mirrored journal mutation.
         payload: ReplPayload,
@@ -203,9 +202,8 @@ pub enum Response {
         /// The tenant.
         tenant: u64,
         /// Whether the op changed the replica store. `false` means the
-        /// op was *deliberately ignored* (it came from a source that no
-        /// longer owns the tenant) — a success for the protocol, a
-        /// no-op for the disk.
+        /// op was *deliberately ignored* (see [`crate::replication`]) —
+        /// a success for the protocol, a no-op for the disk.
         applied: bool,
     },
 }
@@ -262,22 +260,12 @@ pub struct AdaptEngine {
     /// store attached, so structurally identical tenants share solved
     /// configurations. The sharded pool hands all its workers one store.
     shared: Option<Arc<SharedSelectionStore>>,
-    /// The standby role's replica store (`<journal>/replica/`), lazily
-    /// derived from `journal`. Replica files are written by
+    /// The standby role's replica store, beside `journal`: written by
     /// [`Request::Replicate`], promoted by [`Request::Adopt`], and never
     /// seen by recovery or queries.
-    replica: Option<JournalDir>,
-    /// Which primary most recently reset each replicated tenant —
-    /// appends/retires from anyone else are ignored (hand-off guard).
-    /// Mirrored to `tenant_<id>.owner` sidecars in the replica store
-    /// and rebuilt from them at startup, so the guard survives standby
-    /// restarts; a tenant with an *unknown* owner rejects appends and
-    /// ignores retires until a reset re-establishes ownership.
-    replica_owner: HashMap<u64, String>,
+    replica: Option<ReplicaStore>,
     /// Appends to `journal` not yet committed.
     group: AppendGroup,
-    /// Appends to `replica` not yet committed.
-    replica_group: AppendGroup,
 }
 
 impl AdaptEngine {
@@ -291,9 +279,7 @@ impl AdaptEngine {
             journal: None,
             shared: None,
             replica: None,
-            replica_owner: HashMap::new(),
             group: AppendGroup::default(),
-            replica_group: AppendGroup::default(),
         }
     }
 
@@ -303,21 +289,13 @@ impl AdaptEngine {
     /// sharded daemon does).
     #[must_use]
     pub fn with_journal(strategy: CarryInStrategy, journal: JournalDir) -> Self {
-        let replica = journal.replica();
-        // Rebuild the source-owner guard from the persisted sidecars,
-        // so a standby restart does not forget who owns each replica
-        // (a stale old primary's ops would otherwise land on the new
-        // owner's replica file).
-        let replica_owner = replica.owners();
         AdaptEngine {
             strategy,
             tenants: HashMap::new(),
-            replica: Some(replica),
+            replica: Some(ReplicaStore::open(&journal)),
             journal: Some(journal),
             shared: None,
-            replica_owner,
             group: AppendGroup::default(),
-            replica_group: AppendGroup::default(),
         }
     }
 
@@ -440,13 +418,8 @@ impl AdaptEngine {
                 poison_after_failed_write(journal, tenant);
             }
         }
-        if let Some(replica) = &self.replica {
-            for (tenant, e) in replica.commit(&mut self.replica_group) {
-                // Already answered as applied: move the replica aside so
-                // the primary's next append is rejected and heals it.
-                eprintln!("journal: could not sync the replica of tenant {tenant}: {e}");
-                poison_after_failed_write(replica, tenant);
-            }
+        if let Some(replica) = &mut self.replica {
+            replica.commit();
         }
     }
 
@@ -661,181 +634,40 @@ impl AdaptEngine {
     }
 
     /// The standby half of [`crate::replication`]: applies one mirrored
-    /// journal mutation to the replica store. No analysis runs here —
-    /// the replica is bytes on disk until an [`Request::Adopt`] promotes
-    /// it through the full re-admission path.
+    /// journal mutation to the replica store.
     fn replicate(&mut self, tenant: u64, source: &str, payload: &ReplPayload) -> Response {
-        if !matches!(payload, ReplPayload::Append { .. }) {
-            // Resets and retires rewrite or move the replica file.
-            self.commit();
-        }
-        let Some(replica) = &self.replica else {
+        let Some(replica) = &mut self.replica else {
             return Response::Error {
                 tenant,
                 reason: "replication requires a journal on the standby (start with --journal)"
                     .into(),
             };
         };
-        let owner = self.replica_owner.get(&tenant);
-        let stale = owner.is_some_and(|owner| owner != source);
-        match payload {
-            ReplPayload::Reset { history } => {
-                // A reset always wins ownership: it is how a tenant's
-                // *new* primary (after import) announces itself.
-                match replica.write_history(tenant, history) {
-                    Ok(()) => {
-                        // Persist the owner beside the replica so the
-                        // guard survives a standby restart; a failed
-                        // write degrades to unknown-owner (rejected
-                        // appends, healed by the next reset), never to
-                        // a wrong owner.
-                        if let Err(e) = replica.record_owner(tenant, source) {
-                            eprintln!(
-                                "journal: could not record replica owner for tenant {tenant}: {e}"
-                            );
-                        }
-                        self.replica_owner.insert(tenant, source.to_string());
-                        Response::Replicated {
-                            tenant,
-                            applied: true,
-                        }
-                    }
-                    Err(e) => Response::Error {
-                        tenant,
-                        reason: format!("replica reset failed: {e}"),
-                    },
-                }
-            }
-            ReplPayload::Append { event, at } => {
-                if stale {
-                    return Response::Replicated {
-                        tenant,
-                        applied: false,
-                    };
-                }
-                if owner.is_none() {
-                    // Unknown ownership (the standby restarted before
-                    // the sidecar was written, or the reset never
-                    // arrived): reject, so the true primary self-heals
-                    // with a reset that re-establishes ownership.
-                    return Response::Error {
-                        tenant,
-                        reason: format!("replica of tenant {tenant} has no recorded owner"),
-                    };
-                }
-                // The offset guard. The replica mirrors the primary's
-                // journal byte-for-byte, so the stamped offset tells an
-                // in-sync append from a gap (reject → the primary
-                // heals) and from a late duplicate whose event a heal's
-                // reset already installed (acknowledge, apply nothing —
-                // re-appending it would diverge the replica).
-                let len = match std::fs::metadata(replica.path_for(tenant)) {
-                    Ok(meta) => meta.len(),
-                    Err(e) => {
-                        return Response::Error {
-                            tenant,
-                            reason: format!("replica append failed: {e}"),
-                        }
-                    }
-                };
-                if len > *at {
-                    return Response::Replicated {
-                        tenant,
-                        applied: false,
-                    };
-                }
-                if len < *at {
-                    return Response::Error {
-                        tenant,
-                        reason: format!(
-                            "replica append failed: replica is {} bytes behind the \
-                             primary's journal",
-                            *at - len
-                        ),
-                    };
-                }
-                match replica.append_deferred(&mut self.replica_group, tenant, event) {
-                    Ok(_) => Response::Replicated {
-                        tenant,
-                        applied: true,
-                    },
-                    // No replica file: the standby restarted or never
-                    // saw the reset. The error answer makes the primary
-                    // self-heal with a full resend.
-                    Err(e) => Response::Error {
-                        tenant,
-                        reason: format!("replica append failed: {e}"),
-                    },
-                }
-            }
-            ReplPayload::Retire => {
-                if stale || owner.is_none() {
-                    // Stale *or unknown* owner: without a recorded
-                    // owner the retire may well be a dead primary's
-                    // stragglers racing a hand-off — archiving the new
-                    // owner's replica would strand the tenant until its
-                    // next reset. Ignoring is always safe: a retired
-                    // tenant's replica merely lingers until the next
-                    // reset or retire from its true owner.
-                    return Response::Replicated {
-                        tenant,
-                        applied: false,
-                    };
-                }
-                match replica.retire_tenant(tenant) {
-                    Ok(()) => {
-                        if let Err(e) = replica.clear_owner(tenant) {
-                            eprintln!(
-                                "journal: could not clear replica owner for tenant {tenant}: {e}"
-                            );
-                        }
-                        self.replica_owner.remove(&tenant);
-                        Response::Replicated {
-                            tenant,
-                            applied: true,
-                        }
-                    }
-                    Err(e) => Response::Error {
-                        tenant,
-                        reason: format!("replica retire failed: {e}"),
-                    },
-                }
-            }
+        match replica.apply(tenant, source, payload) {
+            Ok(applied) => Response::Replicated { tenant, applied },
+            Err(reason) => Response::Error { tenant, reason },
         }
     }
 
     /// Failover: promote a replicated tenant to live service. The
     /// replica history runs the full re-admission analysis (identical
     /// to an import, so the zero-divergence replay guarantee carries
-    /// over); on success the replica file is retired so a second adopt
-    /// — or a later replication stream for a re-registered tenant —
-    /// starts clean.
+    /// over); on success the replica is released.
     fn adopt(&mut self, tenant: u64) -> Response {
         self.commit();
-        let Some(replica) = self.replica.clone() else {
+        let Some(replica) = &self.replica else {
             return Response::Error {
                 tenant,
                 reason: "adoption requires a journal on the standby (start with --journal)".into(),
             };
         };
-        let history = match replica.load_tenant(tenant) {
+        let history = match replica.load(tenant) {
             Ok(history) => history,
-            Err(e) => {
-                return Response::Error {
-                    tenant,
-                    reason: format!("no adoptable replica for tenant {tenant}: {e}"),
-                }
-            }
+            Err(reason) => return Response::Error { tenant, reason },
         };
         let response = self.install_history(tenant, &history);
-        if response.is_admitted() {
-            self.replica_owner.remove(&tenant);
-            if let Err(e) = replica.clear_owner(tenant) {
-                eprintln!("journal: could not clear owner of adopted tenant {tenant}: {e}");
-            }
-            if let Err(e) = replica.retire_tenant(tenant) {
-                eprintln!("journal: could not retire adopted replica of tenant {tenant}: {e}");
-            }
+        if let (true, Some(replica)) = (response.is_admitted(), &mut self.replica) {
+            replica.release(tenant);
         }
         response
     }
@@ -909,7 +741,7 @@ fn compact_slot(journal: &JournalDir, tenant: u64, slot: &mut TenantSlot) -> std
 /// incomplete; leaving it readable would let a restart replay it to a
 /// *different* committed state than the live one. Poisoning makes
 /// recovery fail loudly instead (see [`JournalDir::poison_tenant`]).
-fn poison_after_failed_write(journal: &JournalDir, tenant: u64) {
+pub(crate) fn poison_after_failed_write(journal: &JournalDir, tenant: u64) {
     if let Err(e) = journal.poison_tenant(tenant) {
         eprintln!(
             "journal: could not poison tenant {tenant}'s incomplete journal: {e} — \

@@ -19,11 +19,14 @@
 //!
 //! The snapshot line is what keeps journals from growing without bound:
 //! [`JournalDir::snapshot_tenant`] atomically replaces the file with a
-//! registration + snapshot pair (write-then-rename), truncating the
-//! delta log beneath it. A journal written before snapshots existed —
-//! registration followed directly by deltas — is still a valid journal
-//! and recovers tail-only (backward compatibility is pinned by the
-//! `journal_props` battery).
+//! registration + snapshot pair, truncating the delta log beneath it.
+//! Every whole-file write — registration, snapshot, import, a standby's
+//! replica reset and its owner sidecar — goes through one
+//! write-fsync-rename helper, so a crash leaves the old file or the new
+//! one, never a truncated mix. A journal written before snapshots
+//! existed — registration followed directly by deltas — is still a
+//! valid journal and recovers tail-only (backward compatibility is
+//! pinned by the `journal_props` battery).
 //!
 //! # Why replay is exact
 //!
@@ -551,7 +554,8 @@ fn complete_len(bytes: &[u8]) -> usize {
     bytes.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1)
 }
 
-/// Best-effort removal of the `tenant_*.jsonl.tmp` strays in `dir` (see
+/// Best-effort removal of the `tenant_*.tmp` strays [`write_whole`]
+/// leaves in `dir` when it crashes before its rename (see
 /// [`JournalDir::at`]). A missing directory is a clean no-op.
 fn sweep_stray_tmp(dir: &Path) {
     let Ok(entries) = std::fs::read_dir(dir) else {
@@ -560,10 +564,25 @@ fn sweep_stray_tmp(dir: &Path) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name.starts_with("tenant_") && name.ends_with(".jsonl.tmp") {
+        if name.starts_with("tenant_") && name.ends_with(".tmp") {
             let _ = std::fs::remove_file(entry.path());
         }
     }
+}
+
+/// Replaces the whole of `path` with `bytes`: written to `<path>.tmp`,
+/// synced, then renamed into place, so a crash leaves the old file or
+/// the new one, never a truncated mix. Every whole-file write of the
+/// crate goes through here — journal rewrites and replica owner
+/// sidecars alike.
+pub(crate) fn write_whole(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut f = std::fs::File::create(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync_all()?;
+    count(&FSYNCS);
+    std::fs::rename(&tmp, path)
 }
 
 /// A directory of per-tenant journals, with an optional automatic
@@ -581,11 +600,11 @@ pub struct JournalDir {
 impl JournalDir {
     /// A journal rooted at `dir` (created on first write), without
     /// automatic compaction. Opening the directory sweeps any stray
-    /// `tenant_<id>.jsonl.tmp` left by a crash between the snapshot
-    /// rewrite's `create` and `rename`, in `dir` and in its
-    /// [`replica`](JournalDir::replica) store — such a file is never
-    /// read by recovery (the rename never happened, so the previous
-    /// journal is the truth) and would otherwise sit on disk forever.
+    /// `tenant_<id>.jsonl.tmp` or `tenant_<id>.owner.tmp` left by a
+    /// crash between a whole-file write's `create` and `rename`, in
+    /// `dir` and in its [`replica`](JournalDir::replica) store — such a
+    /// file is never read (the rename never happened, so the previous
+    /// file is the truth) and would otherwise sit on disk forever.
     /// The sweep runs here, once, and never from a view derived from an
     /// open directory: a shard worker starting up must not delete a
     /// sibling worker's in-flight rewrite.
@@ -673,32 +692,22 @@ impl JournalDir {
     }
 
     /// Starts (or restarts) a tenant's journal with its registration
-    /// line. A re-registration truncates: the old history described a
-    /// tenant that no longer exists.
+    /// line. A re-registration replaces the old history, which
+    /// described a tenant that no longer exists — atomically, so a
+    /// crash leaves the old journal or the new one.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn begin_tenant(&self, tenant: u64, cores: usize, rt: &[RtSpec]) -> io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let mut f = std::fs::File::create(self.path_for(tenant))?;
-        let mut line = render_registration(cores, rt);
-        line.push('\n');
-        f.write_all(line.as_bytes())?;
-        f.sync_all()?;
+        let history = TenantHistory {
+            cores,
+            rt: rt.to_vec(),
+            snapshot: None,
+            events: Vec::new(),
+        };
+        self.rewrite(tenant, &history)?;
         count(&APPENDS);
-        count(&FSYNCS);
-        if let Some(repl) = &self.replicate {
-            repl.reset(
-                tenant,
-                TenantHistory {
-                    cores,
-                    rt: rt.to_vec(),
-                    snapshot: None,
-                    events: Vec::new(),
-                },
-            );
-        }
         Ok(())
     }
 
@@ -799,8 +808,8 @@ impl JournalDir {
 
     /// Compacts (or initializes) a tenant's journal to a registration +
     /// snapshot pair, truncating any delta tail beneath it. The new file
-    /// is written beside the old one and atomically renamed into place,
-    /// so a crash mid-snapshot leaves the previous journal intact.
+    /// replaces the old one atomically, so a crash mid-snapshot leaves
+    /// the previous journal intact.
     ///
     /// # Errors
     ///
@@ -813,124 +822,43 @@ impl JournalDir {
         rt: &[RtSpec],
         snapshot: &TenantSnapshot,
     ) -> io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(tenant);
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut text = render_registration(cores, rt);
-            text.push('\n');
-            text.push_str(&render_snapshot(snapshot));
-            text.push('\n');
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-            count(&FSYNCS);
-        }
-        std::fs::rename(&tmp, &path)?;
+        let history = TenantHistory {
+            cores,
+            rt: rt.to_vec(),
+            snapshot: Some(snapshot.clone()),
+            events: Vec::new(),
+        };
+        self.rewrite(tenant, &history)?;
         count(&SNAPSHOTS);
-        if let Some(repl) = &self.replicate {
-            repl.reset(
-                tenant,
-                TenantHistory {
-                    cores,
-                    rt: rt.to_vec(),
-                    snapshot: Some(snapshot.clone()),
-                    events: Vec::new(),
-                },
-            );
-        }
         Ok(())
     }
 
     /// Writes a tenant's journal file verbatim from a history — the
     /// standby's replica store uses this to mirror a primary's
-    /// registration/snapshot rewrites. Same write-then-rename dance as
-    /// [`JournalDir::snapshot_tenant`], so a crash mid-write leaves the
-    /// previous replica intact; the rendered bytes are exactly what the
-    /// primary's own journal holds (same renderers, tick-exact), so a
-    /// healthy replica is byte-identical to its source file.
+    /// registration/snapshot rewrites. The rendered bytes are exactly
+    /// what the primary's own journal holds (same renderers,
+    /// tick-exact), so a healthy replica is byte-identical to its
+    /// source file.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors.
     pub fn write_history(&self, tenant: u64, history: &TenantHistory) -> io::Result<()> {
-        std::fs::create_dir_all(&self.dir)?;
-        let path = self.path_for(tenant);
-        let tmp = path.with_extension("jsonl.tmp");
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(render_journal(history).as_bytes())?;
-            f.sync_all()?;
-            count(&FSYNCS);
-        }
-        std::fs::rename(&tmp, &path)?;
+        self.rewrite(tenant, history)?;
         count(&APPENDS);
         Ok(())
     }
 
-    /// The sidecar recording which primary owns a replicated tenant's
-    /// file (see [`JournalDir::record_owner`]).
-    fn owner_path(&self, tenant: u64) -> PathBuf {
-        self.dir.join(format!("tenant_{tenant}.owner"))
-    }
-
-    /// Records which primary (`source`) owns a replicated tenant's
-    /// file, as a `tenant_<id>.owner` sidecar beside the replica. The
-    /// replica file itself must stay byte-identical to the primary's
-    /// journal, so ownership cannot live inside it; without the
-    /// sidecar, a standby restart would forget every owner and a stale
-    /// old primary's appends/retires could land on the new owner's
-    /// replica. The standby rebuilds its owner map from these at
-    /// startup (see [`JournalDir::owners`]). Torn sidecars are
-    /// self-correcting: a mismatching owner rejects the true source's
-    /// next append, whose self-heal reset rewrites the sidecar.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn record_owner(&self, tenant: u64, source: &str) -> io::Result<()> {
+    /// The one whole-file rewrite of a tenant's journal: `history`'s
+    /// bytes through [`write_whole`], then the rewrite streamed as a
+    /// replication reset.
+    fn rewrite(&self, tenant: u64, history: &TenantHistory) -> io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
-        std::fs::write(self.owner_path(tenant), source)
-    }
-
-    /// Removes a tenant's owner sidecar (the replica was retired or
-    /// adopted). An absent sidecar is a clean no-op.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than [`io::ErrorKind::NotFound`].
-    pub fn clear_owner(&self, tenant: u64) -> io::Result<()> {
-        match std::fs::remove_file(self.owner_path(tenant)) {
-            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
-            _ => Ok(()),
+        write_whole(&self.path_for(tenant), render_journal(history).as_bytes())?;
+        if let Some(repl) = &self.replicate {
+            repl.reset(tenant, history.clone());
         }
-    }
-
-    /// The recorded replica owners (tenant → source), read from the
-    /// `tenant_<id>.owner` sidecars. The standby engine rebuilds its
-    /// in-memory owner map from this at startup, so the source-owner
-    /// guard survives restarts. Unreadable sidecars are skipped (their
-    /// tenants then behave as unknown-owner: appends are rejected and
-    /// the true primary self-heals with a reset).
-    #[must_use]
-    pub fn owners(&self) -> std::collections::HashMap<u64, String> {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return std::collections::HashMap::new();
-        };
-        entries
-            .filter_map(|entry| {
-                let entry = entry.ok()?;
-                let name = entry.file_name();
-                let tenant = name
-                    .to_str()?
-                    .strip_prefix("tenant_")?
-                    .strip_suffix(".owner")?
-                    .parse()
-                    .ok()?;
-                let source = std::fs::read_to_string(entry.path()).ok()?;
-                Some((tenant, source))
-            })
-            .collect()
+        Ok(())
     }
 
     /// The tenants with a journal file in this directory, ascending. An
@@ -1607,17 +1535,40 @@ mod tests {
         let replica_stray = root.join("replica").join("tenant_4.jsonl.tmp");
         std::fs::create_dir_all(root.join("replica")).unwrap();
         std::fs::write(&replica_stray, "{\"event\":\"register\"").unwrap();
+        let owner_stray = root.join("replica").join("tenant_4.owner.tmp");
+        std::fs::write(&owner_stray, "p").unwrap();
         let unrelated = root.join("notes.tmp");
         std::fs::write(&unrelated, "operator scratch").unwrap();
 
         let dir = JournalDir::at(&root);
         assert!(!stray.exists(), "open must sweep the stray tmp");
         assert!(!replica_stray.exists(), "open must sweep the replica's too");
+        assert!(!owner_stray.exists(), "open must sweep owner sidecar tmps");
         assert!(unrelated.exists(), "only journal tmps are swept");
         assert_eq!(dir.tenants(), vec![4]);
         let history = dir.load_tenant(4).unwrap();
         assert_eq!(history.events, vec![DeltaEvent::Departure { slot: 0 }]);
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A re-registration writes beside the live journal and renames it
+    /// into place: when the new file cannot be written, the old journal
+    /// must survive byte for byte instead of being truncated first.
+    #[test]
+    fn a_failed_re_registration_leaves_the_old_journal_intact() {
+        let dir = JournalDir::at(
+            std::env::temp_dir().join(format!("hydra_journal_rereg_{}", std::process::id())),
+        );
+        let _ = std::fs::remove_dir_all(&dir.dir);
+        dir.begin_tenant(4, 2, &rover_rt()).unwrap();
+        dir.append_event(4, &DeltaEvent::Departure { slot: 0 })
+            .unwrap();
+        let before = std::fs::read(dir.path_for(4)).unwrap();
+        // A directory where the rewrite's temporary file belongs.
+        std::fs::create_dir(dir.path_for(4).with_extension("jsonl.tmp")).unwrap();
+        assert!(dir.begin_tenant(4, 1, &rover_rt()[..1]).is_err());
+        assert_eq!(std::fs::read(dir.path_for(4)).unwrap(), before);
+        let _ = std::fs::remove_dir_all(&dir.dir);
     }
 
     /// Every shard worker derives a replica view when it starts. A

@@ -47,7 +47,12 @@
 //!   store over the `replicate` protocol verb, and the `adopt` verb
 //!   fails a dead primary's tenants over through the same re-admission
 //!   analysis recovery uses — so failover inherits the bit-identical
-//!   replay guarantee instead of needing its own.
+//!   replay guarantee instead of needing its own. Both halves of the
+//!   protocol live here: the primary's forwarder repairs every lost op
+//!   by one debt rule (a cut offset or a retire per tenant, one repair
+//!   after each fully answered batch), and the standby's
+//!   `ReplicaStore` owns the offset and owner guards, the owner
+//!   sidecars and the replica append group.
 //!
 //! # Why mode-aware re-admission is sound
 //!

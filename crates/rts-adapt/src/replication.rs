@@ -36,33 +36,59 @@
 //!   the byte offset its line starts at in the primary's journal file
 //!   (`at`). The replica is byte-identical, so the standby compares
 //!   `at` against its replica file's length: equal means in-sync
-//!   (append), shorter means the replica is missing events (reject, so
-//!   the primary heals), **longer means the op is a late duplicate** —
-//!   an append a heal's reset already installed, or one resent after a
-//!   reconnect — and it is acknowledged but not re-applied.
+//!   (append), shorter means the replica is missing events (reject),
+//!   **longer means the op is a late duplicate** — an append a repair's
+//!   reset already installed, or one resent after a reconnect — and it
+//!   is acknowledged but not re-applied.
 //! * **Pipelined delivery.** The forwarder takes every queued op, up to
 //!   [`PIPELINE_DEPTH`], sends them as one write of ordinary
-//!   `replicate` lines, and reads the answers in order. A tenant whose
-//!   appends were rejected (the standby restarted and lost its replica,
-//!   say) is healed once per batch, with a reset built from the
-//!   primary's journal *cut at the rejected op's end*: bytes past it
-//!   may belong to a group that is not committed yet. A connection lost
-//!   mid-batch is redialed and only the unanswered suffix is resent;
-//!   the offset guard makes the resend idempotent.
+//!   `replicate` lines, and reads the answers in order. A connection
+//!   lost mid-batch is redialed and only the unanswered suffix is
+//!   resent; the offset guard makes the resend idempotent.
 //! * **A bounded backlog.** The queue and the batch in flight together
 //!   hold at most [`DEFAULT_BACKLOG_CAP`] ops (see
 //!   [`Replicator::with_backlog_cap`]); when a stalled standby lets
 //!   shard threads outrun the forwarder, the *oldest* queued op is
 //!   evicted (or, with every counted op already in flight, the new op
 //!   itself) instead of growing the queue without bound.
-//! * **Resync after loss.** An op evicted by the cap or abandoned after
-//!   the retry budget marks its tenant. The tenant's next delivery
-//!   starts with a reset cut at that append's `at` — a committed offset
-//!   — and a [`Replicator::flush`] settles every mark still open with a
-//!   reset cut at the dropped op's end. Without it a dropped compaction
-//!   reset leaves the replica longer than the compacted journal, every
-//!   later append looks like a late duplicate, and the replica stays
-//!   stale for good.
+//! * **One repair rule.** An op that is not delivered — rejected by the
+//!   standby, lost when the retry budget ran out, or evicted by the cap
+//!   — leaves its tenant a *debt*: a cut offset in the primary's
+//!   journal (the op's end, which is committed, unlike anything after
+//!   it) or a retire, plus the rejected ops waiting on it. A delivered
+//!   append of an indebted tenant moves the cut to its end, because a
+//!   stale replica may have ignored it as a late duplicate; a delivered
+//!   reset or retire settles the debt. After every batch the standby
+//!   answered in full, one repair per indebted tenant — a reset cut
+//!   from the primary's journal, or a retire — goes out through the
+//!   same exchange and is booked like any other op; a failed repair
+//!   abandons the ops waiting on it and leaves the debt for the next
+//!   batch. A cut the journal no longer holds (the file was rewritten
+//!   since) yields no repair: the rewrite's own reset is queued and
+//!   settles the debt. Without the rule a dropped compaction reset
+//!   leaves the replica longer than the compacted journal, every later
+//!   append looks like a late duplicate, and the replica stays stale
+//!   for good.
+//!
+//! Only the forwarder's exchange touches the socket: booking answers
+//! and planning repairs are plain state updates, which the unit tests
+//! drive with synthetic answers.
+//!
+//! # The standby half
+//!
+//! A standby applies each op to its replica store (`ReplicaStore`, the
+//! `replica/` directory beside its own journal). A reset always wins a
+//! tenant's ownership — it is how a tenant's new primary announces
+//! itself after a hand-off — and the owner is persisted in a
+//! `tenant_<id>.owner` sidecar that is rebuilt at startup. Appends and
+//! retires from any other source are acknowledged but ignored
+//! (`applied:false`), so hand-off races are harmless. A tenant whose
+//! owner is unknown — no sidecar, or an empty one — rejects appends, so
+//! its primary repairs it with a reset that records the owner again,
+//! and ignores retires. Replica appends are group-committed like
+//! journal appends. `adopt` loads a replica for re-admission and, once
+//! it is adopted, releases it: the owner is forgotten and the file
+//! retired.
 //!
 //! # Fault injection
 //!
@@ -74,6 +100,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -82,8 +109,8 @@ use std::time::Duration;
 use rts_model::delta::DeltaEvent;
 
 use crate::client::{LineClient, RetryPolicy};
-use crate::engine::Request;
-use crate::journal::{render_event, render_journal, JournalDir, TenantHistory};
+use crate::engine::{poison_after_failed_write, Request};
+use crate::journal::{self, render_event, render_journal, AppendGroup, JournalDir, TenantHistory};
 use crate::proto::render_request;
 
 /// One replicated journal mutation — the payload of the `replicate`
@@ -104,9 +131,9 @@ pub enum ReplPayload {
         /// Byte offset the event's line starts at in the primary's
         /// journal file. The replica is byte-identical, so the standby
         /// uses this to tell an in-sync append (replica length equals
-        /// `at`) from a gap (shorter — reject, let the primary heal)
-        /// and from a late duplicate already covered by a heal's reset
-        /// (longer — acknowledge without re-applying).
+        /// `at`) from a gap (shorter — reject, so the primary repairs
+        /// it) and from a late duplicate already covered by a repair's
+        /// reset (longer — acknowledge without re-applying).
         at: u64,
     },
     /// The tenant's file was retired (evicted). The standby archives
@@ -119,16 +146,16 @@ pub enum ReplPayload {
 pub struct ReplStats {
     /// Ops accepted into the channel.
     pub enqueued: u64,
-    /// Ops acknowledged by the standby (directly, or through the heal
+    /// Ops acknowledged by the standby (directly, or through the repair
     /// or reset that covered them).
     pub delivered: u64,
     /// Ops abandoned (evicted by the backlog cap, retry budget spent,
-    /// standby rejection that could not be healed, or severed before
-    /// delivery). Their tenants are resynced later (see the module
+    /// standby rejection whose repair failed, or severed before
+    /// delivery). Their tenants are repaired later (see the module
     /// docs).
     pub dropped: u64,
-    /// Resets cut from the primary's journal and delivered: heals after
-    /// a standby rejection, and resyncs after a dropped op.
+    /// Repairs delivered: resets cut from the primary's journal, or
+    /// retires, each settling one tenant's debt.
     pub heals: u64,
     /// Times the forwarder lost its standby connection, or failed to
     /// open one, and had to dial again.
@@ -176,27 +203,34 @@ pub const DEFAULT_BACKLOG_CAP: usize = 1024;
 /// the depth.
 pub const PIPELINE_DEPTH: usize = 256;
 
-/// What the forwarder owes a tenant that lost an op.
+/// The repair a tenant is owed after one of its ops was not delivered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Resync {
+enum Repair {
     /// Reset the replica to the primary's journal cut at this many bytes
-    /// (the lost op's end — committed, unlike anything after it).
+    /// (an op's end — committed, unlike anything after it).
     Cut(u64),
     /// Retire the replica.
     Retire,
 }
 
-impl Resync {
-    /// The resync that repairs the loss of `payload`.
-    fn after(payload: &ReplPayload) -> Resync {
+impl Repair {
+    /// The repair that covers everything up to the end of `payload`.
+    fn after(payload: &ReplPayload) -> Repair {
         match payload {
             ReplPayload::Append { event, at } => {
-                Resync::Cut(at + render_event(event).len() as u64 + 1)
+                Repair::Cut(at + render_event(event).len() as u64 + 1)
             }
-            ReplPayload::Reset { history } => Resync::Cut(render_journal(history).len() as u64),
-            ReplPayload::Retire => Resync::Retire,
+            ReplPayload::Reset { history } => Repair::Cut(render_journal(history).len() as u64),
+            ReplPayload::Retire => Repair::Retire,
         }
     }
+}
+
+/// What the forwarder owes a tenant: the repair, and the rejected ops
+/// waiting on it (counted delivered once a repair or rewrite lands).
+struct Debt {
+    repair: Repair,
+    waiting: u64,
 }
 
 /// The bounded op queue between the shard threads and the forwarder.
@@ -216,9 +250,9 @@ struct BacklogInner {
     ops: VecDeque<ReplOp>,
     /// `Apply` ops queued or in flight (the capped population).
     applies: usize,
-    /// Tenants that lost an op to the cap, with the resync each is
+    /// Tenants that lost an op to the cap, with the repair each is
     /// owed (the latest loss wins).
-    evicted: HashMap<u64, Resync>,
+    evicted: HashMap<u64, Repair>,
     closed: bool,
 }
 
@@ -249,11 +283,11 @@ impl Backlog {
                     .position(|o| matches!(o, ReplOp::Apply { .. }))
                 else {
                     // Every counted op is in flight: the new one gives way.
-                    inner.evicted.insert(*tenant, Resync::after(payload));
+                    inner.evicted.insert(*tenant, Repair::after(payload));
                     return Ok(evicted + 1);
                 };
                 if let Some(ReplOp::Apply { tenant, payload }) = inner.ops.remove(pos) {
-                    inner.evicted.insert(tenant, Resync::after(&payload));
+                    inner.evicted.insert(tenant, Repair::after(&payload));
                 }
                 inner.applies -= 1;
                 evicted += 1;
@@ -268,11 +302,11 @@ impl Backlog {
 
     /// Takes the next batch — queued ops from the front, up to
     /// [`PIPELINE_DEPTH`] (or the cap) applies, ending after the first
-    /// flush marker — plus the resyncs owed for evicted ops, all of
+    /// flush marker — plus the repairs owed for evicted ops, all of
     /// which precede the batch. The batch's applies stay counted until
     /// [`Backlog::finish`]. Blocks while the queue is empty; `None`
     /// once it is closed *and* drained (the orderly-exit path).
-    fn pop_batch(&self) -> Option<(Vec<ReplOp>, HashMap<u64, Resync>)> {
+    fn pop_batch(&self) -> Option<(Vec<ReplOp>, HashMap<u64, Repair>)> {
         let depth = PIPELINE_DEPTH.min(self.cap.load(Ordering::Relaxed).max(1));
         let mut inner = self.inner.lock().expect("backlog lock");
         loop {
@@ -342,8 +376,8 @@ impl Replicator {
     /// a different source, which makes hand-off races (old primary's
     /// retire racing the new primary's reset) harmless. `journal` is
     /// the primary's own journal directory (a clone *without*
-    /// replication attached), read to heal and resync replicas; without
-    /// it, lost ops stay lost.
+    /// replication attached), read to repair replicas; without it, lost
+    /// ops stay lost.
     #[must_use]
     pub fn spawn(
         source: impl Into<String>,
@@ -360,16 +394,11 @@ impl Replicator {
         std::thread::Builder::new()
             .name("repl-forwarder".into())
             .spawn(move || {
-                let mut forwarder = Forwarder {
-                    conn: None,
+                Forwarder::new(&worker_counters, &worker_source, journal.as_ref()).run(
                     standby,
                     policy,
-                    counters: &worker_counters,
-                    source: &worker_source,
-                    journal: journal.as_ref(),
-                    owed: HashMap::new(),
-                };
-                forwarder.run(&worker_backlog);
+                    &worker_backlog,
+                );
                 // If the loop ever exits abnormally, refuse further
                 // enqueues instead of accumulating a dead backlog.
                 worker_backlog.close();
@@ -391,7 +420,7 @@ impl Replicator {
     /// budget per batch while shard threads keep enqueueing every
     /// journal mutation; the cap bounds that backlog by evicting the
     /// *oldest* queued op — newest state wins, and every tenant that
-    /// lost an op is resynced once the standby returns.
+    /// lost an op is repaired once the standby returns.
     #[must_use]
     pub fn with_backlog_cap(self, cap: usize) -> Self {
         self.backlog.cap.store(cap.max(1), Ordering::Relaxed);
@@ -430,7 +459,7 @@ impl Replicator {
         Counters::add(&self.counters.enqueued, 1);
         match self.backlog.push(ReplOp::Apply { tenant, payload }) {
             // Evicted ops were abandoned to keep the backlog bounded;
-            // their tenants are resynced once the standby returns.
+            // their tenants are repaired once the standby returns.
             Ok(evicted) => Counters::add(&self.counters.dropped, evicted),
             // A closed backlog means the forwarder exited; ops are then
             // dropped silently, exactly like a severed stream.
@@ -439,8 +468,9 @@ impl Replicator {
     }
 
     /// Quiesces the stream: blocks until every op enqueued before this
-    /// call has been delivered (or abandoned) and every tenant that
-    /// lost an op has had one resync attempt, or `timeout` elapses.
+    /// call has been delivered (or abandoned) and, if the standby
+    /// answered them, every tenant that lost an op has had one repair
+    /// attempt, or `timeout` elapses.
     /// Returns whether the flush completed in time. The graceful-drain
     /// paths call this so an orderly stop loses no replicated delta.
     pub fn flush(&self, timeout: Duration) -> bool {
@@ -471,8 +501,8 @@ impl Replicator {
     }
 }
 
-/// One line of a pipelined batch: an enqueued op, or a reset the
-/// forwarder cut from the primary's journal itself (`repair`).
+/// One line of a pipelined batch: an enqueued op, or a repair the
+/// forwarder planned itself (`repair`).
 #[derive(Debug)]
 struct WireOp {
     tenant: u64,
@@ -496,7 +526,8 @@ enum Outcome {
 
 impl Outcome {
     /// Classifies an answer line. `applied:false` (the standby ignored
-    /// a stale-source op on purpose) counts as delivered.
+    /// a stale-source op or a late duplicate on purpose) counts as
+    /// delivered.
     fn of(answer: &str) -> Outcome {
         if !answer.contains("\"verdict\":\"error\"") {
             return Outcome::Delivered;
@@ -509,201 +540,155 @@ impl Outcome {
     }
 }
 
-/// The forwarder thread's state: its standby connection and the
-/// resyncs owed to tenants that lost an op.
+/// The forwarder thread's state: its standby connection and the debts
+/// of tenants whose ops were not delivered (see the module docs).
 struct Forwarder<'a> {
     conn: Option<LineClient>,
-    standby: SocketAddr,
-    policy: RetryPolicy,
     counters: &'a Counters,
     source: &'a str,
     journal: Option<&'a JournalDir>,
-    owed: HashMap<u64, Resync>,
+    debts: HashMap<u64, Debt>,
 }
 
-impl Forwarder<'_> {
-    fn run(&mut self, backlog: &Backlog) {
+impl<'a> Forwarder<'a> {
+    fn new(counters: &'a Counters, source: &'a str, journal: Option<&'a JournalDir>) -> Self {
+        Forwarder {
+            conn: None,
+            counters,
+            source,
+            journal,
+            debts: HashMap::new(),
+        }
+    }
+
+    fn run(&mut self, standby: SocketAddr, policy: RetryPolicy, backlog: &Backlog) {
         while let Some((batch, evicted)) = backlog.pop_batch() {
-            // Evictions happened before every op of this batch.
-            self.owed.extend(evicted);
-            let mut applies = 0;
-            let mut flushes = Vec::new();
-            let mut wire = Vec::with_capacity(batch.len());
-            for op in batch {
-                match op {
-                    ReplOp::Flush { ack } => flushes.push(ack),
-                    ReplOp::Apply { tenant, payload } => {
-                        applies += 1;
-                        if self.counters.severed.load(Ordering::Relaxed) {
-                            Counters::add(&self.counters.dropped, 1);
-                            continue;
-                        }
-                        // A tenant that lost an op starts its next
-                        // delivery with a reset cut at this append's
-                        // start; a reset or retire repairs it by itself.
-                        if self.owed.remove(&tenant).is_some() {
-                            if let ReplPayload::Append { at, .. } = payload {
-                                match self.cut(tenant, at) {
-                                    Some(reset) => wire.push(reset),
-                                    None => {
-                                        self.owed.insert(tenant, Resync::after(&payload));
-                                    }
-                                }
-                            }
-                        }
-                        wire.push(WireOp {
-                            tenant,
-                            payload,
-                            repair: false,
-                        });
-                    }
-                }
+            let (wire, flushes) = self.admit(batch, evicted);
+            let applies = wire.len();
+            let outcomes = self.exchange(standby, &policy, &wire);
+            if self.book(&wire, outcomes) {
+                let repairs = self.repairs();
+                let outcomes = self.exchange(standby, &policy, &repairs);
+                self.book(&repairs, outcomes);
             }
-            self.deliver(&wire);
-            if !flushes.is_empty() {
-                self.settle();
-                for ack in flushes {
-                    // FIFO: every op ahead of the marker is settled.
-                    let _ = ack.send(());
-                }
+            for ack in flushes {
+                // FIFO: every op ahead of the marker is booked.
+                let _ = ack.send(());
             }
             backlog.finish(applies);
         }
     }
 
-    /// A reset of `tenant`'s replica to the primary's journal cut at
-    /// `len` bytes, if the journal is at hand and still has that prefix
-    /// (a later rewrite may have replaced it; its own reset follows).
-    fn cut(&self, tenant: u64, len: u64) -> Option<WireOp> {
-        let history = self.journal?.load_tenant_prefix(tenant, len).ok()?;
-        Some(WireOp {
-            tenant,
-            payload: ReplPayload::Reset { history },
-            repair: true,
-        })
-    }
-
-    /// Books an op that was not delivered: dropped, and its tenant owed
-    /// a resync up to the op's end.
-    fn lose(&mut self, op: &WireOp) {
-        if !op.repair {
-            Counters::add(&self.counters.dropped, 1);
+    /// Takes one batch from the backlog: the evicted ops' repairs are
+    /// owed first (evictions happened before every op of the batch),
+    /// then the batch splits into wire ops and flush acknowledgements.
+    fn admit(
+        &mut self,
+        batch: Vec<ReplOp>,
+        evicted: HashMap<u64, Repair>,
+    ) -> (Vec<WireOp>, Vec<Sender<()>>) {
+        for (tenant, repair) in evicted {
+            self.owe(tenant, repair);
         }
-        self.owed.insert(op.tenant, Resync::after(&op.payload));
-    }
-
-    /// Sends one batch pipelined and books every answer, then heals
-    /// each tenant whose appends were rejected — once, with a reset cut
-    /// at its last rejected append's end. Answers are booked in order,
-    /// so a later rewrite or heal of a tenant supersedes its earlier
-    /// losses, never a later one.
-    fn deliver(&mut self, wire: &[WireOp]) {
-        // Per tenant: the heal's cut and the rejected appends awaiting it.
-        let mut heal: HashMap<u64, (u64, u64)> = HashMap::new();
-        let outcomes = self.exchange(wire);
-        for (op, outcome) in wire.iter().zip(outcomes) {
-            let delivered = matches!(outcome, Outcome::Delivered);
-            if op.whole_file() {
-                // A reset or retire settles the rejections before it.
-                if let Some((_, waiting)) = heal.remove(&op.tenant) {
-                    let counter = if delivered {
-                        &self.counters.delivered
-                    } else {
-                        &self.counters.dropped
-                    };
-                    Counters::add(counter, waiting);
-                }
-            }
-            match outcome {
-                Outcome::Delivered => {
-                    if op.whole_file() {
-                        self.owed.remove(&op.tenant);
-                    }
-                    let counter = if op.repair {
-                        &self.counters.heals
-                    } else {
-                        &self.counters.delivered
-                    };
-                    Counters::add(counter, 1);
-                }
-                Outcome::Rejected(_) if !op.whole_file() => {
-                    // The heal, cut at this append's end, covers every
-                    // earlier loss of the tenant.
-                    self.owed.remove(&op.tenant);
-                    if let Resync::Cut(end) = Resync::after(&op.payload) {
-                        let entry = heal.entry(op.tenant).or_insert((end, 0));
-                        *entry = (end, entry.1 + 1);
-                    }
-                }
-                Outcome::Rejected(reason) => {
-                    self.counters.log_rejection(op.tenant, &reason);
-                    self.lose(op);
-                }
-                Outcome::Lost => self.lose(op),
-            }
-        }
-        if heal.is_empty() {
-            return;
-        }
-        let mut resets = Vec::with_capacity(heal.len());
-        let mut waiting = Vec::with_capacity(heal.len());
-        for (tenant, (end, rejected)) in heal {
-            match self.cut(tenant, end) {
-                Some(reset) => {
-                    resets.push(reset);
-                    waiting.push(rejected);
-                }
-                None => {
-                    Counters::add(&self.counters.dropped, rejected);
-                    self.owed.entry(tenant).or_insert(Resync::Cut(end));
-                }
-            }
-        }
-        let outcomes = self.exchange(&resets);
-        for ((op, rejected), outcome) in resets.iter().zip(waiting).zip(outcomes) {
-            if let Outcome::Delivered = outcome {
-                Counters::add(&self.counters.heals, 1);
-                Counters::add(&self.counters.delivered, rejected);
-                continue;
-            }
-            if let Outcome::Rejected(reason) = outcome {
-                self.counters.log_rejection(op.tenant, &reason);
-            }
-            Counters::add(&self.counters.dropped, rejected);
-            // A loss owed from later in the batch stays the target.
-            self.owed
-                .entry(op.tenant)
-                .or_insert(Resync::after(&op.payload));
-        }
-    }
-
-    /// A flush settles every resync still owed — a reset cut at the lost
-    /// op's end, or a retire — so a quiesced stream leaves no replica
-    /// stale. Unsettled resyncs stay owed.
-    fn settle(&mut self) {
-        if self.owed.is_empty() || self.counters.severed.load(Ordering::Relaxed) {
-            return;
-        }
-        let mut wire = Vec::with_capacity(self.owed.len());
-        for (&tenant, &resync) in &self.owed {
-            match resync {
-                Resync::Cut(len) => wire.extend(self.cut(tenant, len)),
-                Resync::Retire => wire.push(WireOp {
+        let mut flushes = Vec::new();
+        let mut wire = Vec::with_capacity(batch.len());
+        for op in batch {
+            match op {
+                ReplOp::Flush { ack } => flushes.push(ack),
+                ReplOp::Apply { tenant, payload } => wire.push(WireOp {
                     tenant,
-                    payload: ReplPayload::Retire,
-                    repair: true,
+                    payload,
+                    repair: false,
                 }),
             }
         }
-        let outcomes = self.exchange(&wire);
+        (wire, flushes)
+    }
+
+    /// Records that `tenant` is owed `repair`, which supersedes any
+    /// earlier one (ops are booked in order).
+    fn owe(&mut self, tenant: u64, repair: Repair) -> &mut Debt {
+        let debt = self
+            .debts
+            .entry(tenant)
+            .or_insert(Debt { repair, waiting: 0 });
+        debt.repair = repair;
+        debt
+    }
+
+    /// Books a batch's answers, in order, by the debt rule. Returns
+    /// whether the standby answered the whole batch — only then do
+    /// repairs follow it.
+    fn book(&mut self, wire: &[WireOp], outcomes: Vec<Outcome>) -> bool {
+        let counters = self.counters;
+        let mut answered = true;
         for (op, outcome) in wire.iter().zip(outcomes) {
-            if matches!(outcome, Outcome::Delivered) {
-                self.owed.remove(&op.tenant);
-                if matches!(op.payload, ReplPayload::Reset { .. }) {
-                    Counters::add(&self.counters.heals, 1);
+            let rejected = match outcome {
+                Outcome::Delivered => {
+                    let counter = if op.repair {
+                        &counters.heals
+                    } else {
+                        &counters.delivered
+                    };
+                    Counters::add(counter, 1);
+                    if op.whole_file() {
+                        if let Some(debt) = self.debts.remove(&op.tenant) {
+                            Counters::add(&counters.delivered, debt.waiting);
+                        }
+                    } else if let Some(debt) = self.debts.get_mut(&op.tenant) {
+                        // A stale replica may have ignored it as a late
+                        // duplicate: the repair must cover it too.
+                        debt.repair = Repair::after(&op.payload);
+                    }
+                    continue;
                 }
-            }
+                Outcome::Rejected(reason) => {
+                    if op.whole_file() {
+                        counters.log_rejection(op.tenant, &reason);
+                    }
+                    true
+                }
+                Outcome::Lost => {
+                    answered = false;
+                    false
+                }
+            };
+            let debt = self.owe(op.tenant, Repair::after(&op.payload));
+            let dropped = if op.repair {
+                // The repair failed: the ops waiting on it are lost.
+                std::mem::take(&mut debt.waiting)
+            } else if rejected {
+                debt.waiting += 1;
+                0
+            } else {
+                1
+            };
+            Counters::add(&counters.dropped, dropped);
         }
+        answered
+    }
+
+    /// One repair per indebted tenant: a reset of its replica to the
+    /// primary's journal cut at the debt's offset, or a retire. A cut
+    /// the journal no longer holds (or no journal at hand) yields none;
+    /// a later rewrite replaced the prefix and its own reset is queued.
+    fn repairs(&self) -> Vec<WireOp> {
+        self.debts
+            .iter()
+            .filter_map(|(&tenant, debt)| {
+                let payload = match debt.repair {
+                    Repair::Retire => ReplPayload::Retire,
+                    Repair::Cut(len) => ReplPayload::Reset {
+                        history: self.journal?.load_tenant_prefix(tenant, len).ok()?,
+                    },
+                };
+                Some(WireOp {
+                    tenant,
+                    payload,
+                    repair: true,
+                })
+            })
+            .collect()
     }
 
     /// Sends `ops` pipelined — one write of every unanswered line — and
@@ -711,8 +696,14 @@ impl Forwarder<'_> {
     /// with capped backoff and only the unanswered suffix is resent (the
     /// offset guard makes a resent append idempotent, and a resent reset
     /// or retire rewrites the same state). Ops still unanswered when the
-    /// retry budget is spent come back [`Outcome::Lost`].
-    fn exchange(&mut self, ops: &[WireOp]) -> Vec<Outcome> {
+    /// retry budget is spent come back [`Outcome::Lost`]. The only code
+    /// that touches the socket.
+    fn exchange(
+        &mut self,
+        standby: SocketAddr,
+        policy: &RetryPolicy,
+        ops: &[WireOp],
+    ) -> Vec<Outcome> {
         let lines: Vec<String> = ops
             .iter()
             .map(|op| {
@@ -724,7 +715,7 @@ impl Forwarder<'_> {
             })
             .collect();
         let mut outcomes = Vec::with_capacity(lines.len());
-        let attempts = self.policy.attempts.max(1);
+        let attempts = policy.attempts.max(1);
         let mut attempt = 0;
         while outcomes.len() < lines.len() && attempt < attempts {
             if self.counters.severed.load(Ordering::Relaxed) {
@@ -732,11 +723,11 @@ impl Forwarder<'_> {
             }
             let client = match &mut self.conn {
                 Some(client) => client,
-                None => match LineClient::connect(self.standby, &RetryPolicy::once()) {
+                None => match LineClient::connect(standby, &RetryPolicy::once()) {
                     Ok(client) => self.conn.insert(client),
                     Err(_) => {
                         Counters::add(&self.counters.reconnects, 1);
-                        std::thread::sleep(self.policy.delay(attempt));
+                        std::thread::sleep(policy.delay(attempt));
                         attempt += 1;
                         continue;
                     }
@@ -753,11 +744,382 @@ impl Forwarder<'_> {
                 // Broken pipe, timeout, standby restarting: redial.
                 self.conn = None;
                 Counters::add(&self.counters.reconnects, 1);
-                std::thread::sleep(self.policy.delay(attempt));
+                std::thread::sleep(policy.delay(attempt));
                 attempt += 1;
             }
         }
         outcomes.resize_with(lines.len(), || Outcome::Lost);
         outcomes
+    }
+}
+
+/// The standby half of the protocol: the replica files under
+/// `<journal>/replica/`, which primary owns each of them, and the
+/// replica appends not yet committed (see the module docs). No analysis
+/// runs here — a replica is bytes on disk until `adopt` re-admits it.
+#[derive(Debug)]
+pub(crate) struct ReplicaStore {
+    dir: JournalDir,
+    /// Which primary most recently reset each replica, mirrored to the
+    /// `tenant_<id>.owner` sidecars.
+    owners: HashMap<u64, String>,
+    group: AppendGroup,
+}
+
+impl ReplicaStore {
+    /// The replica store kept under `journal`, with its owners rebuilt
+    /// from the sidecars beside the replica files. An empty or
+    /// unreadable sidecar leaves its tenant's owner unknown.
+    pub(crate) fn open(journal: &JournalDir) -> Self {
+        let dir = journal.replica();
+        let owners = dir
+            .tenants()
+            .into_iter()
+            .filter_map(|tenant| {
+                let source = std::fs::read_to_string(owner_path(&dir, tenant)).ok()?;
+                (!source.is_empty()).then_some((tenant, source))
+            })
+            .collect();
+        ReplicaStore {
+            dir,
+            owners,
+            group: AppendGroup::default(),
+        }
+    }
+
+    /// Applies one mirrored journal mutation from `source`. `Ok(false)`
+    /// means the op was ignored on purpose (a stale source, a late
+    /// duplicate, or a retire of an unknown owner's replica); `Err` is
+    /// the reason the standby rejects it, which makes the primary
+    /// repair the replica. Appends are written but not synced until
+    /// [`ReplicaStore::commit`].
+    pub(crate) fn apply(
+        &mut self,
+        tenant: u64,
+        source: &str,
+        payload: &ReplPayload,
+    ) -> Result<bool, String> {
+        let owner = self.owners.get(&tenant);
+        let (known, stale) = (owner.is_some(), owner.is_some_and(|o| o != source));
+        match payload {
+            ReplPayload::Reset { history } => {
+                self.commit();
+                self.dir
+                    .write_history(tenant, history)
+                    .map_err(|e| format!("replica reset failed: {e}"))?;
+                // A failed sidecar write degrades to an unknown owner
+                // after a restart (rejected appends, repaired by the next
+                // reset), never to a wrong one.
+                if let Err(e) =
+                    journal::write_whole(&owner_path(&self.dir, tenant), source.as_bytes())
+                {
+                    eprintln!("journal: could not record replica owner for tenant {tenant}: {e}");
+                }
+                self.owners.insert(tenant, source.to_string());
+                Ok(true)
+            }
+            _ if stale => Ok(false),
+            // Without an owner, a retire may be a dead primary's
+            // straggler racing a hand-off; ignoring it is always safe.
+            ReplPayload::Retire if !known => Ok(false),
+            ReplPayload::Append { .. } if !known => {
+                Err(format!("replica of tenant {tenant} has no recorded owner"))
+            }
+            ReplPayload::Append { event, at } => {
+                let len = std::fs::metadata(self.dir.path_for(tenant))
+                    .map_err(|e| format!("replica append failed: {e}"))?
+                    .len();
+                // The offset guard: the replica mirrors the primary's
+                // journal byte for byte. Longer is a late duplicate that
+                // a repair's reset already holds; shorter is a gap.
+                if len > *at {
+                    return Ok(false);
+                }
+                if len < *at {
+                    return Err(format!(
+                        "replica append failed: replica is {} bytes behind the \
+                         primary's journal",
+                        *at - len
+                    ));
+                }
+                self.dir
+                    .append_deferred(&mut self.group, tenant, event)
+                    .map_err(|e| format!("replica append failed: {e}"))?;
+                Ok(true)
+            }
+            ReplPayload::Retire => {
+                self.commit();
+                self.dir
+                    .retire_tenant(tenant)
+                    .map_err(|e| format!("replica retire failed: {e}"))?;
+                self.forget(tenant);
+                Ok(true)
+            }
+        }
+    }
+
+    /// Syncs the appends written since the last commit. A replica whose
+    /// sync failed was already answered as applied, so it is moved
+    /// aside: the primary's next append is rejected and repairs it.
+    pub(crate) fn commit(&mut self) {
+        for (tenant, e) in self.dir.commit(&mut self.group) {
+            eprintln!("journal: could not sync the replica of tenant {tenant}: {e}");
+            poison_after_failed_write(&self.dir, tenant);
+        }
+    }
+
+    /// A replica's history, for adoption.
+    pub(crate) fn load(&self, tenant: u64) -> Result<TenantHistory, String> {
+        self.dir
+            .load_tenant(tenant)
+            .map_err(|e| format!("no adoptable replica for tenant {tenant}: {e}"))
+    }
+
+    /// Releases an adopted replica: its owner is forgotten and its file
+    /// retired, so a second adopt — or a later stream for a
+    /// re-registered tenant — starts clean.
+    pub(crate) fn release(&mut self, tenant: u64) {
+        self.forget(tenant);
+        if let Err(e) = self.dir.retire_tenant(tenant) {
+            eprintln!("journal: could not retire adopted replica of tenant {tenant}: {e}");
+        }
+    }
+
+    fn forget(&mut self, tenant: u64) {
+        self.owners.remove(&tenant);
+        match std::fs::remove_file(owner_path(&self.dir, tenant)) {
+            Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                eprintln!("journal: could not clear replica owner for tenant {tenant}: {e}");
+            }
+            _ => {}
+        }
+    }
+}
+
+/// The sidecar recording which primary owns a replica. The replica file
+/// itself must stay byte-identical to the primary's journal, so
+/// ownership cannot live inside it.
+fn owner_path(dir: &JournalDir, tenant: u64) -> PathBuf {
+    dir.path_for(tenant).with_extension("owner")
+}
+
+#[cfg(test)]
+mod tests {
+    //! The forwarder's decisions, with no standby: `book` is fed
+    //! synthetic answers and `repairs` is read back.
+
+    use super::*;
+    use crate::engine::RtSpec;
+    use crate::journal::TenantSnapshot;
+    use rts_model::delta::MonitorMode;
+    use rts_model::time::Duration;
+
+    const TENANT: u64 = 3;
+
+    /// A registered tenant's journal in a fresh temporary directory,
+    /// removed on drop.
+    struct Primary {
+        root: PathBuf,
+        journal: JournalDir,
+    }
+
+    impl Primary {
+        fn new(name: &str) -> Self {
+            let root =
+                std::env::temp_dir().join(format!("hydra_repl_{name}_{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&root);
+            let journal = JournalDir::at(&root);
+            journal.begin_tenant(TENANT, 2, &rt()).unwrap();
+            Primary { root, journal }
+        }
+
+        /// Appends `n` events and returns their ops, stamped with the
+        /// offsets the group commit would stamp.
+        fn append(&self, n: usize) -> Vec<WireOp> {
+            (0..n)
+                .map(|k| {
+                    let at = self.len();
+                    let mode = [MonitorMode::Active, MonitorMode::Passive][k % 2];
+                    let event = DeltaEvent::ModeChange { slot: 0, mode };
+                    self.journal.append_event(TENANT, &event).unwrap();
+                    WireOp {
+                        tenant: TENANT,
+                        payload: ReplPayload::Append { event, at },
+                        repair: false,
+                    }
+                })
+                .collect()
+        }
+
+        /// Compacts the journal and returns the rewrite's reset.
+        fn compact(&self) -> WireOp {
+            let snapshot = TenantSnapshot {
+                monitors: Vec::new(),
+                fingerprint: 0,
+            };
+            self.journal
+                .snapshot_tenant(TENANT, 2, &rt(), &snapshot)
+                .unwrap();
+            WireOp {
+                tenant: TENANT,
+                payload: ReplPayload::Reset {
+                    history: self.journal.load_tenant(TENANT).unwrap(),
+                },
+                repair: false,
+            }
+        }
+
+        fn len(&self) -> u64 {
+            std::fs::metadata(self.journal.path_for(TENANT))
+                .unwrap()
+                .len()
+        }
+
+        /// The reset a repair cut at `len` bytes must carry.
+        fn cut(&self, len: u64) -> ReplPayload {
+            ReplPayload::Reset {
+                history: self.journal.load_tenant_prefix(TENANT, len).unwrap(),
+            }
+        }
+    }
+
+    impl Drop for Primary {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.root);
+        }
+    }
+
+    fn rt() -> Vec<RtSpec> {
+        vec![RtSpec {
+            wcet: Duration::from_ms(240),
+            period: Duration::from_ms(500),
+            core: 0,
+        }]
+    }
+
+    fn end(op: &WireOp) -> u64 {
+        match Repair::after(&op.payload) {
+            Repair::Cut(len) => len,
+            Repair::Retire => panic!("not a cut"),
+        }
+    }
+
+    fn rejected() -> Outcome {
+        Outcome::Rejected("replica append failed".into())
+    }
+
+    /// `(delivered, dropped, heals)`.
+    fn booked(counters: &Counters) -> (u64, u64, u64) {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        (
+            get(&counters.delivered),
+            get(&counters.dropped),
+            get(&counters.heals),
+        )
+    }
+
+    #[test]
+    fn rejected_appends_leave_one_repair_cut_at_the_last_one() {
+        let primary = Primary::new("rejected");
+        let counters = Counters::default();
+        let mut forwarder = Forwarder::new(&counters, "p0", Some(&primary.journal));
+        let wire = primary.append(4);
+        // A later append, not committed when the batch was sent: the
+        // repair must not reach it.
+        primary.append(1);
+        assert!(forwarder.book(&wire, (0..4).map(|_| rejected()).collect()));
+        assert_eq!(booked(&counters), (0, 0, 0));
+
+        let repairs = forwarder.repairs();
+        assert_eq!(repairs.len(), 1);
+        assert!(repairs[0].repair);
+        assert_eq!(repairs[0].payload, primary.cut(end(&wire[3])));
+        assert!(forwarder.book(&repairs, vec![Outcome::Delivered]));
+        assert_eq!(booked(&counters), (4, 0, 1));
+        assert!(forwarder.repairs().is_empty());
+    }
+
+    #[test]
+    fn an_evicted_compaction_reset_is_repaired_past_the_appends_after_it() {
+        let primary = Primary::new("evicted");
+        primary.append(3);
+        let reset = primary.compact();
+        let appends = primary.append(2);
+        // A cap of 2: the third push evicts the oldest queued op, the
+        // compaction's reset.
+        let backlog = Backlog::new(2);
+        for (op, evicted) in [(&reset, 0), (&appends[0], 0), (&appends[1], 1)] {
+            let op = ReplOp::Apply {
+                tenant: op.tenant,
+                payload: op.payload.clone(),
+            };
+            assert_eq!(backlog.push(op), Ok(evicted));
+        }
+        let (batch, evicted) = backlog.pop_batch().unwrap();
+
+        let counters = Counters::default();
+        let mut forwarder = Forwarder::new(&counters, "p0", Some(&primary.journal));
+        let (wire, flushes) = forwarder.admit(batch, evicted);
+        assert_eq!(wire.len(), 2);
+        assert!(flushes.is_empty());
+        // The stale replica is longer than the compacted journal, so
+        // the standby ignores both appends as late duplicates.
+        assert!(forwarder.book(&wire, vec![Outcome::Delivered, Outcome::Delivered]));
+        let repairs = forwarder.repairs();
+        assert_eq!(repairs.len(), 1);
+        assert_eq!(repairs[0].payload, primary.cut(end(&appends[1])));
+        assert_eq!(repairs[0].payload, primary.cut(primary.len()));
+        assert!(forwarder.book(&repairs, vec![Outcome::Delivered]));
+        assert_eq!(booked(&counters), (2, 0, 1));
+        assert!(forwarder.repairs().is_empty());
+    }
+
+    #[test]
+    fn a_lost_op_is_dropped_and_repaired_after_the_next_answered_batch() {
+        let primary = Primary::new("lost");
+        let counters = Counters::default();
+        let mut forwarder = Forwarder::new(&counters, "p0", Some(&primary.journal));
+        let lost = primary.append(1);
+        assert!(!forwarder.book(&lost, vec![Outcome::Lost]));
+        assert_eq!(booked(&counters), (0, 1, 0));
+
+        // The next batch is answered in full; the repair follows it.
+        let next = primary.append(1);
+        assert!(forwarder.book(&next, vec![rejected()]));
+        let repairs = forwarder.repairs();
+        assert_eq!(repairs.len(), 1);
+        assert_eq!(repairs[0].payload, primary.cut(end(&next[0])));
+        assert!(forwarder.book(&repairs, vec![Outcome::Delivered]));
+        assert_eq!(booked(&counters), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_delivered_reset_after_a_rejection_settles_the_debt() {
+        let primary = Primary::new("settled");
+        let counters = Counters::default();
+        let mut forwarder = Forwarder::new(&counters, "p0", Some(&primary.journal));
+        let mut wire = primary.append(1);
+        wire.push(primary.compact());
+        assert!(forwarder.book(&wire, vec![rejected(), Outcome::Delivered]));
+        assert!(forwarder.repairs().is_empty());
+        assert_eq!(booked(&counters), (2, 0, 0));
+    }
+
+    #[test]
+    fn a_cut_the_journal_no_longer_holds_waits_for_the_queued_reset() {
+        let primary = Primary::new("rewritten");
+        let counters = Counters::default();
+        let mut forwarder = Forwarder::new(&counters, "p0", Some(&primary.journal));
+        let wire = primary.append(6);
+        assert!(forwarder.book(&wire[5..], vec![rejected()]));
+        // The compaction that follows is still queued.
+        let reset = primary.compact();
+        assert!(end(&wire[5]) > primary.len(), "the cut must be gone");
+        assert!(forwarder.repairs().is_empty());
+        assert_eq!(forwarder.debts.len(), 1);
+
+        assert!(forwarder.book(&[reset], vec![Outcome::Delivered]));
+        assert!(forwarder.debts.is_empty());
+        assert_eq!(booked(&counters), (2, 0, 0));
     }
 }

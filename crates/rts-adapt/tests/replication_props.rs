@@ -553,6 +553,36 @@ fn replica_ownership_survives_a_standby_restart() {
     ));
     assert_eq!(was_applied(&answer), Some(true), "{answer:?}");
     assert!(owner_file.exists(), "the healing reset recorded no owner");
+
+    // A zero-length sidecar (a standby crash before its bytes reached
+    // the disk) is an unknown owner too, not an owner named "": the
+    // true owner's in-sync append is rejected, so the primary repairs
+    // the replica, and the repairing reset records the owner again.
+    drop(standby);
+    std::fs::write(&owner_file, "").expect("truncate owner sidecar");
+    let mut standby =
+        AdaptEngine::with_journal(CarryInStrategy::TopDiff, JournalDir::at(standby_dir.path()));
+    let len = std::fs::metadata(&replica_file)
+        .expect("replica file")
+        .len();
+    let answer = standby.handle(&replicate(
+        "new",
+        ReplPayload::Append {
+            event: accepted,
+            at: len,
+        },
+    ));
+    assert!(
+        matches!(answer, Response::Error { .. }),
+        "an empty-sidecar append was not rejected: {answer:?}"
+    );
+    let answer = standby.handle(&replicate("new", ReplPayload::Reset { history: bare }));
+    assert_eq!(was_applied(&answer), Some(true), "{answer:?}");
+    assert_eq!(
+        std::fs::read_to_string(&owner_file).expect("owner sidecar"),
+        "new",
+        "the repairing reset did not record the owner again"
+    );
 }
 
 #[test]

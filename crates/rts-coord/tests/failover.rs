@@ -104,9 +104,12 @@ fn spawn_daemon(
 
 /// An address that refuses every connection: bind an ephemeral port,
 /// record it, drop the listener. Connecting gets ECONNREFUSED — the
-/// same thing a coordinator sees when a daemon dies mid-rebalance.
+/// same thing a coordinator sees when a daemon dies mid-rebalance. The
+/// port is taken on 127.0.0.3, a loopback address no daemon binds (they
+/// all listen on 127.0.0.1), so a parallel test's daemon can never be
+/// handed the released port and answer in the dead daemon's place.
 fn dead_address() -> SocketAddr {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("reserve a port");
+    let listener = TcpListener::bind("127.0.0.3:0").expect("reserve a port");
     listener.local_addr().expect("reserved address")
 }
 
