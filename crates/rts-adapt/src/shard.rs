@@ -39,8 +39,14 @@
 //! touched journal file, then the group's replication ops — and only
 //! then releases the group's answers. Under load a group holds every
 //! batch that queued up during the previous commit, so appends to one
-//! tenant share its fsync. A worker without a journal has nothing to
-//! commit and answers batch by batch.
+//! tenant share its fsync. The worker syncs the group's files side by
+//! side with a few process-wide helper threads (see
+//! [`JournalDir::commit`](crate::journal::JournalDir::commit)): the
+//! disk merges cache flushes only while they are in flight together,
+//! so a group no longer waits for one flush per file in turn. A
+//! standby's workers commit their replica appends the same way. A
+//! worker without a journal has nothing to commit, answers batch by
+//! batch, and never starts a helper.
 //!
 //! The hand-off verbs (`Export`/`Import`/`Evict`, see
 //! [`crate::engine`]) need no special plumbing here: they are ordinary

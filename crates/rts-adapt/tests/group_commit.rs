@@ -18,7 +18,10 @@
 //! (f) ops evicted by a small backlog (a compaction reset included) are
 //!     resynced, so the replica equals the primary after a flush;
 //! (g) boot recovery cuts a torn final line off instead of losing the
-//!     tenant.
+//!     tenant;
+//! (h) a file whose sync fails inside a group poisons its tenant alone:
+//!     none of its appends reach the standby, and every other tenant's
+//!     replica stays byte-identical.
 //!
 //! The journal counters are process-wide, so the tests of this binary
 //! run one at a time (see [`serial`]). Standbys are in-process reactors,
@@ -584,4 +587,56 @@ fn boot_recovery_cuts_a_torn_tail_and_keeps_every_complete_event() {
     let mut engine =
         AdaptEngine::with_journal(CarryInStrategy::TopDiff, JournalDir::at(dir.path()));
     assert_eq!(engine.recover_journaled(|_| true), (0, 1));
+}
+
+#[test]
+fn a_failed_sync_poisons_its_tenant_and_replicates_none_of_its_appends() {
+    let _serial = serial();
+    let primary_dir = TempDir::new("gc_failed_sync");
+    let standby_dir = TempDir::new("gc_failed_sync_standby");
+    let standby = spawn_standby(standby_dir.path());
+    let (mut engine, replicator) = replicating_primary(primary_dir.path(), standby, 0, None);
+    let tenants = [1u64, 2, 3, 4, 5, 6];
+    let broken = 4;
+    for &t in &tenants {
+        handle_all(&mut engine, &setup(t));
+    }
+    assert!(replicator.flush(FLUSH));
+    let replica_before = std::fs::read(replica_path(standby_dir.path(), broken)).expect("replica");
+
+    // After registration, which renames a new file over the path: a
+    // journal behind /dev/null takes every write and fails the fsync.
+    let path = primary_dir.path().join(format!("tenant_{broken}.jsonl"));
+    std::fs::remove_file(&path).expect("journal");
+    std::os::unix::fs::symlink("/dev/null", &path).expect("symlink");
+    for k in 0..3 {
+        for &t in &tenants {
+            let answer = engine.handle_deferred(&flip(t, k));
+            assert!(answer.is_admitted(), "{answer:?}");
+        }
+    }
+    let enqueued = replicator.stats().enqueued;
+    engine.commit();
+    assert!(replicator.flush(FLUSH));
+
+    let stats = replicator.stats();
+    assert_eq!(
+        stats.enqueued - enqueued,
+        3 * (tenants.len() as u64 - 1),
+        "{stats:?}"
+    );
+    assert_eq!(stats.delivered, stats.enqueued, "{stats:?}");
+    assert!(
+        std::fs::symlink_metadata(&path).is_err(),
+        "the failed journal was not poisoned"
+    );
+    assert!(std::fs::symlink_metadata(path.with_extension("jsonl.corrupt")).is_ok());
+    assert_eq!(
+        std::fs::read(replica_path(standby_dir.path(), broken)).expect("replica"),
+        replica_before,
+        "an append of the failed tenant reached the standby"
+    );
+    for &t in tenants.iter().filter(|&&t| t != broken) {
+        assert_replica_identical(primary_dir.path(), standby_dir.path(), t);
+    }
 }

@@ -14,7 +14,10 @@
 //!     ownership;
 //! (c) a severed replicator (crash-simulated primary) black-holes
 //!     undelivered ops, and `adopt` then yields exactly the flushed
-//!     prefix — never a torn suffix.
+//!     prefix — never a torn suffix;
+//! (d) a standby that crashed mid-append cuts the torn replica tail
+//!     when it reopens, so the resent append applies instead of
+//!     passing for a late duplicate.
 //!
 //! The vendored proptest has no shrinking, so draws stay small enough
 //! to diagnose from the reported values alone.
@@ -640,4 +643,105 @@ fn a_severed_replicator_adopts_exactly_the_flushed_prefix() {
         .replay_tenant(1, CarryInStrategy::TopDiff)
         .expect("replay the standby's post-adopt journal");
     assert_eq!(Observed::of(&replayed), flushed);
+}
+
+/// A standby crash mid-append leaves the first bytes of a line in the
+/// replica. Reopened, the standby must cut them, or the resent append
+/// (whose offset the torn replica has passed) is answered as a late
+/// duplicate, booked as delivered, and adoption loses it.
+#[test]
+fn a_torn_replica_tail_is_cut_when_the_standby_reopens() {
+    let primary_dir = TempDir::new("replp_torn_primary");
+    let standby_dir = TempDir::new("replp_torn_standby");
+    let replica_file = standby_dir.path().join("replica").join("tenant_5.jsonl");
+    let journal = JournalDir::at(primary_dir.path());
+    let mut primary = AdaptEngine::with_journal(CarryInStrategy::TopDiff, journal.clone());
+    let Response::Admitted(registered) = primary.handle(&register_rover(5)) else {
+        panic!("the rover registration was refused");
+    };
+    let history = journal.load_tenant(5).expect("registration");
+
+    // Accepted events, with the offsets their lines start at in the
+    // primary's journal, up to one that moves the configuration.
+    let mut rng = StdRng::seed_from_u64(0x7042);
+    let mut fingerprint = registered.fingerprint;
+    let mut accepted = Vec::new();
+    loop {
+        let at = std::fs::metadata(journal.path_for(5))
+            .expect("journal")
+            .len();
+        let event = random_event(&mut rng);
+        if let Response::Admitted(a) = primary.handle(&Request::Delta { tenant: 5, event }) {
+            accepted.push((event, at));
+            let moved = a.fingerprint != fingerprint;
+            fingerprint = a.fingerprint;
+            if moved && accepted.len() >= 2 {
+                break;
+            }
+        }
+    }
+    let (&(lost, lost_at), synced) = accepted.split_last().expect("two accepted events");
+    let replicate = |payload: ReplPayload| Request::Replicate {
+        tenant: 5,
+        source: "p0".to_string(),
+        payload,
+    };
+    let applied = |response: Response| match response {
+        Response::Replicated { applied, .. } => Some(applied),
+        _ => None,
+    };
+
+    let mut standby =
+        AdaptEngine::with_journal(CarryInStrategy::TopDiff, JournalDir::at(standby_dir.path()));
+    assert_eq!(
+        applied(standby.handle(&replicate(ReplPayload::Reset { history }))),
+        Some(true)
+    );
+    for &(event, at) in synced {
+        assert_eq!(
+            applied(standby.handle(&replicate(ReplPayload::Append { event, at }))),
+            Some(true)
+        );
+    }
+    drop(standby);
+
+    // The crash: ten bytes of the last line reached the replica.
+    let line = journal::render_event(&lost);
+    let mut file = std::fs::OpenOptions::new()
+        .append(true)
+        .open(&replica_file)
+        .expect("replica");
+    std::io::Write::write_all(&mut file, &line.as_bytes()[..10]).expect("torn write");
+    drop(file);
+
+    let torn = journal::stats().torn_tails;
+    let mut standby =
+        AdaptEngine::with_journal(CarryInStrategy::TopDiff, JournalDir::at(standby_dir.path()));
+    assert!(
+        journal::stats().torn_tails > torn,
+        "the reopen cut no torn tail"
+    );
+    assert_eq!(
+        applied(standby.handle(&replicate(ReplPayload::Append {
+            event: lost,
+            at: lost_at
+        }))),
+        Some(true),
+        "the resent append passed for a late duplicate"
+    );
+    assert_eq!(
+        std::fs::read(&replica_file).expect("replica"),
+        std::fs::read(journal.path_for(5)).expect("journal"),
+        "the replica is not the primary's journal"
+    );
+    let Response::Admitted(adopted) = standby.handle(&Request::Adopt { tenant: 5 }) else {
+        panic!("adoption failed");
+    };
+    let Response::Admitted(live) = primary.handle(&Request::Query { tenant: 5 }) else {
+        panic!("the primary lost its tenant");
+    };
+    assert_eq!(
+        (adopted.periods, adopted.fingerprint),
+        (live.periods, live.fingerprint)
+    );
 }
