@@ -4,7 +4,7 @@
 //!
 //! Usage: `bench_report [--cores M] [--per-group N] [--jobs N]
 //!                      [--baseline-secs S] [--budget-secs S]
-//!                      [--budget-multiple K]`
+//!                      [--budget-multiple K] [--full]`
 //!
 //! Defaults match the acceptance configuration this repo benchmarks
 //! against: 2 cores, 25 tasksets/group, 4 jobs. The sweep always runs
@@ -22,11 +22,26 @@
 //! `--budget-multiple K` caps the run at `K ×` the wall time recorded in
 //! the tracked `BENCH_sweep.json` (read *before* this run rewrites it) —
 //! CI uses the multiple so the guard follows the tracked trajectory
-//! instead of a hard-coded number.
+//! instead of a hard-coded number. A flag given without a value or with
+//! one that does not parse, and any argument that is not one of the
+//! flags above, exit 2 before anything runs, so a malformed budget can
+//! never silently disable its gate.
 
 use hydra_core::schemes::Scheme;
-use hydra_experiments::{arg_f64, results_dir, run_sweep, SweepConfig, SweepStore};
+use hydra_experiments::{
+    arg_f64, reject_unknown_args, results_dir, run_sweep, SweepConfig, SweepStore,
+};
 use rts_taskgen::table3::{NUM_GROUPS, TASKSETS_PER_GROUP};
+
+/// Every flag that takes a value (`--full` is the one that does not).
+const FLAGS: [&str; 6] = [
+    "--cores",
+    "--per-group",
+    "--jobs",
+    "--baseline-secs",
+    "--budget-secs",
+    "--budget-multiple",
+];
 
 /// Reads `wall_secs` out of the tracked BENCH_sweep.json (no JSON dep:
 /// the file is machine-written by this very binary, so a line scan is
@@ -50,6 +65,7 @@ fn main() {
     let baseline_secs = arg_f64(&args, "--baseline-secs");
     let budget_secs = arg_f64(&args, "--budget-secs");
     let budget_multiple = arg_f64(&args, "--budget-multiple");
+    reject_unknown_args(&args, &FLAGS, &["--full"]);
     // Resolve the relative budget against the *previous* tracked record,
     // before this run rewrites the file.
     let multiple_budget = match budget_multiple {

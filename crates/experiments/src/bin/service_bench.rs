@@ -4,30 +4,25 @@
 //!
 //! Usage: `service_bench [--requests N] [--tenants N] [--shards N]
 //!                       [--batch N] [--seed S] [--budget-secs S]
-//!                       [--conns LIST] [--reactors LIST]
-//!                       [--overhead-budget PCT] [--assert-stages]`
+//!                       [--overhead-budget PCT]`
 //!
 //! Defaults are the tracked configuration: 100 000 requests over 64
 //! Table 3 tenants, 4 shards, 512-request batches. Only that canonical
 //! configuration rewrites `results/BENCH_service.json`; reduced runs
-//! (the CI `service-smoke` job) report to stdout only. The run fails
-//! hard if any request is lost or answered with a protocol error, and —
-//! with `--budget-secs` — if the stream takes longer than the budget.
+//! (the CI job) report to stdout only. A flag given without a value or
+//! with one that does not parse, and any argument that is not one of
+//! the flags above, exit 2 before anything runs. The run fails hard if
+//! any request is lost or answered with a protocol error, and — with
+//! `--budget-secs` — if the stream takes longer than the budget.
 //!
-//! `--conns 1,64,1024` adds the **connection axis**: the same seeded
-//! workload is recorded once and replayed over real TCP against the
-//! event-driven reactor front end at each listed connection count
-//! (per-tenant connection affinity; surplus connections held idle).
-//! `--reactors 1,2,4` crosses it with the **reactor axis**: each
-//! replay point runs with that many `SO_REUSEPORT` reactor threads
-//! over one shared shard pool (default `1`, the classic single-reactor
-//! front). Every point of the (conns × reactors) grid must reproduce
-//! the recorded verdict populations *exactly* — the determinism
-//! oracle — or the run fails hard. The canonical run also records the
-//! workload's single-threaded solver floor, the honest upper bound any
-//! serving layer can reach on one core (measured on a bare engine with
-//! no shared store, so it is the cost of actually solving every
-//! selection).
+//! The stream runs in-process against the shard pool; this binary
+//! opens no socket. Every run also records the same seeded workload
+//! once on a bare engine (no shared store) and fails unless the
+//! recording reproduces the pool's verdict populations exactly — the
+//! determinism oracle perfbench relies on when it replays the recording
+//! over TCP against the real daemons. The recording's solve time gives
+//! the workload's single-threaded **solver floor**, the honest upper
+//! bound any serving layer can reach on one core.
 //!
 //! The memo block reports per-tenant hits and cross-tenant shared-store
 //! hits separately; `memo_hit_rate` is the combined rate (selections
@@ -35,45 +30,49 @@
 //! actual solves into Algorithm 2 probes, response-time cascades, and
 //! TopDiff walk evaluations, mirroring `BENCH_sweep.json`.
 //!
-//! The `stage_latency` block is the telemetry spine's output: per-stage
-//! p50/p99 from the server-side histograms (`rts_adapt::telemetry`) —
-//! worker stages for the in-process run, the full accept→flush
-//! lifecycle per connection count on the reactor axis. This is what
-//! localizes the fan-in ceiling to a named stage. `--assert-stages`
-//! turns the value-level expectations into hard failures (every
-//! lifecycle stage sampled, flush p50 > 0) — the CI `metrics-smoke`
-//! contract. `--overhead-budget PCT` measures telemetry-on vs
-//! telemetry-off cost on *process CPU time* over interleaved pairs of
-//! identical runs (identical populations required) and fails if the
-//! smallest of three trial deltas exceeds `PCT` percent. CPU time is
-//! immune to the scheduler steal and frequency throttling that make
-//! wall clocks on shared boxes swing far more than the effect under
-//! test; taking the minimum trial keeps two-sided measurement noise
-//! from failing a tight budget, while a real regression shows in
-//! every trial and still trips it.
+//! The `stage_latency` block holds per-stage p50/p99 from the pool's
+//! server-side histograms (`rts_adapt::telemetry`); in-process, only
+//! the worker stages carry samples. `--overhead-budget PCT` measures
+//! telemetry-on vs telemetry-off cost on *process CPU time* over
+//! interleaved pairs of identical runs (identical populations required)
+//! and fails if the smallest of three trial deltas exceeds `PCT`
+//! percent. CPU time is immune to the scheduler steal and frequency
+//! throttling that make wall clocks on shared boxes swing far more than
+//! the effect under test; taking the minimum trial keeps two-sided
+//! measurement noise from failing a tight budget, while a real
+//! regression shows in every trial and still trips it.
 
 use hydra_experiments::{
-    arg_f64, arg_present, arg_usize, record_workload, results_dir, run_reactor_load_at,
-    run_service_load, run_service_load_with, ServiceConfig,
+    arg_f64, arg_usize, record_workload, reject_unknown_args, results_dir, run_service_load,
+    run_service_load_with, ServiceConfig,
 };
 use rts_adapt::telemetry::StageSummary;
 
+/// Every flag; each takes a value.
+const FLAGS: [&str; 7] = [
+    "--requests",
+    "--tenants",
+    "--shards",
+    "--batch",
+    "--seed",
+    "--budget-secs",
+    "--overhead-budget",
+];
+
 /// Renders per-stage `{count, p50_us, p99_us}` entries for the JSON
 /// report, in lifecycle order.
-fn stage_json(stages: &[StageSummary], indent: &str) -> String {
+fn stage_json(stages: &[StageSummary]) -> String {
     let mut out = String::from("{");
     for (i, stage) in stages.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n{indent}  \"{}\": {{\"count\":{},\"p50_us\":{:.1},\"p99_us\":{:.1}}}",
+            "\n      \"{}\": {{\"count\":{},\"p50_us\":{:.1},\"p99_us\":{:.1}}}",
             stage.stage, stage.count, stage.p50_us, stage.p99_us
         ));
     }
-    out.push('\n');
-    out.push_str(indent);
-    out.push('}');
+    out.push_str("\n    }");
     out
 }
 
@@ -110,22 +109,7 @@ fn main() {
     ) as u64;
     let budget_secs = arg_f64(&args, "--budget-secs");
     let overhead_budget = arg_f64(&args, "--overhead-budget");
-    let assert_stages = arg_present(&args, "--assert-stages");
-    let axis_list = |flag: &str| -> Option<Vec<usize>> {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1))
-            .map(|list| {
-                list.split(',')
-                    .map(|v| {
-                        v.parse()
-                            .unwrap_or_else(|_| panic!("{flag} takes a comma-separated list"))
-                    })
-                    .collect()
-            })
-    };
-    let conns_axis: Vec<usize> = axis_list("--conns").unwrap_or_default();
-    let reactors_axis: Vec<usize> = axis_list("--reactors").unwrap_or_else(|| vec![1]);
+    reject_unknown_args(&args, &FLAGS, &[]);
 
     let config = ServiceConfig {
         tenants,
@@ -167,84 +151,16 @@ fn main() {
     let misses = report.memo_misses();
     let hit_rate = report.memo_hit_rate();
 
-    // ---- Connection axis: the recorded workload replayed over real
-    // TCP against the reactor front end. Populations must reproduce
-    // the recorded run's exactly at every fan-out, or nothing here is
-    // comparable to anything.
-    let mut reactor_json = String::new();
-    if !conns_axis.is_empty() {
-        eprintln!("recording the workload once for the TCP replays...");
-        let recorded = record_workload(&config);
-        assert_eq!(
-            recorded.accepted, report.accepted,
-            "recorded and in-process populations diverged — generator determinism broke"
-        );
-        assert_eq!(recorded.rejected, report.rejected);
-        let floor = requests as f64 / recorded.solve_secs;
-        reactor_json.push_str(&format!(
-            ",\n  \"solver_floor_rps\": {floor:.1},\n  \"reactor\": ["
-        ));
-        let mut row = 0usize;
-        for &reactors in &reactors_axis {
-            for &conns in &conns_axis {
-                let at = format!("conns={conns} reactors={reactors}");
-                eprintln!("reactor replay: {conns} connections x {reactors} reactors...");
-                let replay = run_reactor_load_at(&recorded, conns, reactors, true);
-                assert_eq!(replay.errors, 0, "{at}: protocol errors in the replay");
-                assert_eq!(
-                    replay.accepted, recorded.accepted,
-                    "{at}: accepted population diverged"
-                );
-                assert_eq!(
-                    replay.rejected, recorded.rejected,
-                    "{at}: rejected population diverged"
-                );
-                if assert_stages {
-                    // The CI metrics-smoke contract: a loaded reactor must
-                    // have sampled the full request lifecycle, and flushes
-                    // take real time (the post-write clock read exists
-                    // precisely so this is measurable).
-                    for name in [
-                        "accept", "parse", "queue", "solve", "respond", "flush", "total",
-                    ] {
-                        let stage = replay
-                            .stages
-                            .iter()
-                            .find(|s| s.stage == name)
-                            .unwrap_or_else(|| panic!("{at}: stage {name} missing"));
-                        assert!(
-                            stage.count > 0,
-                            "{at}: stage {name} recorded no samples under load"
-                        );
-                        if name == "flush" {
-                            assert!(stage.p50_us > 0.0, "{at}: flush p50 is zero under load");
-                        }
-                    }
-                }
-                if row > 0 {
-                    reactor_json.push(',');
-                }
-                row += 1;
-                reactor_json.push_str(&format!(
-                    "\n    {{\"conns\":{conns},\"reactors\":{reactors},\"window\":{},\
-                     \"wall_secs\":{:.4},\
-                     \"throughput_rps\":{:.1},\"p50_us\":{:.1},\"p95_us\":{:.1},\
-                     \"p99_us\":{:.1},\"accepted\":{},\"rejected\":{},\
-                     \"stages\":{}}}",
-                    replay.window,
-                    replay.wall_secs,
-                    replay.throughput_rps(),
-                    replay.percentile_us(0.50),
-                    replay.percentile_us(0.95),
-                    replay.percentile_us(0.99),
-                    replay.accepted,
-                    replay.rejected,
-                    stage_json(&replay.stages, "    "),
-                ));
-            }
-        }
-        reactor_json.push_str("\n  ]");
-    }
+    // ---- The solver floor, and the determinism oracle: the same seeded
+    // workload recorded on a bare engine must reproduce the pool's
+    // populations exactly, or nothing replayed from it is comparable.
+    let recorded = record_workload(&config);
+    assert_eq!(
+        (recorded.accepted, recorded.rejected),
+        (report.accepted, report.rejected),
+        "recorded and in-process populations diverged — generator determinism broke"
+    );
+    let floor = requests as f64 / recorded.solve_secs;
 
     // ---- Telemetry overhead gate: identical workload, telemetry on vs
     // off, compared on process CPU time rather than wall clock. Wall
@@ -324,6 +240,7 @@ fn main() {
     json.push_str(&format!("  \"rejected\": {},\n", report.rejected));
     json.push_str(&format!("  \"wall_secs\": {:.4},\n", report.wall_secs));
     json.push_str(&format!("  \"throughput_rps\": {throughput:.1},\n"));
+    json.push_str(&format!("  \"solver_floor_rps\": {floor:.1},\n"));
     json.push_str(&format!("  \"p50_us\": {p50:.1},\n"));
     json.push_str(&format!("  \"p95_us\": {p95:.1},\n"));
     json.push_str(&format!("  \"p99_us\": {p99:.1},\n"));
@@ -351,8 +268,8 @@ fn main() {
     ));
     json.push_str("  },\n");
     json.push_str(&format!(
-        "  \"stage_latency\": {{\n    \"in_process\": {}\n  }}{overhead_json}{reactor_json}\n",
-        stage_json(&report.stages, "    ")
+        "  \"stage_latency\": {{\n    \"in_process\": {}\n  }}{overhead_json}\n",
+        stage_json(&report.stages)
     ));
     json.push_str("}\n");
 

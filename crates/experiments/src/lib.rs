@@ -27,38 +27,69 @@ pub mod sweep;
 pub use fig5::{run_fig5, PeriodProtocol, SchemeAggregate};
 pub use report::{results_dir, write_figure_csv, TextTable};
 pub use service::{
-    record_workload, run_reactor_load, run_reactor_load_at, run_reactor_load_with,
-    run_service_load, run_service_load_with, ReactorLoadReport, RecordedWorkload, ServiceConfig,
+    record_workload, run_service_load, run_service_load_with, RecordedWorkload, ServiceConfig,
     ServiceReport,
 };
 pub use stats::{percent_faster, Summary};
 pub use store::{SweepStore, SCHEMA_VERSION};
 pub use sweep::{default_jobs, run_sweep, SweepConfig, SweepResult};
 
+/// Exits with status 2 after naming what was wrong with the command
+/// line: a binary refuses what it cannot honour instead of guessing.
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2);
+}
+
+/// The value after `flag`, parsed; `None` when the flag is absent. A
+/// missing or unparsable value is a usage error: a malformed budget must
+/// not run as no budget, nor a malformed size as the default.
+fn arg_value<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let at = args.iter().position(|a| a == flag)?;
+    let Some(value) = args.get(at + 1) else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    match value.parse() {
+        Ok(parsed) => Some(parsed),
+        Err(_) => usage_error(&format!("{flag} {value:?} is not a number")),
+    }
+}
+
 /// Parses `--flag N` style arguments with a default, plus `--full`
 /// overrides. An explicit `--flag N` always wins over `--full`, so e.g.
 /// `--full --jobs 2` caps the worker count while still running the
-/// paper-scale sweep. Tiny on purpose — no CLI dependency.
+/// paper-scale sweep. Tiny on purpose — no CLI dependency. A flag given
+/// without a value, or with one that does not parse, exits with status 2
+/// naming the flag.
 #[must_use]
 pub fn arg_usize(args: &[String], flag: &str, default: usize, full_value: usize) -> usize {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(if args.iter().any(|a| a == "--full") {
-            full_value
-        } else {
-            default
-        })
+    arg_value(args, flag).unwrap_or(if arg_present(args, "--full") {
+        full_value
+    } else {
+        default
+    })
 }
 
-/// Parses an optional `--flag X` floating-point argument.
+/// Parses an optional `--flag X` floating-point argument. A flag given
+/// without a value, or with one that does not parse, exits with status 2
+/// naming the flag.
 #[must_use]
 pub fn arg_f64(args: &[String], flag: &str) -> Option<f64> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    arg_value(args, flag)
+}
+
+/// Exits with status 2 naming the first argument that is neither one of
+/// `flags` (each of which takes the argument after it as its value) nor
+/// one of `switches`: a mistyped flag must not run as if it were absent.
+pub fn reject_unknown_args(args: &[String], flags: &[&str], switches: &[&str]) {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if flags.contains(&arg.as_str()) {
+            args.next();
+        } else if !switches.contains(&arg.as_str()) {
+            usage_error(&format!("unknown argument {arg:?}"));
+        }
+    }
 }
 
 /// Whether a bare `--flag` switch is present.

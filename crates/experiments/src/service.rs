@@ -23,21 +23,20 @@
 //! emit them. Every request's latency is measured from batch submission
 //! to response arrival; the populations (accepted / rejected / errors)
 //! are deterministic per seed and identical for every shard count, which
-//! is what the benchmark and the CI smoke job assert.
+//! is what `service_bench` and its CI job assert.
+//!
+//! [`record_workload`] records the same seeded stream once against a bare
+//! engine. perfbench, the repository benchmark under `perfbench/`, replays
+//! that recording over TCP against the real daemons; this crate drives no
+//! TCP load of its own.
 
-use std::collections::{HashMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Barrier};
+use std::collections::HashMap;
 use std::time::Instant;
 
 use ids_sim::reactive::{ModalMonitor, SweepOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::engine::{AdaptEngine, Request, Response, RtSpec};
-use rts_adapt::json::{self, Json};
-use rts_adapt::proto::render_request;
-use rts_adapt::reactor::{bind_reuseport_listeners, serve_reactors, ReactorOptions, Shutdown};
 use rts_adapt::shard::{ShardReport, ShardedEngine};
 use rts_adapt::telemetry::{StageSummary, Telemetry};
 use rts_analysis::semi::CarryInStrategy;
@@ -384,7 +383,7 @@ fn random_arrival_spec(rng: &mut StdRng) -> MonitorSpec {
 }
 
 /// The seeded request generator behind both the in-process load and the
-/// recorded (reactor/TCP) workload: fleet state, batch-windowed draws,
+/// recorded workload perfbench replays: fleet state, batch-windowed draws,
 /// verdict reconciliation. Both consumers must consume the RNG
 /// identically, so the draw and reconcile steps live here exactly once —
 /// this is what keeps the recorded stream's verdict populations
@@ -586,9 +585,10 @@ impl StreamGenerator {
 /// Because tenants are fully independent and each tenant's events are in
 /// stream order, replaying this stream — through any engine, any shard
 /// count, any connection fan-out that preserves per-tenant order —
-/// reproduces the populations bit-identically. This is what lets the
-/// reactor benchmark drive real TCP connections while still asserting
-/// the exact populations of the in-process baseline.
+/// reproduces the populations bit-identically. This is what lets
+/// perfbench replay it over real TCP connections against the daemons
+/// while still asserting the exact populations of the in-process
+/// baseline.
 #[derive(Clone, Debug)]
 pub struct RecordedWorkload {
     /// The configuration that was recorded.
@@ -768,447 +768,6 @@ pub fn run_service_load_with(config: &ServiceConfig, telemetry_on: bool) -> Serv
     }
 }
 
-/// Outcome of one reactor (TCP) replay at a fixed connection count.
-#[derive(Clone, Debug)]
-pub struct ReactorLoadReport {
-    /// Connections opened against the reactor (idle ones included when
-    /// there are more connections than tenants).
-    pub conns: usize,
-    /// `SO_REUSEPORT` reactor threads that served the replay.
-    pub reactors: usize,
-    /// Pipelining window per connection during the timed stream.
-    pub window: usize,
-    /// Wall time of the timed stream (setup excluded).
-    pub wall_secs: f64,
-    /// Client-side send→receive latencies in microseconds, sorted.
-    pub latencies_us: Vec<f64>,
-    /// Stream requests answered `accept`.
-    pub accepted: u64,
-    /// Stream requests answered `reject`.
-    pub rejected: u64,
-    /// Stream requests answered anything else (must be zero).
-    pub errors: u64,
-    /// Server-side per-stage latency summaries, fetched over the wire
-    /// with `{"op":"metrics"}` after the timed stream (all eight
-    /// lifecycle stages; zero counts when the reactor ran with
-    /// telemetry off). This is the breakdown that localizes the fan-in
-    /// ceiling to a stage instead of a guess.
-    pub stages: Vec<StageSummary>,
-}
-
-impl ReactorLoadReport {
-    /// Responses received during the timed stream.
-    #[must_use]
-    pub fn responses(&self) -> u64 {
-        self.accepted + self.rejected + self.errors
-    }
-
-    /// Requests per second over the timed stream.
-    #[must_use]
-    pub fn throughput_rps(&self) -> f64 {
-        if self.wall_secs == 0.0 {
-            0.0
-        } else {
-            self.latencies_us.len() as f64 / self.wall_secs
-        }
-    }
-
-    /// Latency percentile (`q` in `(0, 1]`), in microseconds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no latencies were recorded or `q` is out of range.
-    #[must_use]
-    pub fn percentile_us(&self, q: f64) -> f64 {
-        percentile(&self.latencies_us, q)
-    }
-}
-
-/// The tenant a request addresses (every protocol request names one).
-fn tenant_of(request: &Request) -> u64 {
-    match request {
-        Request::Register { tenant, .. }
-        | Request::Delta { tenant, .. }
-        | Request::Query { tenant }
-        | Request::Export { tenant }
-        | Request::Import { tenant, .. }
-        | Request::Evict { tenant }
-        | Request::Replicate { tenant, .. }
-        | Request::Adopt { tenant } => *tenant,
-    }
-}
-
-/// Queries a live serving front for its metrics report over one fresh
-/// connection and returns the parsed JSON line (panics on a malformed
-/// answer — the metrics verb is part of the protocol surface under
-/// test).
-fn fetch_metrics(addr: SocketAddr) -> Json {
-    let mut sock = TcpStream::connect(addr).expect("connect for the metrics query");
-    sock.write_all(b"{\"op\":\"metrics\"}\n")
-        .expect("metrics request write");
-    let mut reader = BufReader::new(sock);
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("metrics response read");
-    let value = json::parse(line.trim()).expect("metrics response is valid JSON");
-    assert_eq!(
-        value.get("verdict").and_then(Json::as_str),
-        Some("metrics"),
-        "unexpected metrics answer: {line}"
-    );
-    value
-}
-
-/// Asserts the metrics line carries every cataloged series block — the
-/// structural half of the CI `metrics-smoke` contract (value-level
-/// assertions live in `service_bench`). Every unified counter family
-/// must be present: connection gauges, shard snapshots, stage
-/// histograms, solver and walk phase counters, shared-store and journal
-/// counters, and the slow-request ring.
-fn verify_metrics_catalog(metrics: &Json) {
-    for key in [
-        "conns",
-        "reactors",
-        "shards",
-        "stages",
-        "solver",
-        "walks",
-        "shared_store",
-        "journal",
-        "slow",
-    ] {
-        assert!(
-            metrics.get(key).is_some(),
-            "metrics answer is missing the {key:?} block"
-        );
-    }
-    for (block, fields) in [
-        ("conns", &["live", "refused", "max"][..]),
-        (
-            "solver",
-            &[
-                "selections",
-                "probes",
-                "cascades",
-                "cascade_tasks",
-                "mean_cascade_tasks",
-            ][..],
-        ),
-        (
-            "walks",
-            &["walks", "evals", "quick_confirms", "mean_evals"][..],
-        ),
-        (
-            "shared_store",
-            &["hits", "misses", "entries", "flushes"][..],
-        ),
-        (
-            "journal",
-            &["appends", "snapshots", "fsyncs", "commits", "torn_tails"][..],
-        ),
-    ] {
-        let value = metrics.get(block).expect("presence checked above");
-        for field in fields {
-            assert!(
-                value.get(field).is_some(),
-                "metrics {block:?} block is missing {field:?}"
-            );
-        }
-    }
-    // The reactors block is an array with one entry per serving reactor,
-    // each carrying the full per-reactor gauge/counter catalog.
-    let reactors = metrics
-        .get("reactors")
-        .and_then(Json::as_array)
-        .expect("metrics reactors block is an array");
-    assert!(!reactors.is_empty(), "metrics reactors array is empty");
-    for entry in reactors {
-        for field in [
-            "reactor",
-            "live",
-            "refused",
-            "max",
-            "flush_passes",
-            "iovecs_written",
-        ] {
-            assert!(
-                entry.get(field).is_some(),
-                "metrics reactors entry is missing {field:?}"
-            );
-        }
-    }
-}
-
-/// Extracts the per-stage summaries from a parsed metrics line, in the
-/// report's stage order.
-fn parse_stage_summaries(metrics: &Json) -> Vec<StageSummary> {
-    let stages = metrics.get("stages").expect("metrics carries stages");
-    rts_adapt::telemetry::Stage::ALL
-        .iter()
-        .map(|stage| {
-            let entry = stages
-                .get(stage.name())
-                .unwrap_or_else(|| panic!("metrics stages missing {:?}", stage.name()));
-            let field = |key: &str| {
-                entry
-                    .get(key)
-                    .and_then(Json::as_f64)
-                    .unwrap_or_else(|| panic!("stage {:?} missing {key}", stage.name()))
-            };
-            StageSummary {
-                stage: stage.name().to_string(),
-                count: entry
-                    .get("count")
-                    .and_then(Json::as_u64)
-                    .expect("stage count"),
-                p50_us: field("p50_us"),
-                p90_us: field("p90_us"),
-                p99_us: field("p99_us"),
-                max_us: field("max_us"),
-                mean_us: field("mean_us"),
-            }
-        })
-        .collect()
-}
-
-#[derive(Default)]
-struct ClientTotals {
-    latencies_us: Vec<f64>,
-    accepted: u64,
-    rejected: u64,
-    errors: u64,
-}
-
-/// Windowed pipelining over one connection: at most `window` requests
-/// outstanding, so neither side's backlog can deadlock the replay. In
-/// the timed phase every response's send→receive latency is recorded;
-/// in the untimed setup phase error verdicts are fatal (the recorded
-/// setup never errors).
-fn pump(
-    writer: &mut TcpStream,
-    reader: &mut BufReader<TcpStream>,
-    lines: &[String],
-    window: usize,
-    timed: bool,
-    totals: &mut ClientTotals,
-) {
-    let mut sent = 0usize;
-    let mut received = 0usize;
-    let mut stamps: VecDeque<Instant> = VecDeque::with_capacity(window);
-    let mut line = String::new();
-    while received < lines.len() {
-        while sent < lines.len() && sent - received < window {
-            writer
-                .write_all(lines[sent].as_bytes())
-                .expect("request write");
-            writer.write_all(b"\n").expect("request write");
-            if timed {
-                stamps.push_back(Instant::now());
-            }
-            sent += 1;
-        }
-        line.clear();
-        let n = reader.read_line(&mut line).expect("response read");
-        assert!(n > 0, "reactor closed the connection mid-replay");
-        if timed {
-            let stamp = stamps.pop_front().expect("a stamp per response");
-            totals
-                .latencies_us
-                .push(stamp.elapsed().as_nanos() as f64 / 1000.0);
-            if line.contains("\"verdict\":\"accept\"") {
-                totals.accepted += 1;
-            } else if line.contains("\"verdict\":\"reject\"") {
-                totals.rejected += 1;
-            } else {
-                totals.errors += 1;
-            }
-        } else {
-            assert!(
-                !line.contains("\"verdict\":\"error\""),
-                "setup request errored over TCP: {line}"
-            );
-        }
-        received += 1;
-    }
-}
-
-/// One client connection of the reactor replay: untimed setup, a
-/// barrier, the timed stream, a barrier (idle connections — empty
-/// scripts — just hold their slot open across the timed phase).
-fn drive_connection(
-    addr: SocketAddr,
-    setup: Vec<String>,
-    stream: Vec<String>,
-    window: usize,
-    start: &Barrier,
-    finish: &Barrier,
-) -> ClientTotals {
-    let sock = TcpStream::connect(addr).expect("connect to the reactor");
-    sock.set_nodelay(true).expect("set TCP_NODELAY");
-    let mut reader = BufReader::new(sock.try_clone().expect("clone the stream"));
-    let mut writer = sock;
-    let mut totals = ClientTotals::default();
-    pump(
-        &mut writer,
-        &mut reader,
-        &setup,
-        window.max(16),
-        false,
-        &mut totals,
-    );
-    start.wait();
-    pump(&mut writer, &mut reader, &stream, window, true, &mut totals);
-    finish.wait();
-    totals
-}
-
-/// Replays a recorded workload against a live [`serve_reactors`] front over
-/// real TCP with `conns` connections. Tenants are assigned to
-/// connections with per-tenant affinity (a tenant's requests all ride
-/// one connection, in stream order), which is the only ordering the
-/// verdict populations need — so `accepted`/`rejected` must equal the
-/// recorded run's exactly, at every connection count. When `conns`
-/// exceeds the tenant count, the surplus connections are opened and
-/// held idle across the timed phase: the connection axis then also
-/// measures the reactor's slot-table overhead, not just parallelism.
-///
-/// The per-connection pipelining window is scaled so roughly 64
-/// requests are outstanding across the whole replay regardless of the
-/// connection count, keeping the shard queues saturated without
-/// letting queueing dominate the client-side latencies.
-///
-/// # Panics
-///
-/// Panics on connection failures, on a reactor error, or if the replay
-/// loses a request.
-#[must_use]
-pub fn run_reactor_load(workload: &RecordedWorkload, conns: usize) -> ReactorLoadReport {
-    run_reactor_load_at(workload, conns, 1, true)
-}
-
-/// [`run_reactor_load`] with the reactor's telemetry switched on or
-/// off. The populations are identical either way; with telemetry off
-/// the post-run metrics query still answers, with every stage at zero
-/// count.
-///
-/// # Panics
-///
-/// As [`run_reactor_load`].
-#[must_use]
-pub fn run_reactor_load_with(
-    workload: &RecordedWorkload,
-    conns: usize,
-    telemetry: bool,
-) -> ReactorLoadReport {
-    run_reactor_load_at(workload, conns, 1, telemetry)
-}
-
-/// The full replay: `reactors` `SO_REUSEPORT` reactor threads over one
-/// shared shard pool (`reactors == 1` is the classic single-reactor
-/// serve). The kernel spreads the client connections across the
-/// listeners, so which reactor serves a given tenant varies run to run —
-/// but per-tenant order still holds (affinity keeps a tenant on one
-/// connection, and a connection lives on one reactor), so the verdict
-/// populations must equal the recorded run's at every point of the
-/// (conns × reactors) grid.
-///
-/// # Panics
-///
-/// As [`run_reactor_load`].
-#[must_use]
-pub fn run_reactor_load_at(
-    workload: &RecordedWorkload,
-    conns: usize,
-    reactors: usize,
-    telemetry: bool,
-) -> ReactorLoadReport {
-    assert!(conns >= 1, "at least one connection");
-    assert!(reactors >= 1, "at least one reactor");
-    let active = conns.min(workload.config.tenants.max(1));
-    let window = (64 / active).max(1);
-    let listeners =
-        bind_reuseport_listeners("127.0.0.1:0".parse().expect("loopback address"), reactors)
-            .expect("bind the reactor listeners");
-    let addr = listeners[0].local_addr().expect("listener address");
-    let shutdown = Shutdown::new();
-    let server = {
-        let shutdown = Arc::clone(&shutdown);
-        let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, workload.config.shards);
-        // The global budget is split evenly across reactors but the
-        // kernel's SO_REUSEPORT hash is not: give every reactor's share
-        // room for the whole client fleet so an uneven spread can never
-        // refuse a replay connection (the +8 keeps the post-run metrics
-        // query connectable).
-        options.max_conns = (conns + 8) * reactors;
-        options.telemetry = telemetry;
-        std::thread::spawn(move || serve_reactors(listeners, &options, &shutdown))
-    };
-
-    // Tenant ids start at 1; affinity keeps a tenant's setup and stream
-    // on one connection, in order.
-    let conn_of = |tenant: u64| ((tenant - 1) as usize) % active;
-    let mut setup: Vec<Vec<String>> = vec![Vec::new(); conns];
-    for request in &workload.setup {
-        setup[conn_of(tenant_of(request))].push(render_request(request));
-    }
-    let mut stream: Vec<Vec<String>> = vec![Vec::new(); conns];
-    for request in &workload.stream {
-        stream[conn_of(tenant_of(request))].push(render_request(request));
-    }
-
-    let start = Arc::new(Barrier::new(conns + 1));
-    let finish = Arc::new(Barrier::new(conns + 1));
-    let clients: Vec<_> = setup
-        .into_iter()
-        .zip(stream)
-        .map(|(setup, stream)| {
-            let start = Arc::clone(&start);
-            let finish = Arc::clone(&finish);
-            std::thread::spawn(move || {
-                drive_connection(addr, setup, stream, window, &start, &finish)
-            })
-        })
-        .collect();
-
-    start.wait();
-    let started = Instant::now();
-    finish.wait();
-    let wall_secs = started.elapsed().as_secs_f64();
-
-    let mut totals = ClientTotals::default();
-    for client in clients {
-        let t = client.join().expect("client thread");
-        totals.latencies_us.extend(t.latencies_us);
-        totals.accepted += t.accepted;
-        totals.rejected += t.rejected;
-        totals.errors += t.errors;
-    }
-    // The timed stream is over (the finish barrier passed); fetch the
-    // server-side stage breakdown before asking the reactor to drain.
-    // `max_conns = conns + 8` left headroom for exactly this query.
-    let metrics = fetch_metrics(addr);
-    verify_metrics_catalog(&metrics);
-    let stages = parse_stage_summaries(&metrics);
-    shutdown.request();
-    server
-        .join()
-        .expect("reactor thread")
-        .expect("reactor run failed");
-    totals
-        .latencies_us
-        .sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    ReactorLoadReport {
-        conns,
-        reactors,
-        window,
-        wall_secs,
-        latencies_us: totals.latencies_us,
-        accepted: totals.accepted,
-        rejected: totals.rejected,
-        errors: totals.errors,
-        stages,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1244,6 +803,13 @@ mod tests {
     #[test]
     fn verdict_populations_are_shard_invariant() {
         let base = run_service_load(&tiny());
+        let recorded = record_workload(&tiny());
+        assert_eq!(recorded.stream.len(), 300);
+        assert_eq!(
+            (recorded.accepted, recorded.rejected),
+            (base.accepted, base.rejected),
+            "the recording and the pool must agree"
+        );
         for shards in [1, 3] {
             let run = run_service_load(&ServiceConfig { shards, ..tiny() });
             assert_eq!(run.accepted, base.accepted, "shards={shards}");
@@ -1278,30 +844,13 @@ mod tests {
         );
     }
 
-    /// The TCP replay reproduces the recorded populations exactly at
-    /// every point of the (connections × reactors) grid — including
-    /// more connections than tenants (the surplus held idle) and more
-    /// reactors than connections (the surplus listeners never accept).
-    #[test]
-    fn reactor_replay_reproduces_recorded_populations_at_any_fan_out() {
-        let recorded = record_workload(&tiny());
-        assert_eq!(recorded.stream.len(), 300);
-        for (conns, reactors) in [(1, 1), (3, 1), (7, 1), (1, 2), (3, 2), (7, 4)] {
-            let replay = run_reactor_load_at(&recorded, conns, reactors, true);
-            let at = format!("conns={conns} reactors={reactors}");
-            assert_eq!(replay.responses(), 300, "{at}");
-            assert_eq!(replay.errors, 0, "{at}");
-            assert_eq!(replay.accepted, recorded.accepted, "{at}");
-            assert_eq!(replay.rejected, recorded.rejected, "{at}");
-            assert!(replay.percentile_us(0.5) > 0.0);
-        }
-    }
-
     /// The determinism pin for the telemetry spine: histograms are
     /// observers, never participants. The same workload produces
-    /// bit-identical verdict populations with telemetry on and off —
-    /// in-process and over TCP — while the stage counts flip between
-    /// "every request sampled" and "nothing recorded at all".
+    /// bit-identical verdict populations with telemetry on and off,
+    /// while the stage counts flip between "every request sampled" and
+    /// "nothing recorded at all". The reactor's side of the same pin is
+    /// `proto_torture::stdin_and_reactor_fronts_answer_byte_identically`
+    /// in the `rts-adapt` crate.
     #[test]
     fn telemetry_never_changes_the_populations() {
         let on = run_service_load_with(&tiny(), true);
@@ -1330,14 +879,5 @@ mod tests {
                 "stage {name} sampled with telemetry off"
             );
         }
-
-        // Over TCP with telemetry off: same populations, and the metrics
-        // verb still answers with the full (all-zero) catalog.
-        let recorded = record_workload(&tiny());
-        let replay = run_reactor_load_with(&recorded, 3, false);
-        assert_eq!(replay.errors, 0);
-        assert_eq!(replay.accepted, recorded.accepted);
-        assert_eq!(replay.rejected, recorded.rejected);
-        assert!(replay.stages.iter().all(|s| s.count == 0));
     }
 }

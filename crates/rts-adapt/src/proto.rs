@@ -717,8 +717,9 @@ pub fn render_metrics_text(seq: u64, report: &MetricsReport) -> String {
 
 /// Renders one request as a protocol line (no trailing newline) — the
 /// inverse of [`parse_request`] for every op, pinned by a round-trip
-/// test. Protocol *clients* use this: the reactor benchmark replays a
-/// recorded workload over real TCP connections with it.
+/// test. Protocol *clients* use this: the replication forwarder ships
+/// its appends with it, and perfbench replays a recorded workload over
+/// real TCP connections to the daemons with it.
 #[must_use]
 pub fn render_request(request: &Request) -> String {
     let mut out = String::with_capacity(96);
@@ -1374,6 +1375,39 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!((1.5..2.0).contains(&p50), "{p50}");
+        assert!(parsed.get("shards").and_then(Json::as_array).is_some());
+        for (block, fields) in [
+            ("conns", &["live", "refused", "max"][..]),
+            (
+                "solver",
+                &[
+                    "selections",
+                    "probes",
+                    "cascades",
+                    "cascade_tasks",
+                    "mean_cascade_tasks",
+                ][..],
+            ),
+            (
+                "walks",
+                &["walks", "evals", "quick_confirms", "mean_evals"][..],
+            ),
+            (
+                "shared_store",
+                &["hits", "misses", "entries", "flushes"][..],
+            ),
+            (
+                "journal",
+                &["appends", "snapshots", "fsyncs", "commits", "torn_tails"][..],
+            ),
+        ] {
+            let value = parsed
+                .get(block)
+                .unwrap_or_else(|| panic!("block {block} missing"));
+            for field in fields {
+                assert!(value.get(field).is_some(), "{block}.{field}");
+            }
+        }
         let reactors = parsed.get("reactors").and_then(Json::as_array).unwrap();
         assert_eq!(reactors.len(), 2);
         for field in [

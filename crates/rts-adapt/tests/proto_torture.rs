@@ -13,9 +13,10 @@
 //! flight, a thousand idle connections under one active one, over-cap
 //! refusal — plus the parity pin: the same scripted sessions through
 //! the stdin pump and over reactor connections (at *different* shard
-//! counts) must produce byte-identical response streams, and an
-//! orderly reactor shutdown must lose no accepted delta from the
-//! journal.
+//! counts, reactor counts and telemetry settings) must produce
+//! byte-identical response streams, a loaded journaled reactor must
+//! sample every lifecycle stage, and an orderly reactor shutdown must
+//! lose no accepted delta from the journal.
 
 mod common;
 
@@ -24,9 +25,10 @@ use std::net::{SocketAddr, TcpStream};
 
 use common::{retry, spawn_reactor, spawn_reactors_on, Client, Served, TempDir};
 use rts_adapt::journal::JournalDir;
+use rts_adapt::json::{self, Json};
 use rts_adapt::reactor::{bind_reuseport_listeners, ReactorOptions};
 use rts_adapt::server::{serve, ServeSummary};
-use rts_adapt::ShardedEngine;
+use rts_adapt::{ShardedEngine, Stage};
 use rts_analysis::semi::CarryInStrategy;
 
 /// Serves `input` on a fresh 2-shard engine and returns the summary and
@@ -437,8 +439,12 @@ fn run_scripts(addr: SocketAddr, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
 /// garbage, mode flips, queries, with per-tenant stream affinity —
 /// through the stdin pump at 1 shard (one `serve` stream per script)
 /// and over reactor connections at 3 shards produce **byte-identical
-/// response streams**. Verdict populations are therefore invariant to
-/// both the serving front and the shard count.
+/// response streams** on every reactor front: one reactor, four
+/// `SO_REUSEPORT` reactors over one pool, and two reactors with
+/// telemetry off. Verdict populations are therefore invariant to the
+/// serving front, the shard count, the reactor count and telemetry
+/// (histograms observe, never participate); with telemetry off the
+/// metrics verb still answers, every stage at zero count.
 #[test]
 fn stdin_and_reactor_fronts_answer_byte_identically() {
     let scripts: Vec<Vec<String>> = (0..6u64)
@@ -472,15 +478,102 @@ fn stdin_and_reactor_fronts_answer_byte_identically() {
         .map(|script| serve_lines(&mut engine, &(script.join("\n") + "\n"), 8).1)
         .collect();
     let _ = engine.shutdown();
-    let (addr, shutdown, handle) = spawn_reactor(reactor(3, 16));
-    let tcp = run_scripts(addr, &scripts);
-    shutdown.request();
-    let summary = handle.join().unwrap().unwrap();
-
-    assert_eq!(stdin, tcp, "per-stream answers must match");
     let expected: usize = scripts.iter().map(Vec::len).sum();
-    assert_eq!(summary.requests, expected as u64);
-    assert_eq!(summary.responses, expected as u64);
+    for (reactors, telemetry) in [(1, true), (4, true), (2, false)] {
+        let front = format!("{reactors} reactors, telemetry {telemetry}");
+        let (addr, shutdown, handle) = spawn_reactors_on(
+            bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), reactors).unwrap(),
+            ReactorOptions {
+                telemetry,
+                ..reactor(3, 64)
+            },
+        );
+        let tcp = run_scripts(addr, &scripts);
+        let verbs = usize::from(!telemetry);
+        if !telemetry {
+            let metrics = Client::connect(addr).request("{\"op\":\"metrics\"}");
+            for stage in Stage::ALL {
+                assert_eq!(
+                    stage_field(&metrics, stage, "count").and_then(|v| v.as_u64()),
+                    Some(0),
+                    "{front}: stage {} sampled: {metrics}",
+                    stage.name()
+                );
+            }
+        }
+        shutdown.request();
+        let summary = handle.join().unwrap().unwrap();
+
+        assert_eq!(stdin, tcp, "{front}: per-stream answers must match");
+        assert_eq!(summary.requests, (expected + verbs) as u64, "{front}");
+        assert_eq!(summary.responses, (expected + verbs) as u64, "{front}");
+    }
+}
+
+/// `field` of `stage` in a metrics answer line; `None` if the line does
+/// not parse or lacks either.
+fn stage_field(metrics: &str, stage: Stage, field: &str) -> Option<Json> {
+    json::parse(metrics)
+        .ok()?
+        .get("stages")?
+        .get(stage.name())?
+        .get(field)
+        .cloned()
+}
+
+/// The lifecycle pin under load, over TCP: two connections pipelining
+/// engine requests for four tenants through a journaled reactor leave
+/// samples in every stage of the metrics answer — `persist`, which only
+/// a journaling worker records, included — and flushes take measurable
+/// time (a zero p50 means the post-write clock read was lost).
+#[test]
+fn a_loaded_journaled_reactor_samples_every_lifecycle_stage() {
+    let dir = TempDir::new("torture_stages");
+    let (addr, shutdown, handle) = spawn_reactor(ReactorOptions {
+        journal: Some(JournalDir::at(dir.path())),
+        ..reactor(2, 8)
+    });
+    // Two tenants per connection, 62 requests each: 248 engine requests.
+    let scripts: Vec<Vec<String>> = [[1u64, 2], [3, 4]]
+        .iter()
+        .map(|tenants| {
+            let mut script = Vec::new();
+            for t in tenants {
+                script.push(REGISTER.replace("\"tenant\":1", &format!("\"tenant\":{t}")));
+                script.push(format!(
+                    "{{\"op\":\"arrival\",\"tenant\":{t},\"passive_ms\":5342,\"t_max_ms\":10000}}"
+                ));
+            }
+            for i in 0..60 {
+                let mode = if i % 2 == 0 { "active" } else { "passive" };
+                for t in tenants {
+                    script.push(format!(
+                        "{{\"op\":\"mode\",\"tenant\":{t},\"slot\":0,\"mode\":\"{mode}\"}}"
+                    ));
+                }
+            }
+            script
+        })
+        .collect();
+    for answer in run_scripts(addr, &scripts).iter().flatten() {
+        assert!(!answer.contains("\"verdict\":\"error\""), "{answer}");
+    }
+    let metrics = Client::connect(addr).request("{\"op\":\"metrics\"}");
+    for stage in Stage::ALL {
+        let count = stage_field(&metrics, stage, "count").and_then(|v| v.as_u64());
+        assert!(
+            count.is_some_and(|c| c > 0),
+            "stage {} recorded no samples under load: {metrics}",
+            stage.name()
+        );
+    }
+    let flush_p50 = stage_field(&metrics, Stage::Flush, "p50_us").and_then(|v| v.as_f64());
+    assert!(
+        flush_p50.is_some_and(|p| p > 0.0),
+        "flush p50 is zero under load: {metrics}"
+    );
+    shutdown.request();
+    handle.join().unwrap().unwrap();
 }
 
 /// The observability parity pin: `stats`, `metrics`, and the Prometheus
