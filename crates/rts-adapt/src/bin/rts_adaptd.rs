@@ -5,8 +5,8 @@
 //! ```sh
 //! rts_adaptd [--shards N] [--batch N] [--strategy topdiff|exhaustive]
 //!            [--tcp ADDR] [--reactors N] [--max-conns N]
-//!            [--journal DIR] [--compact-every N] [--retain-archives N]
-//!            [--replicate-to ADDR --source ID] [--no-telemetry]
+//!            [--journal DIR] [--compact-every N]
+//!            [--replicate-to ADDR --source ID]
 //! ```
 //!
 //! Without `--tcp` the daemon speaks the line protocol on stdin/stdout
@@ -39,8 +39,7 @@
 //! `rts_adapt::journal`). A tenant's journal is automatically compacted
 //! to a registration + snapshot pair once its tail reaches
 //! `--compact-every` accepted deltas (default 512; `0` disables
-//! compaction). `--retain-archives N` keeps only the newest N retired/
-//! corrupt archive generations per tenant (default: keep everything).
+//! compaction). Every retired or corrupt archive generation is kept.
 //! The `export` / `import` / `evict` protocol verbs hand a
 //! tenant off between two daemons (see the README's Operations section
 //! for the runbook).
@@ -57,9 +56,8 @@
 //! stream after the serve loop drains.
 //!
 //! Telemetry (stage-latency histograms, the slow-request ring, the
-//! `{"op":"metrics"}` verb — see `rts_adapt::telemetry`) is on by
-//! default in every mode; `--no-telemetry` selects the zero-clock-read
-//! path: the metrics verb still answers, with every histogram empty.
+//! `{"op":"metrics"}` verb — see `rts_adapt::telemetry`) is always on,
+//! in every mode; its CPU overhead is gated at 2 % in CI.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read};
@@ -77,12 +75,10 @@ use rts_analysis::semi::CarryInStrategy;
 
 const USAGE: &str = "usage: rts_adaptd [--shards N] [--batch N] \
     [--strategy topdiff|exhaustive] [--tcp ADDR] [--reactors N] [--max-conns N] \
-    [--journal DIR] [--compact-every N] [--retain-archives N] \
-    [--replicate-to ADDR --source ID] [--no-telemetry]";
+    [--journal DIR] [--compact-every N] [--replicate-to ADDR --source ID]";
 
-/// Every flag that takes a value (`--no-telemetry` is the one that
-/// does not).
-const VALUE_FLAGS: [&str; 11] = [
+/// Every flag the daemon takes; each takes a value.
+const FLAGS: [&str; 10] = [
     "--shards",
     "--batch",
     "--strategy",
@@ -91,7 +87,6 @@ const VALUE_FLAGS: [&str; 11] = [
     "--max-conns",
     "--journal",
     "--compact-every",
-    "--retain-archives",
     "--replicate-to",
     "--source",
 ];
@@ -109,12 +104,12 @@ fn flag_values(args: &[String]) -> HashMap<&str, &str> {
     let mut values = HashMap::new();
     let mut args = args.iter();
     while let Some(flag) = args.next() {
-        if VALUE_FLAGS.contains(&flag.as_str()) {
+        if FLAGS.contains(&flag.as_str()) {
             let value = args
                 .next()
                 .unwrap_or_else(|| usage(format!("{flag} needs a value")));
             values.insert(flag.as_str(), value.as_str());
-        } else if flag != "--no-telemetry" {
+        } else {
             usage(format!("unknown argument {flag:?}"));
         }
     }
@@ -163,10 +158,8 @@ fn main() {
     };
     let max_conns = parsed(&values, "--max-conns").unwrap_or(64usize);
     let compact_every = parsed(&values, "--compact-every").unwrap_or(512usize);
-    let retain_archives = parsed(&values, "--retain-archives").unwrap_or(0usize);
     let replicate_to: Option<SocketAddr> = parsed(&values, "--replicate-to");
     let tcp: Option<SocketAddr> = parsed(&values, "--tcp");
-    let telemetry_on = !args.iter().any(|a| a == "--no-telemetry");
 
     // Replication piggybacks on the journal: the replicator mirrors
     // every journal-file mutation to the standby, and self-heals from
@@ -176,9 +169,7 @@ fn main() {
     let mut replicator: Option<Replicator> = None;
     let journal = match values.get("--journal") {
         Some(dir) => {
-            let mut journal = JournalDir::at(dir)
-                .with_compaction(compact_every)
-                .with_archive_retention(retain_archives);
+            let mut journal = JournalDir::at(dir).with_compaction(compact_every);
             if let Some(standby) = replicate_to {
                 // No default source id: two primaries sharing one
                 // standby with the same id would defeat the standby's
@@ -223,7 +214,6 @@ fn main() {
             let mut options = ReactorOptions::new(strategy, shards);
             options.journal = journal;
             options.max_conns = max_conns;
-            options.telemetry = telemetry_on;
             let shutdown = Shutdown::new();
             let watcher = Arc::clone(&shutdown);
             // Stdin EOF (Ctrl-D, or the supervisor closing the pipe)
@@ -252,13 +242,8 @@ fn main() {
             flush_replication(replicator.as_ref());
         }
         None => {
-            let telemetry = if telemetry_on {
-                Telemetry::new()
-            } else {
-                Telemetry::off()
-            };
             let mut engine =
-                ShardedEngine::with_telemetry(strategy, shards, journal, None, telemetry);
+                ShardedEngine::with_telemetry(strategy, shards, journal, None, Telemetry::new());
             let stdin = io::stdin().lock();
             let stdout = io::stdout().lock();
             let result = serve(&mut engine, BufReader::new(stdin), stdout, batch);

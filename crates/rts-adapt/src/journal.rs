@@ -721,14 +721,13 @@ pub(crate) fn write_whole(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// A directory of per-tenant journals, with an optional automatic
-/// compaction policy that the owning engine consults, an optional
-/// archive-retention cap, and an optional replication stream that
-/// mirrors every journal mutation to a warm standby.
+/// compaction policy that the owning engine consults and an optional
+/// replication stream that mirrors every journal mutation to a warm
+/// standby.
 #[derive(Clone, Debug)]
 pub struct JournalDir {
     dir: PathBuf,
     compact_every: Option<usize>,
-    retain_archives: Option<usize>,
     replicate: Option<crate::replication::Replicator>,
 }
 
@@ -759,7 +758,6 @@ impl JournalDir {
         let dir = JournalDir {
             dir: dir.into(),
             compact_every: None,
-            retain_archives: None,
             replicate: None,
         };
         sweep_stray_tmp(&dir.dir);
@@ -793,23 +791,6 @@ impl JournalDir {
         self.compact_every
     }
 
-    /// Caps how many `.jsonl.retired` / `.jsonl.corrupt` archives are
-    /// kept per tenant (`0` disables the cap). The coordinator's
-    /// rebalancing retires a journal on every hand-off, so an unbounded
-    /// fleet would otherwise grow archives without limit; with a cap,
-    /// each new archive prunes the oldest ones beyond `keep`.
-    #[must_use]
-    pub fn with_archive_retention(mut self, keep: usize) -> Self {
-        self.retain_archives = (keep > 0).then_some(keep);
-        self
-    }
-
-    /// The archive-retention cap, if enabled.
-    #[must_use]
-    pub fn retain_archives(&self) -> Option<usize> {
-        self.retain_archives
-    }
-
     /// Attaches a replication stream: every journal mutation (begin,
     /// append, snapshot rewrite, retire) is mirrored to the replicator —
     /// appends once their group commit has synced them — which forwards
@@ -836,7 +817,6 @@ impl JournalDir {
         JournalDir {
             dir: self.dir.join("replica"),
             compact_every: None,
-            retain_archives: self.retain_archives,
             replicate: None,
         }
     }
@@ -1068,8 +1048,7 @@ impl JournalDir {
     /// resurrect a tenant that now lives on another daemon, while every
     /// retired history stays on disk for the operator. Repeated
     /// evict/re-register cycles (the coordinator's rebalancing does
-    /// this constantly) therefore never destroy an earlier archive;
-    /// [`JournalDir::with_archive_retention`] bounds how many are kept.
+    /// this constantly) therefore never destroy an earlier archive.
     ///
     /// # Errors
     ///
@@ -1085,53 +1064,36 @@ impl JournalDir {
         result
     }
 
-    /// The existing archives of one tenant and kind, as
-    /// `(generation, path)` pairs. The unsuffixed archive is
-    /// generation 0; later ones carry `.1`, `.2`, … — generations are
-    /// monotonically increasing, so ascending generation is exactly
-    /// age order even after retention pruned older entries.
-    fn archives(&self, tenant: u64, kind: &str) -> Vec<(u64, PathBuf)> {
+    /// The newest archive generation of one tenant and kind, if any.
+    /// The unsuffixed archive is generation 0; later ones carry `.1`,
+    /// `.2`, ….
+    fn latest_archive(&self, tenant: u64, kind: &str) -> Option<u64> {
         let prefix = format!("tenant_{tenant}.jsonl.{kind}");
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Vec::new();
-        };
-        let mut found: Vec<(u64, PathBuf)> = entries
+        std::fs::read_dir(&self.dir)
+            .ok()?
             .filter_map(|entry| {
-                let entry = entry.ok()?;
-                let name = entry.file_name();
+                let name = entry.ok()?.file_name();
                 let rest = name.to_str()?.strip_prefix(&prefix)?;
-                let generation = if rest.is_empty() {
-                    0
+                if rest.is_empty() {
+                    Some(0)
                 } else {
-                    rest.strip_prefix('.')?.parse().ok()?
-                };
-                Some((generation, entry.path()))
+                    rest.strip_prefix('.')?.parse().ok()
+                }
             })
-            .collect();
-        found.sort_unstable_by_key(|&(generation, _)| generation);
-        found
+            .max()
     }
 
-    /// Renames a journal aside to a unique archive name of `kind` and
-    /// applies the retention cap. Missing journals are a no-op (and
-    /// leave the archive set untouched).
+    /// Renames a journal aside to a unique archive name of `kind`.
+    /// Missing journals are a no-op (and leave the archive set
+    /// untouched).
     fn archive_aside(&self, tenant: u64, kind: &str) -> io::Result<()> {
         let path = self.path_for(tenant);
-        let existing = self.archives(tenant, kind);
-        let target = match existing.last() {
+        let target = match self.latest_archive(tenant, kind) {
             None => path.with_extension(format!("jsonl.{kind}")),
-            Some(&(latest, _)) => path.with_extension(format!("jsonl.{kind}.{}", latest + 1)),
+            Some(latest) => path.with_extension(format!("jsonl.{kind}.{}", latest + 1)),
         };
         match std::fs::rename(&path, &target) {
-            Ok(()) => {
-                if let Some(keep) = self.retain_archives {
-                    let total = existing.len() + 1;
-                    for (_, old) in existing.into_iter().take(total.saturating_sub(keep)) {
-                        let _ = std::fs::remove_file(old);
-                    }
-                }
-                Ok(())
-            }
+            Ok(()) => Ok(()),
             Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e),
         }
@@ -1659,6 +1621,13 @@ mod tests {
             std::fs::read_to_string(dir.path_for(6).with_extension("jsonl.retired.1")).unwrap();
         assert_eq!(first.lines().count(), 1);
         assert_eq!(second.lines().count(), 2);
+        // Generations keep counting past the first suffixed one, and
+        // every earlier archive is kept.
+        dir.begin_tenant(6, 1, &rt).unwrap();
+        dir.retire_tenant(6).unwrap();
+        assert!(dir.path_for(6).with_extension("jsonl.retired.2").exists());
+        assert!(dir.path_for(6).with_extension("jsonl.retired").exists());
+        assert!(dir.path_for(6).with_extension("jsonl.retired.1").exists());
         // Retiring an absent journal is fine, and plants no archive.
         dir.retire_tenant(42).unwrap();
         assert!(!dir.path_for(42).with_extension("jsonl.retired").exists());
@@ -1746,40 +1715,6 @@ mod tests {
             "a replica view swept another worker's in-flight rewrite"
         );
         let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn archive_retention_prunes_oldest_generations() {
-        let dir = JournalDir::at(
-            std::env::temp_dir().join(format!("hydra_journal_retain_{}", std::process::id())),
-        )
-        .with_archive_retention(2);
-        assert_eq!(dir.retain_archives(), Some(2));
-        assert_eq!(
-            dir.clone().with_archive_retention(0).retain_archives(),
-            None
-        );
-        let rt = [RtSpec {
-            wcet: ms(10),
-            period: ms(100),
-            core: 0,
-        }];
-        for _ in 0..4 {
-            dir.begin_tenant(9, 1, &rt).unwrap();
-            dir.retire_tenant(9).unwrap();
-        }
-        // Generations 0..=3 were written; only the newest two survive.
-        assert!(!dir.path_for(9).with_extension("jsonl.retired").exists());
-        assert!(!dir.path_for(9).with_extension("jsonl.retired.1").exists());
-        assert!(dir.path_for(9).with_extension("jsonl.retired.2").exists());
-        assert!(dir.path_for(9).with_extension("jsonl.retired.3").exists());
-        // The next retirement keeps counting upward — age order stays
-        // generation order even after pruning.
-        dir.begin_tenant(9, 1, &rt).unwrap();
-        dir.retire_tenant(9).unwrap();
-        assert!(!dir.path_for(9).with_extension("jsonl.retired.2").exists());
-        assert!(dir.path_for(9).with_extension("jsonl.retired.4").exists());
-        let _ = std::fs::remove_dir_all(dir.dir);
     }
 
     #[test]

@@ -37,6 +37,10 @@ fn unknown_flags_and_unparsable_values_exit_with_usage() {
     let retired = ["--", "threaded"].concat();
     for args in [
         &[retired.as_str()][..],
+        // Archive pruning and the telemetry switch are gone too: every
+        // archive generation is kept and telemetry is always on.
+        &["--retain-archives", "2"],
+        &["--no-telemetry"],
         &["--shards", "abc"],
         &["--max-conns", "1O"],
         &["--tcp"],

@@ -20,7 +20,10 @@
 //! for them errors until `recover` declares their data restored (see
 //! `rts_coord::Coordinator::mark_recovered`). Every answer is one JSON
 //! line; rebalance/failover answers carry the move list and any
-//! per-tenant errors. Exit: stdin EOF.
+//! per-tenant errors. Blank lines are skipped. Exit: stdin EOF.
+//!
+//! The daemon takes no arguments: any argument exits with status 2 and
+//! the usage line.
 
 use std::io::{self, BufRead, Write};
 use std::net::SocketAddr;
@@ -156,7 +159,13 @@ fn handle_line(coordinator: &mut Coordinator, line: &str) -> String {
     }
 }
 
+const USAGE: &str = "usage: rts_coordd  (no arguments; line JSON on stdin, answers on stdout)";
+
 fn main() {
+    if let Some(arg) = std::env::args().nth(1) {
+        eprintln!("rts_coordd: unknown argument {arg:?}\n{USAGE}");
+        std::process::exit(2);
+    }
     let mut coordinator = Coordinator::new(RetryPolicy::default());
     let stdin = io::stdin().lock();
     let mut stdout = io::stdout().lock();

@@ -1,5 +1,5 @@
 //! UUniFast (Bini & Buttazzo, 2005) — the classic utilization-vector
-//! generator, provided alongside [`crate::randfixedsum`] for ablations.
+//! generator, kept alongside [`crate::randfixedsum`] as its reference.
 //!
 //! UUniFast draws `n` utilizations summing to `s` in `O(n)` but, unlike
 //! Randfixedsum, does **not** constrain each value to `[0, 1]`: for
@@ -8,9 +8,9 @@
 //! and the paper's Table 3 — prefer Randfixedsum for multicore sweeps.
 //! [`uunifast_discard`] implements the standard discard workaround —
 //! unbiased, but with an acceptance rate that collapses at high total
-//! utilization; the `table3_generation` bench quantifies the speed gap
-//! and the statistics test below cross-validates the two generators'
-//! marginals against each other.
+//! utilization. The statistics test below cross-validates the two
+//! generators' marginals against each other, which makes it the
+//! reference check on Randfixedsum.
 
 use rand::Rng;
 

@@ -10,6 +10,10 @@
 //! $ cargo run --bin hydra -- example > rover.sys   # print a template spec
 //! ```
 //!
+//! A missing or unparsable value, or an argument the subcommand does
+//! not take, exits with status 2 and the usage text; an unreadable or
+//! malformed spec exits with status 1.
+//!
 //! Spec format (one directive per line, `#` comments):
 //!
 //! ```text
@@ -269,46 +273,76 @@ fn analyze(path: &str, strategy: CarryInStrategy, simulate_s: Option<u64>) -> Ex
     ExitCode::SUCCESS
 }
 
+const USAGE: &str = "\
+usage: hydra <analyze|example> [...]
+  hydra example                   print a template specification
+  hydra analyze <spec-file>       integrate + report
+    --strategy exhaustive|topdiff carry-in handling (default topdiff)
+    --simulate SECONDS            validate the selection in simulation";
+
+/// `hydra analyze`'s command line: the spec file, the carry-in strategy
+/// and the simulated seconds. An unknown flag, a second spec file, or a
+/// flag whose value is missing or does not parse is an error naming it.
+fn analyze_args(args: &[String]) -> Result<(&str, CarryInStrategy, Option<u64>), String> {
+    let mut path = None;
+    let mut strategy = CarryInStrategy::TopDiff;
+    let mut simulate_s = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let mut value = || {
+            args.next()
+                .map(String::as_str)
+                .ok_or_else(|| format!("{arg} needs a value"))
+        };
+        match arg.as_str() {
+            "--strategy" => {
+                strategy = match value()? {
+                    "topdiff" => CarryInStrategy::TopDiff,
+                    "exhaustive" => CarryInStrategy::Exhaustive,
+                    other => {
+                        return Err(format!("--strategy `{other}`: use exhaustive or topdiff"))
+                    }
+                }
+            }
+            "--simulate" => {
+                let seconds = value()?;
+                let seconds = seconds
+                    .parse()
+                    .map_err(|e| format!("--simulate `{seconds}`: {e}"))?;
+                simulate_s = Some(seconds);
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown argument `{flag}`")),
+            spec if path.is_none() => path = Some(spec),
+            extra => return Err(format!("unexpected argument `{extra}`")),
+        }
+    }
+    let path = path.ok_or("missing <spec-file>")?;
+    Ok((path, strategy, simulate_s))
+}
+
+/// Names what the command line got wrong, prints the usage text and
+/// returns exit status 2.
+fn usage(error: &str) -> ExitCode {
+    eprintln!("error: {error}\n{USAGE}");
+    ExitCode::from(2)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("example") => {
-            print!("{EXAMPLE_SPEC}");
-            ExitCode::SUCCESS
-        }
-        Some("analyze") => {
-            let Some(path) = args.get(1) else {
-                eprintln!("usage: hydra analyze <spec-file> [--strategy exhaustive|topdiff] [--simulate SECONDS]");
-                return ExitCode::FAILURE;
-            };
-            let strategy = match args
-                .iter()
-                .position(|a| a == "--strategy")
-                .and_then(|i| args.get(i + 1))
-                .map(String::as_str)
-            {
-                Some("exhaustive") => CarryInStrategy::Exhaustive,
-                Some("topdiff") | None => CarryInStrategy::TopDiff,
-                Some(other) => {
-                    eprintln!("error: unknown strategy `{other}`");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let simulate_s = args
-                .iter()
-                .position(|a| a == "--simulate")
-                .and_then(|i| args.get(i + 1))
-                .and_then(|v| v.parse().ok());
-            analyze(path, strategy, simulate_s)
-        }
-        _ => {
-            eprintln!("usage: hydra <analyze|example> [...]");
-            eprintln!("  hydra example                   print a template specification");
-            eprintln!("  hydra analyze <spec-file>       integrate + report");
-            eprintln!("    --strategy exhaustive|topdiff carry-in handling (default topdiff)");
-            eprintln!("    --simulate SECONDS            validate the selection in simulation");
-            ExitCode::FAILURE
-        }
+        Some("example") => match args.get(1) {
+            Some(extra) => usage(&format!("unexpected argument `{extra}`")),
+            None => {
+                print!("{EXAMPLE_SPEC}");
+                ExitCode::SUCCESS
+            }
+        },
+        Some("analyze") => match analyze_args(&args[1..]) {
+            Ok((path, strategy, simulate_s)) => analyze(path, strategy, simulate_s),
+            Err(e) => usage(&e),
+        },
+        Some(other) => usage(&format!("unknown subcommand `{other}`")),
+        None => usage("missing subcommand"),
     }
 }
 
