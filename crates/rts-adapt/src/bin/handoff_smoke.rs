@@ -26,7 +26,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::client::{LineClient, RetryPolicy};
 use rts_adapt::journal::JournalDir;
-use rts_adapt::reactor::{serve_reactors, ReactorOptions, ReactorSummary, Shutdown};
+use rts_adapt::reactor::{serve_reactor, ReactorOptions, ReactorSummary, Shutdown};
 use rts_adapt::{json, Request, Response, ShardedEngine};
 use rts_analysis::semi::CarryInStrategy;
 
@@ -77,7 +77,7 @@ fn spawn_daemon(journal: JournalDir, shards: usize) -> Daemon {
     options.journal = Some(journal);
     let shutdown = Shutdown::new();
     let remote = Arc::clone(&shutdown);
-    let serving = std::thread::spawn(move || serve_reactors(vec![listener], &options, &remote));
+    let serving = std::thread::spawn(move || serve_reactor(listener, &options, &remote));
     (addr, shutdown, serving)
 }
 

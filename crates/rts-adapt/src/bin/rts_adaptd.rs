@@ -4,7 +4,7 @@
 //!
 //! ```sh
 //! rts_adaptd [--shards N] [--batch N] [--strategy topdiff|exhaustive]
-//!            [--tcp ADDR] [--reactors N] [--max-conns N]
+//!            [--tcp ADDR] [--reactors 1] [--max-conns N]
 //!            [--journal DIR] [--compact-every N]
 //!            [--replicate-to ADDR --source ID]
 //! ```
@@ -15,18 +15,17 @@
 //! buffered lines that stdin pump dispatches per round. With `--tcp
 //! ADDR` it binds the address and serves up to `--max-conns`
 //! connections (default 64) through the event-driven reactor
-//! (`rts_adapt::reactor`): epoll threads over one engine shard pool, no
-//! per-connection threads, batches sized adaptively by arrival rate.
-//! `--reactors N` (default 1) runs N reactors, each with its own
-//! `SO_REUSEPORT` listener on the same address — the kernel spreads
-//! connections across them and `--max-conns` becomes a global budget
-//! split evenly. An unknown flag, a missing value or a value that does
-//! not parse exits with status 2 and the usage line.
+//! (`rts_adapt::reactor`): one epoll loop over one engine shard pool,
+//! no per-connection threads, batches sized adaptively by arrival rate.
+//! `--reactors` takes only the value 1, which existing launch lines
+//! pass; the daemon always runs one reactor. An unknown flag, a missing
+//! value or a value that does not parse or is out of range exits with
+//! status 2 and the usage line.
 //!
 //! **Graceful shutdown**: in stdin mode, EOF ends the serve loop; in
 //! TCP mode, a watcher thread waits for stdin EOF (Ctrl-D, or the
-//! supervisor closing the pipe) and asks the reactors to drain — the
-//! listeners close, already-connected clients are served until quiet,
+//! supervisor closing the pipe) and asks the reactor to drain — the
+//! listener closes, already-connected clients are served until quiet,
 //! and the shard workers are joined. A shard worker answers only after
 //! the group commit that syncs the journal appends behind the answer,
 //! so an orderly stop loses no accepted delta.
@@ -61,12 +60,12 @@
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Read};
-use std::net::SocketAddr;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 
 use rts_adapt::client::RetryPolicy;
 use rts_adapt::journal::JournalDir;
-use rts_adapt::reactor::{bind_reuseport_listeners, serve_reactors, ReactorOptions, Shutdown};
+use rts_adapt::reactor::{serve_reactor, ReactorOptions, Shutdown};
 use rts_adapt::replication::Replicator;
 use rts_adapt::server::serve;
 use rts_adapt::shard::{ShardReport, ShardedEngine};
@@ -74,7 +73,7 @@ use rts_adapt::telemetry::Telemetry;
 use rts_analysis::semi::CarryInStrategy;
 
 const USAGE: &str = "usage: rts_adaptd [--shards N] [--batch N] \
-    [--strategy topdiff|exhaustive] [--tcp ADDR] [--reactors N] [--max-conns N] \
+    [--strategy topdiff|exhaustive] [--tcp ADDR] [--reactors 1] [--max-conns N] \
     [--journal DIR] [--compact-every N] [--replicate-to ADDR --source ID]";
 
 /// Every flag the daemon takes; each takes a value.
@@ -156,6 +155,11 @@ fn main() {
             "unknown strategy {other:?} (use topdiff or exhaustive)"
         )),
     };
+    if let Some(reactors) = parsed::<usize>(&values, "--reactors").filter(|&n| n != 1) {
+        usage(format!(
+            "--reactors {reactors}: the daemon runs one reactor"
+        ));
+    }
     let max_conns = parsed(&values, "--max-conns").unwrap_or(64usize);
     let compact_every = parsed(&values, "--compact-every").unwrap_or(512usize);
     let replicate_to: Option<SocketAddr> = parsed(&values, "--replicate-to");
@@ -203,13 +207,9 @@ fn main() {
 
     match tcp {
         Some(addr) => {
-            // Event-driven front end. With --reactors N, every listener
-            // binds the same address via SO_REUSEPORT so the kernel
-            // spreads incoming connections across the reactor threads.
-            let reactors = parsed(&values, "--reactors").unwrap_or(1usize).max(1);
-            let listeners = bind_reuseport_listeners(addr, reactors).unwrap_or_else(|e| fail(e));
-            if let Ok(local) = listeners[0].local_addr() {
-                eprintln!("rts_adaptd listening on {local} ({reactors} reactors)");
+            let listener = TcpListener::bind(addr).unwrap_or_else(|e| fail(e));
+            if let Ok(local) = listener.local_addr() {
+                eprintln!("rts_adaptd listening on {local}");
             }
             let mut options = ReactorOptions::new(strategy, shards);
             options.journal = journal;
@@ -229,8 +229,7 @@ fn main() {
                 }
                 watcher.request();
             });
-            let summary =
-                serve_reactors(listeners, &options, &shutdown).unwrap_or_else(|e| fail(e));
+            let summary = serve_reactor(listener, &options, &shutdown).unwrap_or_else(|e| fail(e));
             eprintln!(
                 "rts_adaptd: {} requests ({} parse errors), {} connections accepted, {} refused",
                 summary.requests,

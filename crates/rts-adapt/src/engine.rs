@@ -757,11 +757,22 @@ fn unknown_tenant(tenant: u64) -> Response {
     }
 }
 
+/// Most cores a platform may have. The analysis keeps per-core state, so
+/// an unbounded count lets one protocol line ask for an allocation whose
+/// failure aborts the whole daemon; this is far above the 2- and 4-core
+/// platforms of the paper and the benchmark.
+const MAX_CORES: usize = 1024;
+
 /// Builds the frozen RT [`System`] a registration describes: RM-sorts the
-/// `(task, core)` pairs together, validates tasks, platform and
-/// partition. Shared with [`crate::journal`]'s replay, which must freeze
-/// a replayed tenant exactly the way registration did.
+/// `(task, core)` pairs together, validates tasks, platform (at most
+/// [`MAX_CORES`] cores) and partition. Shared with [`crate::journal`]'s
+/// replay, which must freeze a replayed tenant exactly the way
+/// registration did, so register, import, adopt and journal recovery
+/// all refuse the same platforms.
 pub(crate) fn build_rt_system(cores: usize, rt: &[RtSpec]) -> Result<System, String> {
+    if cores > MAX_CORES {
+        return Err(format!("{cores} cores exceed the limit of {MAX_CORES}"));
+    }
     let platform = Platform::new(cores).map_err(|e| e.to_string())?;
     let mut specs = rt.to_vec();
     // Rate-monotonic order with the same tie-breaks as
@@ -1024,6 +1035,49 @@ mod tests {
             Response::Rejected { tenant: 4, .. }
         ));
         assert_eq!(engine.tenant_count(), 0);
+    }
+
+    /// A platform above the core bound is refused before anything is
+    /// sized by it: one line asking for 2^40 cores must be an error
+    /// answer, never an allocation that aborts the daemon.
+    #[test]
+    fn platforms_above_the_core_bound_are_answered_with_an_error() {
+        use crate::journal::TenantHistory;
+        assert!(build_rt_system(1 << 40, &[]).is_err());
+        assert!(build_rt_system(1024, &[]).is_ok());
+        // One core above the bound (`MAX_CORES` is 1 024).
+        let cores = 1025;
+        let rt = vec![RtSpec {
+            wcet: ms(240),
+            period: ms(500),
+            core: 0,
+        }];
+        let mut engine = AdaptEngine::new(CarryInStrategy::TopDiff);
+        let register = engine.handle(&Request::Register {
+            tenant: 1,
+            cores,
+            rt: rt.clone(),
+        });
+        assert!(
+            matches!(&register, Response::Error { tenant: 1, reason } if reason.contains("cores")),
+            "{register:?}"
+        );
+        let import = engine.handle(&Request::Import {
+            tenant: 2,
+            history: TenantHistory {
+                cores,
+                rt,
+                snapshot: None,
+                events: Vec::new(),
+            },
+        });
+        assert!(
+            matches!(&import, Response::Error { tenant: 2, reason } if reason.contains("cores")),
+            "{import:?}"
+        );
+        assert_eq!(engine.tenant_count(), 0);
+        // The engine keeps serving.
+        assert!(engine.handle(&rover_register(3)).is_admitted());
     }
 
     #[test]

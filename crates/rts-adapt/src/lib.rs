@@ -21,9 +21,9 @@
 //!   worker shards with request batching and per-tenant FIFO ordering;
 //! * [`json`] / [`proto`] — a dependency-free JSON subset and the
 //!   line-delimited wire protocol;
-//! * [`reactor`] — the TCP front end of the `rts_adaptd` binary: epoll
-//!   reactor threads (one per `SO_REUSEPORT` listener), each on its own
-//!   lane into one shard pool, with no per-connection threads;
+//! * [`reactor`] — the TCP front end of the `rts_adaptd` binary: one
+//!   epoll reactor that owns its listener, its connections and its shard
+//!   pool, with no per-connection threads;
 //! * [`server`] — the stdin front end: one request stream pumped
 //!   through the shard pool in batches;
 //! * [`telemetry`] — the observability spine: lock-free stage-latency
@@ -54,7 +54,7 @@
 //!   `ReplicaStore` owns the offset and owner guards, the owner
 //!   sidecars and the replica append group.
 //!
-//! # Why mode-aware re-admission is sound
+//! # What mode-aware re-admission verifies
 //!
 //! The conservative stance (`ids_sim::reactive`'s design-time
 //! integration, `ids-sim`'s `conservative_task`) admits every reactive
@@ -63,8 +63,8 @@
 //! inherits periods provisioned for the rare active one: monitoring runs
 //! *less frequently than schedulability allows* almost all the time.
 //! This service instead re-runs Algorithm 1 at every mode switch with
-//! the WCET vector of the modes actually entered. Schedulability is
-//! preserved because:
+//! the WCET vector of the modes actually entered. What is verified, and
+//! what is not yet:
 //!
 //! 1. **RT tasks are untouchable by construction.** Every security task
 //!    runs strictly below every RT task (the paper's priority bands), so
@@ -83,25 +83,29 @@
 //! 3. **Steady state is exactly the paper's analysis.** Within one
 //!    admitted configuration the task set is sporadic with fixed
 //!    parameters, and the admission RTA bounds the worst-case phasing
-//!    (synchronous release). The transition instant itself is handled
-//!    conservatively: a mode switch takes effect at the switching
-//!    monitor's next release, and the validation scenario
-//!    (`rts_sim::modes`) simulates every phase from a synchronous
-//!    release — the critical instant that dominates any phasing a switch
-//!    can produce within the new configuration. Security tasks that are
-//!    mid-job at the switch were admitted under the old configuration
-//!    whose bounds still cover them, because re-selection only ever
-//!    *shrinks* periods relative to the paper's `T^max` baseline and the
-//!    old configuration's analysis already charged each such job its own
-//!    full interference.
+//!    (synchronous release); the validation scenario (`rts_sim::modes`)
+//!    simulates every configuration on its own from a synchronous
+//!    release.
+//! 4. **The transition is not verified yet.** A mode switch takes effect
+//!    at the switching monitor's next release, so jobs of the old
+//!    configuration can still be pending when the new periods start.
+//!    Such a job is *not* covered by the old configuration's analysis:
+//!    when a de-escalation shrinks a higher-priority period while a
+//!    lower-priority job released under the old configuration is still
+//!    pending, that job meets more interference than the old analysis
+//!    charged it (the fixed-priority mode-change problem; Tindell, Burns
+//!    & Wellings, Real-Time Systems 1992). A scratch probe over admitted
+//!    Table 3 pairs found security deadline misses at some switch
+//!    instant in 44 of 134 pairs under TopDiff. RT deadlines are never
+//!    at risk (point 1). A switch rule the analysis covers is ROADMAP
+//!    item 1.
 //!
-//! Compared with the old always-conservative admission the service is
-//! therefore *never less safe* — it verifies strictly more (every
-//! configuration actually run, rather than one upper bound) — and
-//! strictly more useful: passive-mode periods come out of Algorithm 1's
-//! minimization for the passive WCETs, i.e. as short as the analysis can
-//! prove, instead of being inflated by an escalation that is not
-//! happening.
+//! Every configuration the service commits is therefore verified, where
+//! the old always-conservative admission verified one upper bound; and
+//! passive-mode periods come out of Algorithm 1's minimization for the
+//! passive WCETs, i.e. as short as the analysis can prove, instead of
+//! being inflated by an escalation that is not happening. The price is
+//! the unverified transition above.
 //!
 //! # Quickstart
 //!
@@ -159,9 +163,7 @@ pub mod prelude {
 pub use client::{connect_with_retry, LineClient, RetryPolicy};
 pub use engine::{AdaptEngine, Admitted, Request, Response, RtSpec};
 pub use journal::{replay, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
-pub use reactor::{
-    bind_reuseport_listeners, serve_reactors, ReactorOptions, ReactorSummary, Shutdown,
-};
+pub use reactor::{serve_reactor, ReactorOptions, ReactorSummary, Shutdown};
 pub use replication::{ReplPayload, ReplStats, Replicator};
 pub use server::serve;
 pub use shard::ShardedEngine;

@@ -356,22 +356,14 @@ pub struct ConnStats {
     pub max: usize,
 }
 
-/// One serving reactor's gauges and egress counters, as reported by the
-/// `stats` and `metrics` verbs. A single-reactor front and the stdin
-/// front report exactly one entry (reactor 0), so the field set —
-/// pinned by the cross-front byte-shape parity test — never depends on
-/// the front; the stdin front has no connections and no gathered
-/// egress, so its entry is all zeros.
+/// The serving reactor's egress counters, as reported by the `stats`
+/// and `metrics` verbs. Both fronts render them as the one entry of the
+/// `reactors` array (reactor 0), next to the [`ConnStats`] gauges that
+/// one reactor serves, so the field set — pinned by the cross-front
+/// byte-shape parity test — never depends on the front; the stdin front
+/// has no gathered egress, so its counters are zero.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReactorStats {
-    /// Reactor index (0-based).
-    pub reactor: usize,
-    /// Connections this reactor is currently serving.
-    pub live: usize,
-    /// Connections this reactor refused over its share of the cap.
-    pub refused: u64,
-    /// This reactor's share of the global `--max-conns` budget.
-    pub max: usize,
     /// Gathered-writev flush passes the reactor has run.
     pub flush_passes: u64,
     /// Total iovecs submitted across those passes (responses per
@@ -380,30 +372,24 @@ pub struct ReactorStats {
 }
 
 /// Opens a serving-layer answer with the prefix `stats` and `metrics`
-/// share — `seq`, `verdict`, the `conns` gauges, one `reactors` entry
-/// per serving reactor and one `shards` entry per shard (queue depth,
-/// handled count, memo statistics, tenant count) — leaving the object
-/// open for the caller to continue or close.
+/// share — `seq`, `verdict`, the `conns` gauges, the one-entry
+/// `reactors` array (the gauges again, with the egress counters) and
+/// one `shards` entry per shard (queue depth, handled count, memo
+/// statistics, tenant count) — leaving the object open for the caller
+/// to continue or close.
 fn write_front_prefix(out: &mut String, seq: u64, verdict: &str, report: &MetricsReport) {
-    let conns = report.conns;
+    let ConnStats { live, refused, max } = report.conns;
+    let ReactorStats {
+        flush_passes,
+        iovecs_written,
+    } = report.reactor;
     let _ = write!(
         out,
-        "{{\"seq\":{seq},\"verdict\":\"{verdict}\",\"conns\":{{\"live\":{},\"refused\":{},\
-         \"max\":{}}},\"reactors\":[",
-        conns.live, conns.refused, conns.max
+        "{{\"seq\":{seq},\"verdict\":\"{verdict}\",\"conns\":{{\"live\":{live},\
+         \"refused\":{refused},\"max\":{max}}},\"reactors\":[{{\"reactor\":0,\"live\":{live},\
+         \"refused\":{refused},\"max\":{max},\"flush_passes\":{flush_passes},\
+         \"iovecs_written\":{iovecs_written}}}],\"shards\":[",
     );
-    for (i, r) in report.reactors.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"reactor\":{},\"live\":{},\"refused\":{},\"max\":{},\
-             \"flush_passes\":{},\"iovecs_written\":{}}}",
-            r.reactor, r.live, r.refused, r.max, r.flush_passes, r.iovecs_written
-        );
-    }
-    out.push_str("],\"shards\":[");
     for (i, s) in report.shards.iter().enumerate() {
         if i > 0 {
             out.push(',');
@@ -427,11 +413,11 @@ fn write_front_prefix(out: &mut String, seq: u64, verdict: &str, report: &Metric
 }
 
 /// Renders the answer to the `stats` verb — the report's connection
-/// gauges, reactor entries and shard entries — as a single JSON line
-/// (no trailing newline).
+/// gauges, reactor entry and shard entries — as a single JSON line (no
+/// trailing newline).
 #[must_use]
 pub fn render_stats(seq: u64, report: &MetricsReport) -> String {
-    let mut out = String::with_capacity(192 + 96 * (report.shards.len() + report.reactors.len()));
+    let mut out = String::with_capacity(288 + 96 * report.shards.len());
     write_front_prefix(&mut out, seq, "stats", report);
     out.push('}');
     out
@@ -464,9 +450,8 @@ pub(crate) fn render_report(seq: u64, format: ReportFormat, report: &MetricsRepo
 pub struct MetricsReport {
     /// Connection gauges of the serving front (zeros on stdin).
     pub conns: ConnStats,
-    /// Per-reactor gauges and egress counters, ordered by reactor
-    /// index. The stdin front reports one all-zero entry (reactor 0).
-    pub reactors: Vec<ReactorStats>,
+    /// The reactor's egress counters (zeros on stdin).
+    pub reactor: ReactorStats,
     /// Per-shard live snapshots, ordered by shard index.
     pub shards: Vec<ShardSnapshot>,
     /// Stage-latency histograms in [`Stage::ALL`] order.
@@ -594,28 +579,15 @@ pub fn render_prometheus(report: &MetricsReport) -> String {
     let _ = writeln!(out, "rts_adapt_conns_refused {}", report.conns.refused);
     out.push_str("# TYPE rts_adapt_conns_max gauge\n");
     let _ = writeln!(out, "rts_adapt_conns_max {}", report.conns.max);
-    for (name, kind) in [
-        ("live", "gauge"),
-        ("refused", "counter"),
-        ("max", "gauge"),
-        ("flush_passes", "counter"),
-        ("iovecs_written", "counter"),
+    for (name, kind, value) in [
+        ("live", "gauge", report.conns.live as u64),
+        ("refused", "counter", report.conns.refused),
+        ("max", "gauge", report.conns.max as u64),
+        ("flush_passes", "counter", report.reactor.flush_passes),
+        ("iovecs_written", "counter", report.reactor.iovecs_written),
     ] {
         let _ = writeln!(out, "# TYPE rts_adapt_reactor_{name} {kind}");
-        for r in &report.reactors {
-            let value = match name {
-                "live" => r.live as u64,
-                "refused" => r.refused,
-                "max" => r.max as u64,
-                "flush_passes" => r.flush_passes,
-                _ => r.iovecs_written,
-            };
-            let _ = writeln!(
-                out,
-                "rts_adapt_reactor_{name}{{reactor=\"{}\"}} {value}",
-                r.reactor
-            );
-        }
+        let _ = writeln!(out, "rts_adapt_reactor_{name}{{reactor=\"0\"}} {value}");
     }
     for (name, kind) in [
         ("queue_depth", "gauge"),
@@ -1018,21 +990,16 @@ mod tests {
                 tenants: 2,
             },
         ];
-        let reactors = [ReactorStats {
-            reactor: 0,
-            live: 12,
-            refused: 4,
-            max: 64,
-            flush_passes: 5,
-            iovecs_written: 31,
-        }];
         let report = MetricsReport {
             conns: ConnStats {
                 live: 12,
                 refused: 4,
                 max: 64,
             },
-            reactors: reactors.to_vec(),
+            reactor: ReactorStats {
+                flush_passes: 5,
+                iovecs_written: 31,
+            },
             shards,
             ..sample_metrics_report()
         };
@@ -1055,12 +1022,22 @@ mod tests {
         assert_eq!(conns.get("max").and_then(Json::as_u64), Some(64));
         let rendered_reactors = parsed.get("reactors").and_then(Json::as_array).unwrap();
         assert_eq!(rendered_reactors.len(), 1);
-        assert_eq!(
-            rendered_reactors[0]
-                .get("iovecs_written")
-                .and_then(Json::as_u64),
-            Some(31)
-        );
+        // The one reactor serves every connection: its entry repeats
+        // the gauges next to its egress counters.
+        for (field, value) in [
+            ("reactor", 0),
+            ("live", 12),
+            ("refused", 4),
+            ("max", 64),
+            ("flush_passes", 5),
+            ("iovecs_written", 31),
+        ] {
+            assert_eq!(
+                rendered_reactors[0].get(field).and_then(Json::as_u64),
+                Some(value),
+                "reactors[0].{field}"
+            );
+        }
         let rendered_shards = parsed.get("shards").and_then(Json::as_array).unwrap();
         assert_eq!(rendered_shards.len(), 2);
         assert_eq!(
@@ -1273,24 +1250,10 @@ mod tests {
                 refused: 1,
                 max: 64,
             },
-            reactors: vec![
-                ReactorStats {
-                    reactor: 0,
-                    live: 2,
-                    refused: 1,
-                    max: 32,
-                    flush_passes: 6,
-                    iovecs_written: 18,
-                },
-                ReactorStats {
-                    reactor: 1,
-                    live: 1,
-                    refused: 0,
-                    max: 32,
-                    flush_passes: 4,
-                    iovecs_written: 9,
-                },
-            ],
+            reactor: ReactorStats {
+                flush_passes: 6,
+                iovecs_written: 18,
+            },
             shards: vec![ShardSnapshot {
                 shard: 0,
                 queue_depth: 2,
@@ -1409,7 +1372,7 @@ mod tests {
             }
         }
         let reactors = parsed.get("reactors").and_then(Json::as_array).unwrap();
-        assert_eq!(reactors.len(), 2);
+        assert_eq!(reactors.len(), 1);
         for field in [
             "reactor",
             "live",
@@ -1421,8 +1384,8 @@ mod tests {
             assert!(reactors[0].get(field).is_some(), "reactors[0].{field}");
         }
         assert_eq!(
-            reactors[1].get("flush_passes").and_then(Json::as_u64),
-            Some(4)
+            reactors[0].get("flush_passes").and_then(Json::as_u64),
+            Some(6)
         );
         let solver = parsed.get("solver").unwrap();
         assert_eq!(solver.get("probes").and_then(Json::as_u64), Some(40));
@@ -1471,7 +1434,9 @@ mod tests {
             "rts_adapt_journal_commits 3",
             "rts_adapt_journal_torn_tails 1",
             "rts_adapt_stage_latency_us_count{stage=\"persist\"} 1",
-            "rts_adapt_reactor_flush_passes{reactor=\"1\"} 4",
+            "rts_adapt_reactor_live{reactor=\"0\"} 3",
+            "rts_adapt_reactor_max{reactor=\"0\"} 64",
+            "rts_adapt_reactor_flush_passes{reactor=\"0\"} 6",
             "rts_adapt_reactor_iovecs_written{reactor=\"0\"} 18",
         ] {
             assert!(text.contains(series), "missing series {series}");

@@ -1,26 +1,21 @@
-//! The TCP front end: epoll reactors, lock-free shard queues, no
+//! The TCP front end: one epoll reactor over a lock-free shard pool, no
 //! per-connection threads.
 //!
-//! [`serve_reactors`] runs one non-blocking event loop over the
-//! vendored `mio` shim per listener: N independent reactor threads,
-//! each with its own listener (callers bind N > 1 of them with
-//! `SO_REUSEPORT` on one address, and the kernel spreads incoming
-//! connections across them) and its own submit/receive lane
-//! ([`EngineLane`]) over one shared shard pool. One reactor is the same
-//! code path with N = 1.
+//! [`serve_reactor`] runs one non-blocking event loop over the vendored
+//! `mio` shim on the caller's thread. The loop owns the listener, every
+//! connection and the [`ShardedEngine`] it builds at startup, so nothing
+//! it touches is shared with another front.
 //!
-//! * **Accept** — each listener is polled for readiness; connections
-//!   beyond the reactor's share of the global `--max-conns` budget are
-//!   refused with one protocol error line and closed, never queued.
+//! * **Accept** — the listener is polled for readiness; connections
+//!   beyond the `--max-conns` budget are refused with one protocol error
+//!   line and closed, never queued.
 //! * **Read** — per-connection buffers accumulate bytes until a newline;
 //!   complete lines are parsed and dispatched into the
 //!   [`ShardedEngine`]'s per-shard FIFO queues, tagged with a token that
 //!   packs `(connection slot, per-connection seq)` into the envelope's
-//!   `u64`; the lane id rides the top byte (see
-//!   [`crate::shard::LANE_SHIFT`]) so workers route each answer batch
-//!   back to the reactor that submitted it. No lock is ever taken on
-//!   the request path — a reactor is its lane's single producer, each
-//!   shard worker its single consumer.
+//!   `u64`. No lock is ever taken on the request path — the reactor is
+//!   each shard queue's single producer, each shard worker its single
+//!   consumer.
 //! * **Dispatch** — batches are sized adaptively by the observed
 //!   arrival rate: an EWMA of requests-per-pass sets the submit
 //!   threshold, so a sparse trickle dispatches immediately (no
@@ -33,7 +28,7 @@
 //!   reactor immediately instead of riding the next I/O event. The
 //!   completion path is batched end to end: a worker sends **one**
 //!   channel message carrying every answer of a dispatched batch and
-//!   rings the submitting lane's waker **once** per batch.
+//!   rings the waker **once** per batch.
 //! * **Write** — responses are re-ordered per connection by sequence
 //!   number (a connection's answers always arrive in line order,
 //!   exactly like the stdin front end's) and queued as one buffer per
@@ -66,18 +61,17 @@
 //! tenant's requests stay in submission order (they enter one FIFO in
 //! line order and tenants hash to exactly one shard), so verdict
 //! populations are bit-identical to the stdin front end and invariant
-//! to the shard count, the connection fan-out, *and* the reactor count
-//! — pinned by the parity suite in `tests/proto_torture.rs`.
+//! to the shard count and the connection fan-out — pinned by the parity
+//! suite in `tests/proto_torture.rs`.
 //!
 //! Graceful shutdown ([`Shutdown::request`], wired to stdin EOF by the
-//! daemon) wakes every reactor: each closes its listener so nothing new
+//! daemon) wakes the reactor: it closes its listener so nothing new
 //! connects, keeps serving what already-connected clients have sent,
 //! and exits once everything is quiet — nothing in flight, every answer
 //! flushed, no buffered complete line unparsed — bounded by a 10 s
-//! grace. Only after every reactor has exited is the pool
-//! shut down; a shard worker releases an answer only after its group
-//! commit has synced the journal appends behind it, so an orderly stop
-//! loses no accepted delta.
+//! grace. Only then is the pool shut down; a shard worker releases an
+//! answer only after its group commit has synced the journal appends
+//! behind it, so an orderly stop loses no accepted delta.
 //!
 //! Accepted sockets run with `TCP_NODELAY`: responses already leave in
 //! gathered writes, and Nagle would otherwise hold the tail of every
@@ -88,7 +82,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -100,7 +94,7 @@ use crate::engine::{Request, Response};
 use crate::journal::JournalDir;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
 use crate::server::{oversized_reason, MAX_LINE_BYTES};
-use crate::shard::{EngineLane, ResponseMeta, ShardReport, ShardedEngine};
+use crate::shard::{ResponseMeta, ShardReport, ShardedEngine};
 use crate::telemetry::{SlowRequest, Stage, Telemetry};
 
 /// The listener's poll token.
@@ -111,15 +105,13 @@ const WAKER: Token = Token(1);
 const CONN_BASE: usize = 2;
 
 /// Envelope-token split: the low 40 bits carry the per-connection line
-/// sequence, the next 16 the connection slot, and the top byte is left
-/// free for the lane id the submit stamps in
-/// ([`crate::shard::LANE_SHIFT`]). 2^40 lines per connection and 2^16
-/// simultaneous slots per reactor are both far beyond reach.
+/// sequence, the next 16 the connection slot. 2^40 lines per connection
+/// and 2^16 simultaneous slots are both far beyond reach.
 const SEQ_BITS: u32 = 40;
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 const SLOT_BITS: u32 = 16;
 const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
-/// Hard per-reactor slot bound implied by the token split.
+/// Hard slot bound implied by the token split.
 const MAX_SLOTS: usize = 1 << SLOT_BITS;
 
 /// Requests a connection may have in flight before it stops being read.
@@ -144,11 +136,11 @@ const DISPATCH_BATCH_MAX: usize = 512;
 /// dispatch threshold (≈ converges over the last ~10 passes).
 const ARRIVAL_EWMA_ALPHA: f64 = 0.2;
 
-/// Cross-thread shutdown request for running [`serve_reactors`] loops.
+/// Cross-thread shutdown request for a running [`serve_reactor`] loop.
 ///
 /// The daemon arms one of these against stdin EOF; tests call
 /// [`Shutdown::request`] directly. Requesting is idempotent and may
-/// happen before the reactors start (they then drain immediately).
+/// happen before the reactor starts (it then drains immediately).
 #[derive(Debug, Default)]
 pub struct Shutdown {
     requested: AtomicBool,
@@ -162,8 +154,8 @@ impl Shutdown {
         Arc::new(Shutdown::default())
     }
 
-    /// Asks every installed reactor to drain and exit; returns
-    /// immediately.
+    /// Asks every reactor serving under this handle to drain and exit;
+    /// returns immediately.
     pub fn request(&self) {
         self.requested.store(true, Ordering::Release);
         let wakers = self.wakers.lock().expect("shutdown waker lock poisoned");
@@ -178,7 +170,7 @@ impl Shutdown {
         self.requested.load(Ordering::Acquire)
     }
 
-    /// Installs one reactor's waker so a later `request` interrupts its
+    /// Installs a reactor's waker so a later `request` interrupts its
     /// poll; re-signals if the request already happened (the race is a
     /// request arriving between reactor startup and this install).
     fn install(&self, waker: Arc<Waker>) {
@@ -192,7 +184,7 @@ impl Shutdown {
     }
 }
 
-/// Configuration of one [`serve_reactors`] run. The front owns its
+/// Configuration of one [`serve_reactor`] run. The front owns its
 /// engine pool, so it is built from this spec rather than passed in.
 #[derive(Clone, Debug)]
 pub struct ReactorOptions {
@@ -203,9 +195,7 @@ pub struct ReactorOptions {
     /// Optional per-tenant journal persistence (replayed on startup).
     pub journal: Option<JournalDir>,
     /// Simultaneous-connection cap; connections beyond it are refused
-    /// with a protocol error line. This is a *global* budget split
-    /// evenly across the reactors (give each reactor at least one slot:
-    /// `max_conns >= reactors` is sane).
+    /// with a protocol error line. Clamped to at least one.
     pub max_conns: usize,
     /// Stage-latency telemetry (on by default). When off, the reactor
     /// takes zero clock reads on the hot path and every record call is
@@ -227,8 +217,8 @@ impl ReactorOptions {
     }
 }
 
-/// Totals of one [`serve_reactors`] run, summed across its reactors.
-#[derive(Debug)]
+/// Totals of one [`serve_reactor`] run.
+#[derive(Debug, Default)]
 pub struct ReactorSummary {
     /// Protocol lines received (including unparsable ones).
     pub requests: u64,
@@ -242,77 +232,6 @@ pub struct ReactorSummary {
     pub refused_conns: u64,
     /// Per-shard reports from the pool shutdown.
     pub reports: Vec<ShardReport>,
-}
-
-/// One reactor thread's counting totals, merged into a
-/// [`ReactorSummary`] once every reactor of a run has exited.
-#[derive(Debug, Default)]
-struct ReactorRun {
-    requests: u64,
-    responses: u64,
-    parse_errors: u64,
-    accepted_conns: u64,
-    refused_conns: u64,
-}
-
-impl ReactorRun {
-    fn absorb(&mut self, other: &ReactorRun) {
-        self.requests += other.requests;
-        self.responses += other.responses;
-        self.parse_errors += other.parse_errors;
-        self.accepted_conns += other.accepted_conns;
-        self.refused_conns += other.refused_conns;
-    }
-
-    fn into_summary(self, reports: Vec<ShardReport>) -> ReactorSummary {
-        ReactorSummary {
-            requests: self.requests,
-            responses: self.responses,
-            parse_errors: self.parse_errors,
-            accepted_conns: self.accepted_conns,
-            refused_conns: self.refused_conns,
-            reports,
-        }
-    }
-}
-
-/// One reactor's published gauges, readable by every sibling so any
-/// connection's `stats`/`metrics` answer covers the whole front. All
-/// loads/stores are relaxed — monitoring, not synchronization — and the
-/// owner batches its updates once per pass.
-#[derive(Debug)]
-struct ReactorGauges {
-    live: AtomicUsize,
-    refused: AtomicU64,
-    /// This reactor's share of the global connection budget (fixed).
-    max: usize,
-    flush_passes: AtomicU64,
-    iovecs_written: AtomicU64,
-}
-
-impl ReactorGauges {
-    fn with_max(max: usize) -> ReactorGauges {
-        ReactorGauges {
-            live: AtomicUsize::new(0),
-            refused: AtomicU64::new(0),
-            max,
-            flush_passes: AtomicU64::new(0),
-            iovecs_written: AtomicU64::new(0),
-        }
-    }
-}
-
-/// What every reactor of one front shares: the shard pool (each
-/// reactor submits and receives on its own [`EngineLane`]; the pool
-/// itself serves the observability snapshot), every reactor's
-/// published gauges, and the global connection budget.
-#[derive(Debug)]
-struct Front {
-    pool: ShardedEngine,
-    gauges: Vec<ReactorGauges>,
-    /// The whole front's budget (what refusal lines and the `conns`
-    /// gauge report).
-    global_max: usize,
 }
 
 /// A rendered answer awaiting its in-order turn, plus the trace stamps
@@ -447,9 +366,8 @@ impl Conn {
 
 struct Reactor {
     registry: Registry,
-    /// This reactor's private submit/receive path into the pool.
-    lane: EngineLane,
-    front: Arc<Front>,
+    /// The shard pool this reactor alone submits to and receives from.
+    pool: ShardedEngine,
     telemetry: Arc<Telemetry>,
     /// The pass tick: one monotonic clock read taken right after each
     /// `poll` return and reused for every event stamp in the pass (the
@@ -459,64 +377,31 @@ struct Reactor {
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
     live: usize,
-    /// This reactor's index into the front's gauges.
-    reactor_id: usize,
+    /// The connection budget (what refusal lines and the `conns` gauge
+    /// report).
+    max_conns: usize,
     draining: bool,
     /// Arrivals-per-pass EWMA driving the adaptive dispatch threshold.
     /// Starts at 1 (dispatch immediately) and grows under load.
     arrival_ewma: f64,
     /// Engine requests parsed so far in the current pass.
     pass_arrivals: u64,
-    /// This reactor's counting totals.
-    run: ReactorRun,
-    /// Gathered write syscalls issued (the per-reactor metric).
-    flush_passes: u64,
-    /// Iovecs submitted across those syscalls.
-    iovecs_written: u64,
+    /// The run's counting totals (`reports` is filled at shutdown).
+    run: ReactorSummary,
+    /// Gathered write syscalls issued and the iovecs they carried.
+    egress: ReactorStats,
 }
 
 impl Reactor {
-    /// Publishes this reactor's gauges for siblings (and its own next
-    /// `stats` answer) to read.
-    fn sync_gauges(&self) {
-        let gauges = &self.front.gauges[self.reactor_id];
-        gauges.live.store(self.live, Ordering::Relaxed);
-        gauges
-            .refused
-            .store(self.run.refused_conns, Ordering::Relaxed);
-        gauges
-            .flush_passes
-            .store(self.flush_passes, Ordering::Relaxed);
-        gauges
-            .iovecs_written
-            .store(self.iovecs_written, Ordering::Relaxed);
-    }
-
-    /// The observability report over *every* reactor of the front, own
-    /// gauges synced first: the per-reactor entries plus the summed
-    /// connection gauges, for the `stats`/`metrics` verbs.
+    /// The observability report for the `stats`/`metrics` verbs: the
+    /// connection gauges and egress counters plus the pool's snapshot.
     fn metrics_report(&self) -> proto::MetricsReport {
-        self.sync_gauges();
-        let reactors: Vec<ReactorStats> = self
-            .front
-            .gauges
-            .iter()
-            .enumerate()
-            .map(|(reactor, g)| ReactorStats {
-                reactor,
-                live: g.live.load(Ordering::Relaxed),
-                refused: g.refused.load(Ordering::Relaxed),
-                max: g.max,
-                flush_passes: g.flush_passes.load(Ordering::Relaxed),
-                iovecs_written: g.iovecs_written.load(Ordering::Relaxed),
-            })
-            .collect();
         let conns = ConnStats {
-            live: reactors.iter().map(|r| r.live).sum(),
-            refused: reactors.iter().map(|r| r.refused).sum(),
-            max: self.front.global_max,
+            live: self.live,
+            refused: self.run.refused_conns,
+            max: self.max_conns,
         };
-        self.front.pool.metrics_report(conns, reactors)
+        self.pool.metrics_report(conns, self.egress)
     }
 
     /// Accepts until the listener would block, refusing over the cap.
@@ -524,14 +409,14 @@ impl Reactor {
         while let Some(listener) = &self.listener {
             match listener.accept() {
                 Ok((stream, _peer)) => {
-                    if self.live >= self.front.gauges[self.reactor_id].max {
+                    if self.live >= self.max_conns {
                         self.run.refused_conns += 1;
                         // Best effort on a non-blocking socket: the
                         // refusal line is one small write into an empty
                         // send buffer, lost only if the peer is already
                         // gone.
                         let _ = stream.set_nonblocking(true);
-                        refuse_connection(stream, self.front.global_max);
+                        refuse_connection(stream, self.max_conns);
                         continue;
                     }
                     if stream.set_nonblocking(true).is_err() {
@@ -615,12 +500,11 @@ impl Reactor {
         }
     }
 
-    /// Drains every response the workers have finished for this
-    /// reactor, re-ordering each into its connection's pending map (or
-    /// dropping it if the connection died) and recording the slots that
-    /// need service.
+    /// Drains every response the workers have finished, re-ordering each
+    /// into its connection's pending map (or dropping it if the
+    /// connection died) and recording the slots that need service.
     fn route_responses(&mut self, touched: &mut Vec<usize>) {
-        while let Some((packed, response, meta)) = self.lane.try_recv_traced() {
+        while let Some((packed, response, meta)) = self.pool.try_recv_traced() {
             let idx = ((packed >> SEQ_BITS) & SLOT_MASK) as usize;
             let seq = packed & SEQ_MASK;
             let conn = self.conns[idx]
@@ -828,8 +712,8 @@ impl Reactor {
                     return;
                 }
                 Ok(n) => {
-                    self.flush_passes += 1;
-                    self.iovecs_written += slices.len() as u64;
+                    self.egress.flush_passes += 1;
+                    self.egress.iovecs_written += slices.len() as u64;
                     conn.sent += n as u64;
                     conn.backlog -= n;
                     let mut left = n;
@@ -929,18 +813,16 @@ impl Reactor {
     /// Submits whatever the pass has batched so far, if anything.
     fn submit(&mut self, batch: &mut Vec<(u64, Request, u64)>) {
         if !batch.is_empty() {
-            self.lane
+            self.pool
                 .submit_batch_traced(std::mem::take(batch), self.pass_ns);
         }
     }
 
-    /// Closes a pass: feeds the arrivals count into the dispatch EWMA
-    /// and publishes the gauges.
+    /// Closes a pass: feeds the arrivals count into the dispatch EWMA.
     fn end_pass(&mut self) {
         self.arrival_ewma = (1.0 - ARRIVAL_EWMA_ALPHA) * self.arrival_ewma
             + ARRIVAL_EWMA_ALPHA * self.pass_arrivals as f64;
         self.pass_arrivals = 0;
-        self.sync_gauges();
     }
 
     /// One connection's full service pass: parse what's buffered, flush
@@ -1004,247 +886,145 @@ impl Reactor {
             .flatten()
             .all(|conn| conn.dead || !conn.read_buf.contains(&b'\n'))
     }
+
+    /// The event loop: serves until a requested shutdown has drained
+    /// (or its grace ran out). Only poller failures are errors;
+    /// per-connection I/O errors only ever kill that connection.
+    fn run(&mut self, poll: &mut Poll, waker: &Waker, shutdown: &Shutdown) -> io::Result<()> {
+        let mut events = Events::with_capacity(1024);
+        let mut touched: Vec<usize> = Vec::new();
+        let mut batch: Vec<(u64, Request, u64)> = Vec::new();
+        let mut drain_deadline: Option<Instant> = None;
+        loop {
+            if shutdown.is_requested() && !self.draining {
+                touched.clear();
+                self.begin_drain(&mut touched);
+                drain_deadline = Some(Instant::now() + DRAIN_GRACE);
+                // Serve whatever the clients already sent us, right away.
+                self.route_responses(&mut touched);
+                for idx in std::mem::take(&mut touched) {
+                    self.service_conn(idx, &mut batch);
+                }
+                self.submit(&mut batch);
+            }
+            if self.draining && drain_deadline.is_some_and(|d| Instant::now() >= d) {
+                return Ok(());
+            }
+            let timeout = self.draining.then(|| Duration::from_millis(50));
+            poll.poll(&mut events, timeout)?;
+            // The pass tick: one clock read per poll iteration, taken
+            // after the (possibly long) wait so blocked time is never
+            // charged to a request, reused for every stamp below.
+            self.pass_ns = self.telemetry.now_ns();
+            let quiet = events.is_empty();
+
+            touched.clear();
+            let mut woken = false;
+            for event in &events {
+                match event.token() {
+                    LISTENER => self.accept_ready(),
+                    WAKER => woken = true,
+                    Token(t) => {
+                        let idx = t - CONN_BASE;
+                        self.conn_event(idx, event.is_readable(), event.is_error());
+                        touched.push(idx);
+                    }
+                }
+            }
+            if woken {
+                // Reset before draining: a wake arriving after the reset
+                // is a fresh edge for a response the drain below will
+                // miss.
+                waker.reset();
+            }
+            self.route_responses(&mut touched);
+            touched.sort_unstable();
+            touched.dedup();
+            for &idx in &touched {
+                self.service_conn(idx, &mut batch);
+            }
+            self.submit(&mut batch);
+            self.end_pass();
+            // Draining exit: a whole poll interval passed with no socket
+            // activity, nothing is in flight, every answer is flushed,
+            // and no buffered complete line awaits parsing.
+            if self.draining
+                && quiet
+                && self.pool.in_flight() == 0
+                && self.all_flushed()
+                && self.no_pending_lines()
+            {
+                return Ok(());
+            }
+        }
+    }
 }
 
-/// One reactor thread's event loop over an already-bound listener and
-/// its lane into the front's pool. Returns the run's totals; the lane
-/// (and this thread's hold on the front) drops on return, so the caller
-/// can shut the pool down once every reactor has exited.
-fn run_reactor(
+/// Serves `listener` on the caller's thread until `shutdown` is
+/// requested, then drains and returns the run's totals. The reactor
+/// creates its poll and waker first, then builds the shard pool from
+/// `options` with the waker as the workers' completion notifier, and
+/// shuts the pool down after the loop has exited. See the module docs
+/// for the architecture.
+///
+/// # Errors
+///
+/// Fatal poller errors (registration, `epoll_wait`) and listener setup
+/// failures; after a failure inside the loop the pool is still shut
+/// down before the error is returned. Per-connection I/O errors only
+/// ever kill that connection.
+pub fn serve_reactor(
     listener: TcpListener,
-    lane: EngineLane,
-    front: Arc<Front>,
-    reactor_id: usize,
+    options: &ReactorOptions,
     shutdown: &Shutdown,
-) -> io::Result<ReactorRun> {
+) -> io::Result<ReactorSummary> {
     listener.set_nonblocking(true)?;
     let mut poll = Poll::new()?;
     let listener_fd = listener.as_raw_fd();
     poll.registry()
         .register(&mut SourceFd(&listener_fd), LISTENER, Interest::READABLE)?;
     let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
-    shutdown.install(Arc::clone(&waker));
+    let registry = poll.registry().try_clone()?;
     let notify = Arc::clone(&waker);
-    lane.notify().install(Arc::new(move || {
-        let _ = notify.wake();
-    }));
-    let mut reactor = Reactor {
-        registry: poll.registry().try_clone()?,
-        lane,
-        telemetry: Arc::clone(front.pool.telemetry()),
-        front,
-        pass_ns: 0,
-        listener: Some(listener),
-        conns: Vec::new(),
-        free: Vec::new(),
-        live: 0,
-        reactor_id,
-        draining: false,
-        arrival_ewma: 1.0,
-        pass_arrivals: 0,
-        run: ReactorRun::default(),
-        flush_passes: 0,
-        iovecs_written: 0,
-    };
-
-    let mut events = Events::with_capacity(1024);
-    let mut touched: Vec<usize> = Vec::new();
-    let mut batch: Vec<(u64, Request, u64)> = Vec::new();
-    let mut drain_deadline: Option<Instant> = None;
-    loop {
-        if shutdown.is_requested() && !reactor.draining {
-            touched.clear();
-            reactor.begin_drain(&mut touched);
-            drain_deadline = Some(Instant::now() + DRAIN_GRACE);
-            // Serve whatever the clients already sent us, right away.
-            reactor.route_responses(&mut touched);
-            for idx in std::mem::take(&mut touched) {
-                reactor.service_conn(idx, &mut batch);
-            }
-            reactor.submit(&mut batch);
-        }
-        if reactor.draining && drain_deadline.is_some_and(|d| Instant::now() >= d) {
-            break;
-        }
-        let timeout = reactor.draining.then(|| Duration::from_millis(50));
-        poll.poll(&mut events, timeout)?;
-        // The pass tick: one clock read per poll iteration, taken after
-        // the (possibly long) wait so blocked time is never charged to a
-        // request, reused for every stamp below.
-        reactor.pass_ns = reactor.telemetry.now_ns();
-        let quiet = events.is_empty();
-
-        touched.clear();
-        let mut woken = false;
-        for event in &events {
-            match event.token() {
-                LISTENER => reactor.accept_ready(),
-                WAKER => woken = true,
-                Token(t) => {
-                    let idx = t - CONN_BASE;
-                    reactor.conn_event(idx, event.is_readable(), event.is_error());
-                    touched.push(idx);
-                }
-            }
-        }
-        if woken {
-            // Reset before draining: a wake arriving after the reset is
-            // a fresh edge for a response the drain below will miss.
-            waker.reset();
-        }
-        reactor.route_responses(&mut touched);
-        touched.sort_unstable();
-        touched.dedup();
-        for &idx in &touched {
-            reactor.service_conn(idx, &mut batch);
-        }
-        reactor.submit(&mut batch);
-        reactor.end_pass();
-        // Draining exit: a whole poll interval passed with no socket
-        // activity, nothing is in flight, every answer is flushed, and
-        // no buffered complete line awaits parsing.
-        if reactor.draining
-            && quiet
-            && reactor.lane.in_flight() == 0
-            && reactor.all_flushed()
-            && reactor.no_pending_lines()
-        {
-            break;
-        }
-    }
-
-    // Teardown: close every socket; dropping the reactor drops its lane
-    // (the workers stop routing to it) and its hold on the front.
-    reactor.conns.clear();
-    reactor.sync_gauges();
-    Ok(reactor.run)
-}
-
-/// Binds `n` `SO_REUSEPORT` listeners on one address for
-/// [`serve_reactors`]: the first bind resolves the address (so `:0`
-/// picks one ephemeral port), the remaining `n - 1` rebind the resolved
-/// address and the kernel spreads incoming connections across all of
-/// them. With `n == 1` this is a plain [`TcpListener::bind`] — no
-/// `SO_REUSEPORT` needed for a lone listener.
-///
-/// # Errors
-///
-/// Socket setup failures; IPv6 addresses are rejected by the shim.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-pub fn bind_reuseport_listeners(
-    addr: std::net::SocketAddr,
-    n: usize,
-) -> io::Result<Vec<TcpListener>> {
-    assert!(n > 0, "at least one listener is required");
-    if n == 1 {
-        return Ok(vec![TcpListener::bind(addr)?]);
-    }
-    let first = mio::net::bind_reuseport(addr)?;
-    let resolved = first.local_addr()?;
-    let mut listeners = vec![first];
-    for _ in 1..n {
-        listeners.push(mio::net::bind_reuseport(resolved)?);
-    }
-    Ok(listeners)
-}
-
-/// Runs one reactor thread per listener over a single shared shard
-/// pool until `shutdown` is requested, then drains every reactor and
-/// returns the merged totals. Callers with more than one listener bind
-/// them with `SO_REUSEPORT` on one address
-/// ([`bind_reuseport_listeners`]) so the kernel spreads incoming
-/// connections across them; each reactor submits and receives on its
-/// private [`EngineLane`], so the request path stays lock-free end to
-/// end. `options.max_conns` is a global budget split evenly across the
-/// reactors (each gets at least one slot). See the module docs for the
-/// architecture.
-///
-/// # Errors
-///
-/// Fatal poller errors (registration, `epoll_wait`) and listener setup
-/// failures from any reactor — a failed reactor requests shutdown so
-/// its siblings drain instead of serving a silently reduced front; the
-/// first error is returned after every thread has exited and the pool
-/// is shut down. Per-connection I/O errors only ever kill that
-/// connection.
-///
-/// # Panics
-///
-/// Panics if `listeners` is empty or a reactor thread panics.
-pub fn serve_reactors(
-    listeners: Vec<TcpListener>,
-    options: &ReactorOptions,
-    shutdown: &Shutdown,
-) -> io::Result<ReactorSummary> {
-    assert!(!listeners.is_empty(), "at least one listener is required");
-    let n = listeners.len();
     let telemetry = if options.telemetry {
         Telemetry::new()
     } else {
         Telemetry::off()
     };
-    let (pool, lanes) = ShardedEngine::with_lanes(
+    let pool = ShardedEngine::with_telemetry(
         options.strategy,
         options.shards,
         options.journal.clone(),
-        n,
+        Some(Arc::new(move || {
+            let _ = notify.wake();
+        })),
         telemetry,
     );
-    let global_max = options.max_conns.clamp(1, n * (MAX_SLOTS - CONN_BASE));
-    // Split the global budget evenly, the remainder to the first
-    // reactors, at least one slot each.
-    let share = |r: usize| (global_max / n + usize::from(r < global_max % n)).max(1);
-    let front = Arc::new(Front {
+    shutdown.install(Arc::clone(&waker));
+    let mut reactor = Reactor {
+        registry,
+        telemetry: Arc::clone(pool.telemetry()),
         pool,
-        gauges: (0..n).map(|r| ReactorGauges::with_max(share(r))).collect(),
-        global_max,
-    });
-    let outcomes: Vec<io::Result<ReactorRun>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = listeners
-            .into_iter()
-            .zip(lanes)
-            .enumerate()
-            .map(|(r, (listener, lane))| {
-                let front = Arc::clone(&front);
-                scope.spawn(move || {
-                    let out = run_reactor(listener, lane, front, r, shutdown);
-                    if out.is_err() {
-                        // A dead reactor must not strand its siblings
-                        // (or the caller) behind a front that will
-                        // never fully serve: drain everyone.
-                        shutdown.request();
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("reactor thread panicked"))
-            .collect()
-    });
-    let mut merged = ReactorRun::default();
-    let mut first_err = None;
-    for outcome in outcomes {
-        match outcome {
-            Ok(run) => merged.absorb(&run),
-            Err(e) => {
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
-            }
-        }
-    }
-    let front =
-        Arc::try_unwrap(front).expect("every reactor thread has exited and dropped the front");
-    let reports = front.pool.shutdown();
-    match first_err {
-        Some(e) => Err(e),
-        None => Ok(merged.into_summary(reports)),
-    }
+        pass_ns: 0,
+        listener: Some(listener),
+        conns: Vec::new(),
+        free: Vec::new(),
+        live: 0,
+        max_conns: options.max_conns.clamp(1, MAX_SLOTS - CONN_BASE),
+        draining: false,
+        arrival_ewma: 1.0,
+        pass_arrivals: 0,
+        run: ReactorSummary::default(),
+        egress: ReactorStats::default(),
+    };
+    let outcome = reactor.run(&mut poll, &waker, shutdown);
+    // Teardown: close every socket, then stop the workers once they
+    // have answered whatever is still in flight.
+    reactor.conns.clear();
+    reactor.listener = None;
+    let Reactor { pool, mut run, .. } = reactor;
+    run.reports = pool.shutdown();
+    outcome.map(|()| run)
 }
 
 /// Answers one over-cap connection with a bounded error line.
@@ -1272,22 +1052,18 @@ mod tests {
         std::thread::JoinHandle<io::Result<ReactorSummary>>,
     );
 
-    /// `n` reactors on one loopback port, serving on a background thread.
-    fn spawn_reactors(n: usize, shards: usize, max_conns: usize) -> Served {
-        let listeners = bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), n).unwrap();
-        let addr = listeners[0].local_addr().unwrap();
+    /// A reactor on a loopback port, serving on a background thread.
+    fn spawn_reactor(shards: usize, max_conns: usize) -> Served {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
         let shutdown = Shutdown::new();
         let remote = Arc::clone(&shutdown);
         let handle = std::thread::spawn(move || {
             let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
             options.max_conns = max_conns;
-            serve_reactors(listeners, &options, &remote)
+            serve_reactor(listener, &options, &remote)
         });
         (addr, shutdown, handle)
-    }
-
-    fn spawn_reactor(shards: usize, max_conns: usize) -> Served {
-        spawn_reactors(1, shards, max_conns)
     }
 
     /// A line client that fails the test on any I/O error.
@@ -1310,14 +1086,6 @@ mod tests {
     const REGISTER: &str = "{\"op\":\"register\",\"tenant\":1,\"cores\":2,\"rt\":[\
          {\"wcet_ms\":240,\"period_ms\":500,\"core\":0},\
          {\"wcet_ms\":1120,\"period_ms\":5000,\"core\":1}]}";
-
-    fn register_line(tenant: u64) -> String {
-        format!(
-            "{{\"op\":\"register\",\"tenant\":{tenant},\"cores\":2,\"rt\":[\
-             {{\"wcet_ms\":240,\"period_ms\":500,\"core\":0}},\
-             {{\"wcet_ms\":1120,\"period_ms\":5000,\"core\":1}}]}}"
-        )
-    }
 
     #[test]
     fn serves_a_pipelined_session_in_seq_order() {
@@ -1475,82 +1243,6 @@ mod tests {
         let summary = handle.join().unwrap().unwrap();
         assert_eq!(summary.requests, 0);
         assert_eq!(summary.reports.len(), 2);
-    }
-
-    /// Two `SO_REUSEPORT` reactors over one shared pool: every client is
-    /// served wherever the kernel lands it, any connection's `stats`
-    /// answer covers both reactors, and the merged summary accounts
-    /// every request.
-    #[test]
-    fn two_reactors_share_the_pool_and_report_per_reactor_stats() {
-        let (addr, shutdown, handle) = spawn_reactors(2, 2, 32);
-        let mut clients: Vec<Client> = (0..8).map(|_| Client::connect(addr)).collect();
-        for (i, c) in clients.iter_mut().enumerate() {
-            c.send(&register_line(10 + i as u64));
-            c.send(&format!(
-                "{{\"op\":\"query\",\"tenant\":{}}}",
-                10 + i as u64
-            ));
-        }
-        for c in &mut clients {
-            assert!(c.recv().contains("\"verdict\":\"accept\""));
-            assert!(c.recv().contains("\"periods_ms\":"));
-        }
-        let mut c = clients.pop().expect("eight clients connected");
-        c.send("{\"op\":\"stats\"}");
-        let stats = c.recv();
-        // Both reactors render an entry; the budget is split 16/16 and
-        // the summed gauge reports the global cap.
-        assert_eq!(stats.matches("\"reactor\":").count(), 2, "{stats}");
-        assert!(stats.contains("\"reactor\":0"), "{stats}");
-        assert!(stats.contains("\"reactor\":1"), "{stats}");
-        assert!(stats.contains("\"max\":32"), "{stats}");
-        assert!(stats.contains("\"max\":16"), "{stats}");
-        assert!(stats.contains("\"live\":8"), "{stats}");
-        c.send("{\"op\":\"metrics\"}");
-        let metrics = c.recv();
-        assert_eq!(metrics.matches("\"reactor\":").count(), 2, "{metrics}");
-        clients.push(c);
-        drop(clients);
-        shutdown.request();
-        let summary = handle.join().unwrap().unwrap();
-        assert_eq!(summary.requests, 18);
-        assert_eq!(summary.responses, 18);
-        assert_eq!(summary.accepted_conns, 8);
-        assert_eq!(summary.reports.len(), 2);
-        assert_eq!(summary.reports.iter().map(|r| r.handled).sum::<u64>(), 16);
-    }
-
-    /// Graceful shutdown with multiple reactors: every lane drains its
-    /// own in-flight pipeline before the pool goes down.
-    #[test]
-    fn multi_reactor_shutdown_drains_every_lane() {
-        let (addr, shutdown, handle) = spawn_reactors(2, 2, 16);
-        let n_flips = 10u64;
-        let mut clients: Vec<Client> = (0..4).map(|_| Client::connect(addr)).collect();
-        for (i, c) in clients.iter_mut().enumerate() {
-            let tenant = 50 + i as u64;
-            c.send(&register_line(tenant));
-            c.send(&format!(
-                "{{\"op\":\"arrival\",\"tenant\":{tenant},\"passive_ms\":5342,\"t_max_ms\":10000}}"
-            ));
-            for f in 0..n_flips {
-                let mode = if f % 2 == 0 { "active" } else { "passive" };
-                c.send(&format!(
-                    "{{\"op\":\"mode\",\"tenant\":{tenant},\"slot\":0,\"mode\":\"{mode}\"}}"
-                ));
-            }
-        }
-        shutdown.request();
-        for c in &mut clients {
-            for _ in 0..n_flips + 2 {
-                assert!(c.recv().contains("\"verdict\":"));
-            }
-        }
-        drop(clients);
-        let summary = handle.join().unwrap().unwrap();
-        assert_eq!(summary.requests, 4 * (n_flips + 2));
-        assert_eq!(summary.responses, 4 * (n_flips + 2));
     }
 
     fn stage_count(metrics: &str, stage: &str) -> u64 {

@@ -51,8 +51,7 @@ fn dispatch_round(
     for (seq, command) in round {
         match command {
             Command::Report(format) => {
-                let report =
-                    engine.metrics_report(ConnStats::default(), vec![ReactorStats::default()]);
+                let report = engine.metrics_report(ConnStats::default(), ReactorStats::default());
                 let line = proto::render_report(seq, format, &report);
                 rendered.push(RoundAnswer {
                     seq,

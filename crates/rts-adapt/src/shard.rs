@@ -59,7 +59,7 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use hydra_core::incremental::MemoStats;
@@ -116,48 +116,6 @@ pub const GROUP_MAX_REQUESTS: usize = 1024;
 /// discovered on the next I/O event.
 pub type ResponseNotifier = Arc<dyn Fn() + Send + Sync>;
 
-/// Bit position of the lane id inside a submitted sequence number.
-/// Callers running on an [`EngineLane`] pack `lane << LANE_SHIFT` into
-/// every sequence they submit; the worker reads it back to route the
-/// answer batch to that lane's results channel. Sequences from the
-/// pool's own submit path keep their top byte zero naturally (lane 0).
-pub const LANE_SHIFT: u32 = 56;
-
-/// Most lanes a pool can carry beyond its own: the lane id must fit the
-/// byte above [`LANE_SHIFT`].
-pub const MAX_EXTRA_LANES: usize = 255;
-
-/// A lane's response notifier, installable *after* pool construction —
-/// the reactor front builds the shared pool first and each reactor
-/// creates its poll waker later, on its own thread. Firing before
-/// installation is a no-op, which is sound: a lane has no requests in
-/// flight before its owner has submitted any.
-#[derive(Default)]
-pub struct LaneNotify {
-    inner: OnceLock<ResponseNotifier>,
-}
-
-impl std::fmt::Debug for LaneNotify {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LaneNotify")
-            .field("installed", &self.inner.get().is_some())
-            .finish()
-    }
-}
-
-impl LaneNotify {
-    /// Installs the notifier; only the first call takes effect.
-    pub fn install(&self, notifier: ResponseNotifier) {
-        let _ = self.inner.set(notifier);
-    }
-
-    fn fire(&self) {
-        if let Some(notify) = self.inner.get() {
-            notify();
-        }
-    }
-}
-
 /// Live per-shard counters, shared between the dispatcher (`submitted`),
 /// the worker (everything else) and any thread serving a `stats` verb.
 /// All loads/stores are relaxed: the numbers are monitoring telemetry,
@@ -208,8 +166,8 @@ impl ShardSnapshot {
     }
 }
 
-/// One batch's answers, tagged with the lane that submitted it.
-type LaneAnswers = (usize, Vec<(u64, Response, ResponseMeta)>);
+/// One dispatched batch's answers: one results-channel message.
+type Answers = Vec<(u64, Response, ResponseMeta)>;
 
 /// Answers one dispatched batch on a worker's engine, leaving journal
 /// appends for the group commit. `trace_tick` is the worker's
@@ -222,12 +180,8 @@ fn answer_batch(
     batch: Vec<Envelope>,
     telemetry: &Telemetry,
     trace_tick: &mut u64,
-) -> LaneAnswers {
+) -> Answers {
     let traced = telemetry.enabled();
-    // A dispatched batch comes from exactly one submit call on one lane
-    // (dispatch buckets per shard per call), so the first sequence's top
-    // byte routes the whole answer batch.
-    let lane = batch.first().map_or(0, |e| (e.seq >> LANE_SHIFT) as usize);
     let mut answers = Vec::with_capacity(batch.len());
     for envelope in batch {
         let Envelope {
@@ -272,15 +226,15 @@ fn answer_batch(
         };
         answers.push((seq, response, meta));
     }
-    (lane, answers)
+    answers
 }
 
 /// Stamps a finished group commit on the group's sampled answers (one
 /// clock read per group) and records their persist stage.
-fn stamp_commit(answered: &mut [LaneAnswers], telemetry: &Telemetry) {
+fn stamp_commit(answered: &mut [Answers], telemetry: &Telemetry) {
     let mut sampled = answered
         .iter_mut()
-        .flat_map(|(_, answers)| answers.iter_mut())
+        .flatten()
         .map(|(_, _, meta)| meta)
         .filter(|meta| meta.solved_ns != 0)
         .peekable();
@@ -317,18 +271,20 @@ pub struct ShardReport {
     pub memo: MemoStats,
 }
 
-/// A pool of [`AdaptEngine`] workers with tenant-hash dispatch. The
-/// pool's own submit/receive path is lane 0, an [`EngineLane`] like the
-/// ones [`ShardedEngine::with_lanes`] carves out for reactors.
+/// A pool of [`AdaptEngine`] workers with tenant-hash dispatch, owned by
+/// one caller (a serving front or an in-process driver) that submits
+/// batches and receives their answers.
 #[derive(Debug)]
 pub struct ShardedEngine {
-    // The pool's own lane and the reports receiver sit behind mutexes
-    // only to make the pool `Sync` (the reactor front shares it in an
-    // `Arc` for the read-only snapshot surface); `&mut self` methods
-    // reach them through `Mutex::get_mut`, which takes no lock.
-    own: Mutex<EngineLane>,
-    reports: Mutex<Receiver<ShardReport>>,
+    senders: Vec<Sender<Vec<Envelope>>>,
+    results: Receiver<Answers>,
+    /// Responses already pulled off the channel but not yet handed to the
+    /// caller (workers answer a whole dispatched batch per message).
+    ready: VecDeque<(u64, Response, ResponseMeta)>,
+    reports: Receiver<ShardReport>,
     workers: Vec<JoinHandle<()>>,
+    in_flight: usize,
+    scratch: Vec<Vec<Envelope>>,
     counters: Vec<Arc<ShardCounters>>,
     shared: Arc<SharedSelectionStore>,
     telemetry: Arc<Telemetry>,
@@ -355,13 +311,12 @@ impl ShardedEngine {
 
     /// The fully general constructor: optional journal persistence, an
     /// optional [`ResponseNotifier`] invoked by a worker every time it
-    /// finishes a dispatched batch submitted on the pool's own lane
-    /// (i.e. whenever fresh responses are available to
-    /// [`ShardedEngine::try_recv`]; `None` is the plain blocking pool —
-    /// the reactor front instead installs one poll waker per
-    /// [`EngineLane`]), and the telemetry registry — pass
-    /// [`Telemetry::off`] for the measured runtime-off path (no clock
-    /// reads, no histogram writes; one predictable branch per request).
+    /// finishes a dispatched batch (i.e. whenever fresh responses are
+    /// available to [`ShardedEngine::try_recv`]; `None` is the plain
+    /// blocking pool, the reactor front passes its poll waker), and the
+    /// telemetry registry — pass [`Telemetry::off`] for the measured
+    /// runtime-off path (no clock reads, no histogram writes; one
+    /// predictable branch per request).
     #[must_use]
     pub fn with_telemetry(
         strategy: CarryInStrategy,
@@ -370,66 +325,20 @@ impl ShardedEngine {
         notifier: Option<ResponseNotifier>,
         telemetry: Arc<Telemetry>,
     ) -> Self {
-        Self::build(strategy, shards, journal, notifier, 0, telemetry).0
-    }
-
-    /// Like [`ShardedEngine::with_telemetry`], additionally carving out
-    /// `extra_lanes` independent submit/receive lanes over the same
-    /// worker pool — one per reactor of the TCP front. Lane
-    /// `k+1` is returned at index `k`; the pool itself stays lane 0.
-    /// Each lane owner packs its lane id into every sequence number
-    /// (see [`LANE_SHIFT`]) and installs its waker on the lane's
-    /// [`LaneNotify`] once it has one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `extra_lanes` exceeds [`MAX_EXTRA_LANES`].
-    #[must_use]
-    pub fn with_lanes(
-        strategy: CarryInStrategy,
-        shards: usize,
-        journal: Option<JournalDir>,
-        extra_lanes: usize,
-        telemetry: Arc<Telemetry>,
-    ) -> (Self, Vec<EngineLane>) {
-        Self::build(strategy, shards, journal, None, extra_lanes, telemetry)
-    }
-
-    fn build(
-        strategy: CarryInStrategy,
-        shards: usize,
-        journal: Option<JournalDir>,
-        notifier: Option<ResponseNotifier>,
-        extra_lanes: usize,
-        telemetry: Arc<Telemetry>,
-    ) -> (Self, Vec<EngineLane>) {
-        assert!(
-            extra_lanes <= MAX_EXTRA_LANES,
-            "lane ids must fit the byte above LANE_SHIFT"
-        );
         let shards = shards.max(1);
         let shared = SharedSelectionStore::new();
+        let (results_tx, results) = mpsc::channel();
         let (reports_tx, reports) = mpsc::channel();
         let counters: Vec<Arc<ShardCounters>> = (0..shards)
             .map(|_| Arc::new(ShardCounters::default()))
             .collect();
-        // Lane 0 is the pool's own; its notifier arrives pre-installed
-        // when given.
-        let (lane_txs, lane_rxs): (Vec<_>, Vec<_>) =
-            (0..=extra_lanes).map(|_| mpsc::channel()).unzip();
-        let notifiers: Vec<Arc<LaneNotify>> = (0..=extra_lanes)
-            .map(|_| Arc::new(LaneNotify::default()))
-            .collect();
-        if let Some(notifier) = notifier {
-            notifiers[0].install(notifier);
-        }
         let mut senders = Vec::with_capacity(shards);
         let mut workers = Vec::with_capacity(shards);
         for shard in 0..shards {
             let (tx, rx) = mpsc::channel::<Vec<Envelope>>();
             senders.push(tx);
-            let lane_txs = lane_txs.clone();
-            let notifiers = notifiers.clone();
+            let results_tx = results_tx.clone();
+            let notifier = notifier.clone();
             let reports_tx = reports_tx.clone();
             let journal = journal.clone();
             let counters = Arc::clone(&counters[shard]);
@@ -489,22 +398,15 @@ impl ShardedEngine {
                     counters
                         .tenants
                         .store(engine.tenant_count(), Ordering::Relaxed);
-                    // One channel message and one waker ping per
-                    // dispatched batch — not per request — routed to the
-                    // lane the batch was submitted on.
-                    for (lane, answers) in answered {
-                        if lane_txs[lane].send(answers).is_err() {
-                            if lane == 0 {
-                                return; // collector gone — stop quietly
-                            }
-                            // A lane owner that already exited dropped
-                            // its receiver; its answers are
-                            // undeliverable (like responses to a dead
-                            // connection), but the pool and the other
-                            // lanes are still being served.
-                            continue;
+                    // One channel message and one notifier ping per
+                    // dispatched batch — not per request.
+                    for answers in answered {
+                        if results_tx.send(answers).is_err() {
+                            return; // collector gone — stop quietly
                         }
-                        notifiers[lane].fire();
+                        if let Some(notify) = &notifier {
+                            notify();
+                        }
                     }
                 }
                 let _ = reports_tx.send(ShardReport {
@@ -515,36 +417,18 @@ impl ShardedEngine {
                 });
             }));
         }
-        let mut lanes: Vec<EngineLane> = lane_rxs
-            .into_iter()
-            .zip(notifiers)
-            .enumerate()
-            .map(|(lane, (results, notify))| EngineLane {
-                lane,
-                senders: senders.clone(),
-                results,
-                ready: VecDeque::new(),
-                in_flight: 0,
-                scratch: (0..shards).map(|_| Vec::new()).collect(),
-                counters: counters.clone(),
-                notify,
-            })
-            .collect();
-        let own = lanes.remove(0);
-        let pool = ShardedEngine {
-            own: Mutex::new(own),
-            reports: Mutex::new(reports),
+        ShardedEngine {
+            senders,
+            results,
+            ready: VecDeque::new(),
+            reports,
             workers,
+            in_flight: 0,
+            scratch: (0..shards).map(|_| Vec::new()).collect(),
             counters,
             shared,
             telemetry,
-        };
-        (pool, lanes)
-    }
-
-    /// The pool's own lane (lane 0), reached without locking.
-    fn own(&mut self) -> &mut EngineLane {
-        self.own.get_mut().expect("pool lane poisoned")
+        }
     }
 
     /// Statistics of the pool-wide cross-tenant selection store.
@@ -562,20 +446,20 @@ impl ShardedEngine {
 
     /// Assembles the full observability report behind the
     /// `{"op":"metrics"}` verb: every ad-hoc counter in the workspace —
-    /// connection gauges and per-reactor breakdowns (the caller's,
-    /// since only the front knows them), shard snapshots, stage
-    /// histograms, solver and walk phase counters, shared-store and
-    /// journal counters — plus the worst-N slow-request ring, in one
-    /// struct for the proto renderers.
+    /// connection gauges and the reactor's egress counters (the
+    /// caller's, since only the front knows them), shard snapshots,
+    /// stage histograms, solver and walk phase counters, shared-store
+    /// and journal counters — plus the worst-N slow-request ring, in
+    /// one struct for the proto renderers.
     #[must_use]
     pub fn metrics_report(
         &self,
         conns: crate::proto::ConnStats,
-        reactors: Vec<crate::proto::ReactorStats>,
+        reactor: crate::proto::ReactorStats,
     ) -> crate::proto::MetricsReport {
         crate::proto::MetricsReport {
             conns,
-            reactors,
+            reactor,
             shards: self.snapshots(),
             stages: self.telemetry.stage_snapshots(),
             solver: hydra_core::phase_stats::snapshot(),
@@ -601,7 +485,7 @@ impl ShardedEngine {
     /// Responses submitted but not yet received.
     #[must_use]
     pub fn in_flight(&self) -> usize {
-        self.own.lock().expect("pool lane poisoned").in_flight
+        self.in_flight
     }
 
     /// Submits a batch: requests are split by tenant hash and forwarded
@@ -617,7 +501,7 @@ impl ShardedEngine {
         // In-process callers have no wire read, so the read and submit
         // stamps coincide: one clock read per submitted batch.
         let now_ns = self.telemetry.now_ns();
-        self.own().dispatch(
+        self.dispatch(
             batch
                 .into_iter()
                 .map(|(seq, request)| Envelope {
@@ -635,15 +519,50 @@ impl ShardedEngine {
     /// its bytes were read) and one shared `submit_ns` (the front's
     /// current pass tick — the whole batch is enqueued in one pass).
     pub fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        self.own().submit_batch_traced(batch, submit_ns);
+        self.dispatch(
+            batch
+                .into_iter()
+                .map(|(seq, request, read_ns)| Envelope {
+                    seq,
+                    request,
+                    read_ns,
+                    submit_ns,
+                })
+                .collect(),
+        );
+    }
+
+    /// Buckets a batch by tenant hash and forwards one channel message
+    /// per involved shard.
+    fn dispatch(&mut self, batch: Vec<Envelope>) {
+        let shards = self.senders.len();
+        self.in_flight += batch.len();
+        for envelope in batch {
+            self.scratch[shard_index(envelope.request.tenant(), shards)].push(envelope);
+        }
+        for (shard, bucket) in self.scratch.iter_mut().enumerate() {
+            if !bucket.is_empty() {
+                self.counters[shard]
+                    .submitted
+                    .fetch_add(bucket.len() as u64, Ordering::Relaxed);
+                self.senders[shard]
+                    .send(std::mem::take(bucket))
+                    .expect("shard worker died with requests outstanding");
+            }
+        }
     }
 
     /// Non-blocking receive: one response if any is ready, `None`
     /// otherwise (including when nothing is in flight).
     pub fn try_recv(&mut self) -> Option<(u64, Response)> {
-        self.own()
-            .receive(false)
+        self.try_recv_traced()
             .map(|(seq, response, _)| (seq, response))
+    }
+
+    /// Non-blocking receive with the worker's telemetry stamps, so a
+    /// serving front can finish the trace (respond/flush/total).
+    pub fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
+        self.receive(false)
     }
 
     /// Point-in-time telemetry of every live shard (ordered by index):
@@ -679,12 +598,39 @@ impl ShardedEngine {
 
     /// Blocking receive keeping the worker's telemetry stamps.
     pub fn recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        self.own().receive(true)
+        self.receive(true)
+    }
+
+    /// The next answer — waiting for one iff `block` — or `None` once
+    /// nothing is in flight (and, without `block`, while nothing has
+    /// arrived yet).
+    fn receive(&mut self, block: bool) -> Option<(u64, Response, ResponseMeta)> {
+        if self.in_flight == 0 {
+            return None;
+        }
+        loop {
+            if let Some(answer) = self.ready.pop_front() {
+                self.in_flight -= 1;
+                return Some(answer);
+            }
+            let batch = if block {
+                self.results.recv().map_err(|_| TryRecvError::Disconnected)
+            } else {
+                self.results.try_recv()
+            };
+            match batch {
+                Ok(batch) => self.ready.extend(batch),
+                Err(TryRecvError::Empty) => return None,
+                Err(TryRecvError::Disconnected) => {
+                    panic!("shard workers died with requests outstanding")
+                }
+            }
+        }
     }
 
     /// Receives every outstanding response.
     pub fn drain(&mut self) -> Vec<(u64, Response)> {
-        let mut out = Vec::with_capacity(self.own().in_flight);
+        let mut out = Vec::with_capacity(self.in_flight);
         while let Some(answer) = self.recv() {
             out.push(answer);
         }
@@ -694,7 +640,7 @@ impl ShardedEngine {
     /// [`ShardedEngine::drain`] with each response's worker-side trace
     /// stamps (what the pump front ends feed into the stage histograms).
     pub fn drain_traced(&mut self) -> Vec<(u64, Response, ResponseMeta)> {
-        let mut out = Vec::with_capacity(self.own().in_flight);
+        let mut out = Vec::with_capacity(self.in_flight);
         while let Some(answer) = self.recv_traced() {
             out.push(answer);
         }
@@ -724,147 +670,23 @@ impl ShardedEngine {
 
     /// Shuts the pool down: waits for all outstanding responses, stops
     /// the workers and returns their per-shard reports (ordered by shard
-    /// index). Every [`EngineLane`] carved from this pool must already
-    /// be dropped (each holds clones of the request channels; the
-    /// workers only exit once all of them close), and must have drained
-    /// its own in-flight requests first.
+    /// index).
     #[must_use]
     pub fn shutdown(mut self) -> Vec<ShardReport> {
         let _ = self.drain();
         let ShardedEngine {
-            own,
+            senders,
             reports,
             workers,
             ..
         } = self;
-        drop(own); // closes the pool's request channels
+        drop(senders); // closes the request channels
         for worker in workers {
             worker.join().expect("shard worker panicked");
         }
-        let mut reports: Vec<ShardReport> = reports
-            .into_inner()
-            .expect("reports receiver poisoned")
-            .try_iter()
-            .collect();
+        let mut reports: Vec<ShardReport> = reports.try_iter().collect();
         reports.sort_by_key(|r| r.shard);
         reports
-    }
-}
-
-/// A private submit/receive view of a [`ShardedEngine`]'s workers: its
-/// own results channel, in-flight accounting and dispatch scratch. The
-/// pool's own path is lane 0; [`ShardedEngine::with_lanes`] carves out
-/// one more per reactor. Each submitted sequence number gets the lane
-/// id stamped into its top byte (see [`LANE_SHIFT`]) so the workers
-/// route every answer batch back to the lane that submitted it.
-///
-/// A lane is single-owner (one reactor thread) and must be dropped —
-/// after draining its in-flight requests — before the pool itself is
-/// shut down.
-#[derive(Debug)]
-pub struct EngineLane {
-    lane: usize,
-    senders: Vec<Sender<Vec<Envelope>>>,
-    results: Receiver<Vec<(u64, Response, ResponseMeta)>>,
-    /// Responses already pulled off the channel but not yet handed to
-    /// the caller (workers answer a whole dispatched batch per message).
-    ready: VecDeque<(u64, Response, ResponseMeta)>,
-    in_flight: usize,
-    scratch: Vec<Vec<Envelope>>,
-    counters: Vec<Arc<ShardCounters>>,
-    notify: Arc<LaneNotify>,
-}
-
-impl EngineLane {
-    /// The lane's two-phase notifier — install the reactor's waker here
-    /// once it exists.
-    #[must_use]
-    pub fn notify(&self) -> &Arc<LaneNotify> {
-        &self.notify
-    }
-
-    /// Responses submitted on this lane and not yet received.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight
-    }
-
-    /// Lane-side [`ShardedEngine::submit_batch_traced`]: stamps the lane
-    /// id into each sequence's top byte and dispatches. Sequences must
-    /// keep that byte free (the reactor's packing leaves it zero).
-    pub fn submit_batch_traced(&mut self, batch: Vec<(u64, Request, u64)>, submit_ns: u64) {
-        self.dispatch(
-            batch
-                .into_iter()
-                .map(|(seq, request, read_ns)| Envelope {
-                    seq,
-                    request,
-                    read_ns,
-                    submit_ns,
-                })
-                .collect(),
-        );
-    }
-
-    /// Buckets a batch by tenant hash and forwards one channel message
-    /// per involved shard, the lane id stamped into every sequence.
-    fn dispatch(&mut self, batch: Vec<Envelope>) {
-        let lane_bits = (self.lane as u64) << LANE_SHIFT;
-        let shards = self.senders.len();
-        self.in_flight += batch.len();
-        for mut envelope in batch {
-            debug_assert_eq!(
-                envelope.seq >> LANE_SHIFT,
-                0,
-                "sequence collides with the lane byte"
-            );
-            envelope.seq |= lane_bits;
-            self.scratch[shard_index(envelope.request.tenant(), shards)].push(envelope);
-        }
-        for (shard, bucket) in self.scratch.iter_mut().enumerate() {
-            if !bucket.is_empty() {
-                self.counters[shard]
-                    .submitted
-                    .fetch_add(bucket.len() as u64, Ordering::Relaxed);
-                self.senders[shard]
-                    .send(std::mem::take(bucket))
-                    .expect("shard worker died with requests outstanding");
-            }
-        }
-    }
-
-    /// Non-blocking receive with the worker's telemetry stamps, so a
-    /// serving front can finish the trace (respond/flush/total); the
-    /// lane bits are already stripped from the returned sequence.
-    pub fn try_recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        self.receive(false)
-    }
-
-    /// The next answer on this lane — waiting for one iff `block` —
-    /// with the lane bits stripped; `None` once nothing is in flight
-    /// (and, without `block`, while nothing has arrived yet).
-    fn receive(&mut self, block: bool) -> Option<(u64, Response, ResponseMeta)> {
-        if self.in_flight == 0 {
-            return None;
-        }
-        loop {
-            if let Some((seq, response, meta)) = self.ready.pop_front() {
-                self.in_flight -= 1;
-                return Some((seq & !(0xFF << LANE_SHIFT), response, meta));
-            }
-            let batch = if block {
-                self.results.recv().map_err(|_| TryRecvError::Disconnected)
-            } else {
-                self.results.try_recv()
-            };
-            match batch {
-                Ok(batch) => self.ready.extend(batch),
-                Err(TryRecvError::Empty) => return None,
-                Err(TryRecvError::Disconnected) => {
-                    panic!("shard workers died with requests outstanding")
-                }
-            }
-        }
     }
 }
 
@@ -1078,9 +900,9 @@ mod tests {
         let _ = pool.shutdown();
     }
 
-    /// A worker rings a lane's notifier right after it sends the batch,
-    /// so a receiver can see the answers a moment before the ring: wait
-    /// for it, bounded.
+    /// A worker rings the notifier right after it sends the batch, so a
+    /// receiver can see the answers a moment before the ring: wait for
+    /// it, bounded.
     fn await_wake(wakes: &AtomicU64) {
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while wakes.load(Ordering::Relaxed) == 0 {
@@ -1139,62 +961,5 @@ mod tests {
             assert!((0.0..=1.0).contains(&rate));
         }
         let _ = pool.shutdown();
-    }
-
-    /// Two lanes over one pool: every answer comes back on the lane that
-    /// submitted it, with the lane byte stripped, and each lane's
-    /// notifier fires for its own batches. The pool's own lane 0 keeps
-    /// working alongside.
-    #[test]
-    fn lanes_route_answers_back_to_their_submitter() {
-        let (mut pool, mut lanes) = ShardedEngine::with_lanes(
-            CarryInStrategy::TopDiff,
-            2,
-            None,
-            2,
-            crate::telemetry::Telemetry::new(),
-        );
-        let wakes: Vec<Arc<AtomicU64>> = (0..2).map(|_| Arc::new(AtomicU64::new(0))).collect();
-        for (lane, counter) in lanes.iter().zip(&wakes) {
-            assert_eq!(lane.in_flight(), 0);
-            let counting = Arc::clone(counter);
-            lane.notify().install(Arc::new(move || {
-                counting.fetch_add(1, Ordering::Relaxed);
-            }));
-        }
-        // Distinct tenants per lane; sequences overlap deliberately to
-        // prove the lane byte keeps the streams apart.
-        for (k, lane) in lanes.iter_mut().enumerate() {
-            let batch = rover_requests(100 + k as u64)
-                .into_iter()
-                .enumerate()
-                .map(|(i, r)| (i as u64, r, 0))
-                .collect();
-            lane.submit_batch_traced(batch, 0);
-        }
-        pool.submit_batch(vec![(7, Request::Query { tenant: 100 })]);
-        for (k, lane) in lanes.iter_mut().enumerate() {
-            let mut seqs = Vec::new();
-            while seqs.len() < 3 {
-                match lane.try_recv_traced() {
-                    Some((seq, response, _)) => {
-                        assert!(response.is_admitted(), "lane {k}: {response:?}");
-                        seqs.push(seq);
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
-            seqs.sort_unstable();
-            assert_eq!(seqs, vec![0, 1, 2], "lane byte must be stripped");
-            assert_eq!(lane.in_flight(), 0);
-            assert!(lane.try_recv_traced().is_none());
-            await_wake(&wakes[k]);
-        }
-        // Lane 0 (the pool) got only its own answer.
-        let (seq, _) = pool.recv().expect("the pool's own query is answered");
-        assert_eq!(seq, 7);
-        drop(lanes);
-        let reports = pool.shutdown();
-        assert_eq!(reports.iter().map(|r| r.handled).sum::<u64>(), 7);
     }
 }

@@ -20,7 +20,7 @@ use std::thread::JoinHandle;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rts_adapt::{
-    serve_reactors, ReactorOptions, ReactorSummary, Request, Response, RtSpec, Shutdown,
+    serve_reactor, ReactorOptions, ReactorSummary, Request, Response, RtSpec, Shutdown,
 };
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
 use rts_model::time::Duration;
@@ -198,17 +198,16 @@ pub type Served = (
 /// Boots an in-process reactor over `options` on a fresh loopback port.
 pub fn spawn_reactor(options: ReactorOptions) -> Served {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind a loopback port");
-    spawn_reactors_on(vec![listener], options)
+    spawn_reactor_on(listener, options)
 }
 
-/// One reactor per listener, on listeners the caller bound (connects
-/// made before this call wait in their accept backlogs); the address is
-/// the first listener's.
-pub fn spawn_reactors_on(listeners: Vec<TcpListener>, options: ReactorOptions) -> Served {
-    let addr = listeners[0].local_addr().expect("listener address");
+/// A reactor on a listener the caller bound (connects made before this
+/// call wait in its accept backlog).
+pub fn spawn_reactor_on(listener: TcpListener, options: ReactorOptions) -> Served {
+    let addr = listener.local_addr().expect("listener address");
     let shutdown = Shutdown::new();
     let remote = Arc::clone(&shutdown);
-    let serving = std::thread::spawn(move || serve_reactors(listeners, &options, &remote));
+    let serving = std::thread::spawn(move || serve_reactor(listener, &options, &remote));
     (addr, shutdown, serving)
 }
 

@@ -41,6 +41,9 @@ fn unknown_flags_and_unparsable_values_exit_with_usage() {
         // archive generation is kept and telemetry is always on.
         &["--retain-archives", "2"],
         &["--no-telemetry"],
+        // One reactor serves every connection: `--reactors` takes only 1.
+        &["--reactors", "2"],
+        &["--reactors", "0"],
         &["--shards", "abc"],
         &["--max-conns", "1O"],
         &["--tcp"],
@@ -94,10 +97,51 @@ fn a_stdin_session_is_answered_in_order_and_ends_at_eof() {
     assert!(lines[3].contains("\"verdict\":\"stats\""), "{}", lines[3]);
 }
 
+/// A registration asking for a platform far beyond the core bound is
+/// one error line, not an allocation that aborts the daemon: the valid
+/// registration and the query after it are still answered, in order.
+#[test]
+fn a_huge_core_count_is_an_error_line_and_the_session_goes_on() {
+    let mut child = Command::new(DAEMON)
+        .args(["--shards", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn rts_adaptd");
+    let session = format!(
+        "{{\"op\":\"register\",\"tenant\":1,\"cores\":100000000000,\"rt\":[\
+         {{\"wcet_ms\":1,\"period_ms\":10,\"core\":0}}]}}\n\
+         {REGISTER}\n\
+         {{\"op\":\"query\",\"tenant\":1}}\n"
+    );
+    child
+        .stdin
+        .take()
+        .expect("stdin is piped")
+        .write_all(session.as_bytes())
+        .expect("write the session");
+    let status = wait_bounded(&mut child, Duration::from_secs(60));
+    assert!(status.success(), "{status}");
+    let lines: Vec<String> = BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .lines()
+        .map(|line| line.expect("utf-8 answer"))
+        .collect();
+    assert_eq!(lines.len(), 3, "{lines:?}");
+    for (i, line) in lines.iter().enumerate() {
+        assert!(line.starts_with(&format!("{{\"seq\":{i},")), "{line}");
+    }
+    assert!(lines[0].contains("\"verdict\":\"error\""), "{}", lines[0]);
+    assert!(lines[0].contains("cores"), "{}", lines[0]);
+    assert!(lines[1].contains("\"verdict\":\"accept\""), "{}", lines[1]);
+    assert!(lines[2].contains("\"verdict\":\"accept\""), "{}", lines[2]);
+}
+
 #[test]
 fn tcp_mode_announces_its_address_serves_and_drains_at_stdin_eof() {
+    // The benchmark's launch line passes `--reactors 1`.
     let mut child = Command::new(DAEMON)
-        .args(["--tcp", "127.0.0.1:0", "--shards", "2"])
+        .args(["--tcp", "127.0.0.1:0", "--shards", "2", "--reactors", "1"])
         .stdin(Stdio::piped())
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
@@ -112,7 +156,6 @@ fn tcp_mode_announces_its_address_serves_and_drains_at_stdin_eof() {
         .expect("utf-8 stderr");
     let addr = announced
         .strip_prefix("rts_adaptd listening on ")
-        .and_then(|rest| rest.strip_suffix(" (1 reactors)"))
         .unwrap_or_else(|| panic!("unexpected first stderr line: {announced}"));
     let addr = addr.parse().expect("a socket address");
 

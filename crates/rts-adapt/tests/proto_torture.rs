@@ -13,20 +13,20 @@
 //! flight, a thousand idle connections under one active one, over-cap
 //! refusal — plus the parity pin: the same scripted sessions through
 //! the stdin pump and over reactor connections (at *different* shard
-//! counts, reactor counts and telemetry settings) must produce
-//! byte-identical response streams, a loaded journaled reactor must
-//! sample every lifecycle stage, and an orderly reactor shutdown must
-//! lose no accepted delta from the journal.
+//! counts and telemetry settings) must produce byte-identical response
+//! streams, a loaded journaled reactor must sample every lifecycle
+//! stage, and an orderly reactor shutdown must lose no accepted delta
+//! from the journal.
 
 mod common;
 
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use common::{retry, spawn_reactor, spawn_reactors_on, Client, Served, TempDir};
+use common::{retry, spawn_reactor, Client, Served, TempDir};
 use rts_adapt::journal::JournalDir;
 use rts_adapt::json::{self, Json};
-use rts_adapt::reactor::{bind_reuseport_listeners, ReactorOptions};
+use rts_adapt::reactor::ReactorOptions;
 use rts_adapt::server::{serve, ServeSummary};
 use rts_adapt::{ShardedEngine, Stage};
 use rts_analysis::semi::CarryInStrategy;
@@ -439,12 +439,11 @@ fn run_scripts(addr: SocketAddr, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
 /// garbage, mode flips, queries, with per-tenant stream affinity —
 /// through the stdin pump at 1 shard (one `serve` stream per script)
 /// and over reactor connections at 3 shards produce **byte-identical
-/// response streams** on every reactor front: one reactor, four
-/// `SO_REUSEPORT` reactors over one pool, and two reactors with
-/// telemetry off. Verdict populations are therefore invariant to the
-/// serving front, the shard count, the reactor count and telemetry
-/// (histograms observe, never participate); with telemetry off the
-/// metrics verb still answers, every stage at zero count.
+/// response streams**, with telemetry on and with it off. Verdict
+/// populations are therefore invariant to the serving front, the shard
+/// count and telemetry (histograms observe, never participate); with
+/// telemetry off the metrics verb still answers, every stage at zero
+/// count.
 #[test]
 fn stdin_and_reactor_fronts_answer_byte_identically() {
     let scripts: Vec<Vec<String>> = (0..6u64)
@@ -479,15 +478,12 @@ fn stdin_and_reactor_fronts_answer_byte_identically() {
         .collect();
     let _ = engine.shutdown();
     let expected: usize = scripts.iter().map(Vec::len).sum();
-    for (reactors, telemetry) in [(1, true), (4, true), (2, false)] {
-        let front = format!("{reactors} reactors, telemetry {telemetry}");
-        let (addr, shutdown, handle) = spawn_reactors_on(
-            bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), reactors).unwrap(),
-            ReactorOptions {
-                telemetry,
-                ..reactor(3, 64)
-            },
-        );
+    for telemetry in [true, false] {
+        let front = format!("telemetry {telemetry}");
+        let (addr, shutdown, handle) = spawn_reactor(ReactorOptions {
+            telemetry,
+            ..reactor(3, 64)
+        });
         let tcp = run_scripts(addr, &scripts);
         let verbs = usize::from(!telemetry);
         if !telemetry {
@@ -762,23 +758,19 @@ fn disconnect_mid_gathered_writev_pass_never_wedges_the_reactor() {
     assert_eq!(summary.refused_conns, 0);
 }
 
-/// The multi-reactor no-lost-delta pin: three journaled pipelines land
-/// on four `SO_REUSEPORT` reactors over one shard pool, a shutdown
-/// races the in-flight bursts, and every reactor still owes — and
-/// delivers — every answer before draining. A fresh engine replaying
-/// the journal afterwards reports exactly each tenant's last accepted
-/// delta.
+/// The no-lost-delta pin across connections: three journaled
+/// pipelines on three connections, a shutdown races the in-flight
+/// bursts, and the reactor still owes — and delivers — every answer
+/// before draining. A fresh engine replaying the journal afterwards
+/// reports exactly each tenant's last accepted delta.
 #[test]
-fn multi_reactor_drain_loses_no_accepted_delta() {
-    let dir = TempDir::new("torture_drain_multi");
+fn drain_of_concurrent_journaled_pipelines_loses_no_accepted_delta() {
+    let dir = TempDir::new("torture_drain_pipelines");
     let journal = JournalDir::at(dir.path()).with_compaction(3);
-    let (addr, shutdown, handle) = spawn_reactors_on(
-        bind_reuseport_listeners("127.0.0.1:0".parse().unwrap(), 4).unwrap(),
-        ReactorOptions {
-            journal: Some(journal),
-            ..reactor(2, 16)
-        },
-    );
+    let (addr, shutdown, handle) = spawn_reactor(ReactorOptions {
+        journal: Some(journal),
+        ..reactor(2, 16)
+    });
     let tenants = [1u64, 2, 3];
     let n_flips = 16u64;
     let mut clients: Vec<(u64, Client)> = tenants
@@ -786,7 +778,7 @@ fn multi_reactor_drain_loses_no_accepted_delta() {
         .map(|&t| {
             let mut c = Client::connect(addr);
             // A synchronous registration first: the round-trip proves
-            // this connection's reactor accepted it, so the raced drain
+            // the reactor accepted this connection, so the raced drain
             // below owes it every pipelined answer.
             c.send(&REGISTER.replace("\"tenant\":1", &format!("\"tenant\":{t}")));
             assert!(c.recv().contains("\"verdict\":\"accept\""));
@@ -822,8 +814,8 @@ fn multi_reactor_drain_loses_no_accepted_delta() {
     assert_eq!(summary.requests, expected);
     assert_eq!(summary.responses, expected);
 
-    // Replay the shared journal in a fresh engine at another shard
-    // count: every tenant must report the periods of the last delta its
+    // Replay the journal in a fresh engine at another shard count:
+    // every tenant must report the periods of the last delta the
     // reactor accepted before the drain.
     let mut engine =
         ShardedEngine::with_journal(CarryInStrategy::TopDiff, 3, JournalDir::at(dir.path()));

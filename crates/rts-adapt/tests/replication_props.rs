@@ -29,7 +29,7 @@ use std::path::Path;
 use std::time::Duration as StdDuration;
 
 use common::{
-    drive_stream, random_event, register_rover, rover_rt, spawn_reactor, spawn_reactors_on, TempDir,
+    drive_stream, random_event, register_rover, rover_rt, spawn_reactor, spawn_reactor_on, TempDir,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -356,8 +356,8 @@ fn a_heal_behind_queued_appends_never_duplicates_events() {
 
     // Only now does the standby start serving; the queued stream drains
     // through the rejection → heal → late-duplicate sequence.
-    spawn_reactors_on(
-        vec![listener],
+    spawn_reactor_on(
+        listener,
         standby_options(standby_dir.path(), CarryInStrategy::TopDiff, 2),
     );
     assert!(replicator.flush(StdDuration::from_secs(10)));

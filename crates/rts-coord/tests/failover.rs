@@ -30,7 +30,7 @@ use rand::{Rng, SeedableRng};
 use rts_adapt::journal::JournalDir;
 use rts_adapt::proto::render_request;
 use rts_adapt::{
-    serve_reactors, ReactorOptions, Replicator, Request, RetryPolicy, RtSpec, Shutdown,
+    serve_reactor, ReactorOptions, Replicator, Request, RetryPolicy, RtSpec, Shutdown,
 };
 use rts_analysis::semi::CarryInStrategy;
 use rts_coord::{Coordinator, FaultAction, Step};
@@ -72,7 +72,7 @@ impl Drop for TempDir {
 fn serve_daemon(options: ReactorOptions) -> SocketAddr {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind daemon listener");
     let addr = listener.local_addr().expect("daemon address");
-    std::thread::spawn(move || serve_reactors(vec![listener], &options, &Shutdown::new()));
+    std::thread::spawn(move || serve_reactor(listener, &options, &Shutdown::new()));
     addr
 }
 

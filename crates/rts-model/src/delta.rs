@@ -166,8 +166,8 @@ impl MonitorSpec {
 /// Each event is answered with an accept/reject verdict: the adaptation
 /// service re-runs period selection on the *post-event* configuration and
 /// commits it only when schedulable, so a rejected event leaves the
-/// previously admitted configuration running (see `rts-adapt` for the
-/// soundness argument).
+/// previously admitted configuration running (see `rts-adapt` for what
+/// this verifies, and what it does not yet).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DeltaEvent {
     /// A new monitor asks to be integrated (at the lowest security

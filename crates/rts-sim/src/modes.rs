@@ -3,19 +3,24 @@
 //! The `rts-adapt` service commits a new configuration (periods and, for
 //! reactive monitors, a new WCET) at every accepted delta. At runtime
 //! that produces a *sequence* of configurations, each analysed in
-//! isolation. This module validates such sequences: every
-//! [`ModePhase`] is simulated from a **synchronous release** — the
-//! critical instant of the fixed-priority analysis, which dominates any
-//! release phasing the switch could leave behind inside the new
-//! configuration — so zero misses across all phases witnesses the
-//! admission analysis for every configuration the system actually ran.
+//! isolation. This module simulates such sequences one configuration
+//! at a time: every [`ModePhase`] starts from a **synchronous release**,
+//! the critical instant of the fixed-priority analysis for a task set
+//! that stays fixed. Zero misses across all phases therefore witnesses
+//! the admission analysis of each configuration on its own.
 //!
-//! The per-phase restart is deliberately conservative: a real switch
-//! inherits partial phasing from the previous configuration, which can
-//! only be *easier* than the synchronous release the analysis (and this
-//! harness) assumes. RT tasks are additionally immune by construction —
-//! they outrank every security task, so their schedule is identical in
-//! every phase regardless of what the monitors do.
+//! The transition between two configurations is **not** verified. A
+//! real switch leaves jobs of the old configuration pending, and that
+//! can be *harder* than a synchronous release: when a de-escalation
+//! shrinks a higher-priority period while a lower-priority job released
+//! under the old configuration is still pending, that job meets more
+//! interference than the old analysis charged it (the fixed-priority
+//! mode-change problem of Tindell, Burns & Wellings, Real-Time Systems
+//! 1992). An in-place switch that keeps each pending job's old
+//! parameters, and a switch rule the analysis covers, are item 1 of the
+//! ROADMAP. RT tasks are immune by construction: they outrank every
+//! security task, so their schedule is identical in every phase
+//! regardless of what the monitors do.
 
 use rts_model::time::Duration;
 use rts_model::Platform;

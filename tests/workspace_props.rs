@@ -49,33 +49,66 @@ fn arb_system() -> impl Strategy<Value = System> {
         })
 }
 
+/// Algorithm 1's output under `strategy` is valid and minimal: it
+/// dominates the designer bounds, respects the WCET floors, re-verifies
+/// under an independent analysis path, and no selected period can drop
+/// by one tick. Minimality is Algorithm 2's promise: with the
+/// higher-priority tasks at their selected periods and the
+/// lower-priority ones at `T^max`, task `s` one tick below its period
+/// is rejected. Feasibility is monotone in `T_s`, so one tick suffices.
+fn check_selection(system: &System, strategy: CarryInStrategy) -> Result<(), TestCaseError> {
+    match select_periods(system, strategy) {
+        Ok(sel) => {
+            let t_max = PeriodVector::at_max(system.security_tasks());
+            // Dominates the designer bounds and respects WCET floors.
+            prop_assert!(sel.periods.dominates(&t_max));
+            for (i, task) in system.security_tasks().iter().enumerate() {
+                prop_assert!(sel.periods[i] >= task.wcet());
+                prop_assert!(sel.response_times[i] <= sel.periods[i]);
+            }
+            // Re-verification under an independent code path.
+            let rta = hydra_c::analysis::SecurityRta::new(system, strategy);
+            let periods = sel.periods.as_slice();
+            prop_assert!(rta.schedulable(periods));
+            for (s, task) in system.security_tasks().iter().enumerate() {
+                let below: Vec<Duration> = periods[..s]
+                    .iter()
+                    .copied()
+                    .chain([periods[s].saturating_sub(Duration::from_ticks(1))])
+                    .chain(
+                        system
+                            .security_tasks()
+                            .iter()
+                            .skip(s + 1)
+                            .map(|t| t.t_max()),
+                    )
+                    .collect();
+                prop_assert!(
+                    rta.response_times(&below).is_err(),
+                    "{strategy:?}: task {s} (C = {}) admits {} below its selected {}",
+                    task.wcet(),
+                    below[s],
+                    periods[s]
+                );
+            }
+        }
+        Err(SelectionError::RtUnschedulable) => {
+            prop_assert!(false, "generator guarantees RT feasibility");
+        }
+        Err(SelectionError::SecurityUnschedulable { task }) => {
+            prop_assert!(task < system.security_tasks().len());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
     fn selection_output_is_always_valid(system in arb_system()) {
-        match select_periods(&system, CarryInStrategy::Exhaustive) {
-            Ok(sel) => {
-                let t_max = PeriodVector::at_max(system.security_tasks());
-                // Dominates the designer bounds and respects WCET floors.
-                prop_assert!(sel.periods.dominates(&t_max));
-                for (i, task) in system.security_tasks().iter().enumerate() {
-                    prop_assert!(sel.periods[i] >= task.wcet());
-                    prop_assert!(sel.response_times[i] <= sel.periods[i]);
-                }
-                // Re-verification under an independent code path.
-                let rta = hydra_c::analysis::SecurityRta::new(
-                    &system,
-                    CarryInStrategy::Exhaustive,
-                );
-                prop_assert!(rta.schedulable(sel.periods.as_slice()));
-            }
-            Err(SelectionError::RtUnschedulable) => {
-                prop_assert!(false, "generator guarantees RT feasibility");
-            }
-            Err(SelectionError::SecurityUnschedulable { task }) => {
-                prop_assert!(task < system.security_tasks().len());
-            }
+        for strategy in [CarryInStrategy::Exhaustive, CarryInStrategy::TopDiff] {
+            check_selection(&system, strategy)?;
         }
     }
 
