@@ -111,12 +111,6 @@ impl PacketMonitor {
         PacketMonitor { rules }
     }
 
-    /// Number of rules.
-    #[must_use]
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
-    }
-
     /// Inspects one batch of captured packets, returning all alerts.
     /// One simulator job of the monitor task corresponds to one batch
     /// (the ring accumulated since its previous job).

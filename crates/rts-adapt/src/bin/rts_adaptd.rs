@@ -3,28 +3,34 @@
 //! Usage:
 //!
 //! ```sh
-//! rts_adaptd [--shards N] [--batch N] [--strategy topdiff|exhaustive]
-//!            [--tcp ADDR] [--reactors 1] [--max-conns N]
+//! rts_adaptd [--shards N] [--tcp ADDR] [--reactors 1] [--max-conns N]
 //!            [--journal DIR] [--compact-every N]
 //!            [--replicate-to ADDR --source ID]
 //! ```
 //!
+//! One event-driven reactor (`rts_adapt::reactor`) serves every
+//! request: one epoll loop over one engine shard pool, no
+//! per-connection threads, batches sized adaptively by arrival rate,
+//! and one line-protocol machine (`rts_adapt::conn`) per connection.
 //! Without `--tcp` the daemon speaks the line protocol on stdin/stdout
 //! (one JSON request per line, one JSON response per line — see
-//! `rts_adapt::proto`); `--batch` (default 256) bounds how many
-//! buffered lines that stdin pump dispatches per round. With `--tcp
-//! ADDR` it binds the address and serves up to `--max-conns`
-//! connections (default 64) through the event-driven reactor
-//! (`rts_adapt::reactor`): one epoll loop over one engine shard pool,
-//! no per-connection threads, batches sized adaptively by arrival rate.
-//! `--reactors` takes only the value 1, which existing launch lines
-//! pass; the daemon always runs one reactor. An unknown flag, a missing
-//! value or a value that does not parse or is out of range exits with
-//! status 2 and the usage line.
+//! `rts_adapt::proto`) as one more connection of that reactor: two
+//! blocking copy threads bridge stdin and stdout to a Unix socket pair
+//! whose other end the reactor serves. The bridge exists because epoll
+//! cannot poll a regular file, and stdout must stay blocking because
+//! its file description is shared with the parent. With `--tcp ADDR`
+//! the daemon binds the address and serves up to `--max-conns`
+//! connections (default 64); the cap must stay below the process's
+//! soft open-file limit. `--reactors` takes only the value 1, which
+//! existing launch lines pass. The carry-in analysis is always TopDiff.
+//! An unknown flag, a missing value or a value that does not parse or
+//! is out of range exits with status 2 and the usage line.
 //!
-//! **Graceful shutdown**: in stdin mode, EOF ends the serve loop; in
-//! TCP mode, a watcher thread waits for stdin EOF (Ctrl-D, or the
-//! supervisor closing the pipe) and asks the reactor to drain — the
+//! **Graceful shutdown**: in stdin mode, EOF on stdin ends the session —
+//! the reactor returns once every line has been answered and written,
+//! and the daemon exits after the stdout copy has delivered the last
+//! byte. In TCP mode, a watcher thread waits for stdin EOF (Ctrl-D, or
+//! the supervisor closing the pipe) and asks the reactor to drain — the
 //! listener closes, already-connected clients are served until quiet,
 //! and the shard workers are joined. A shard worker answers only after
 //! the group commit that syncs the journal appends behind the answer,
@@ -59,28 +65,24 @@
 //! in every mode; its CPU overhead is gated at 2 % in CI.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, Read};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener};
+use std::os::unix::net::UnixStream;
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use rts_adapt::client::RetryPolicy;
 use rts_adapt::journal::JournalDir;
-use rts_adapt::reactor::{serve_reactor, ReactorOptions, Shutdown};
+use rts_adapt::reactor::{serve_reactor, serve_stream, ReactorOptions, ReactorSummary, Shutdown};
 use rts_adapt::replication::Replicator;
-use rts_adapt::server::serve;
-use rts_adapt::shard::{ShardReport, ShardedEngine};
-use rts_adapt::telemetry::Telemetry;
 use rts_analysis::semi::CarryInStrategy;
 
-const USAGE: &str = "usage: rts_adaptd [--shards N] [--batch N] \
-    [--strategy topdiff|exhaustive] [--tcp ADDR] [--reactors 1] [--max-conns N] \
+const USAGE: &str = "usage: rts_adaptd [--shards N] [--tcp ADDR] [--reactors 1] [--max-conns N] \
     [--journal DIR] [--compact-every N] [--replicate-to ADDR --source ID]";
 
 /// Every flag the daemon takes; each takes a value.
-const FLAGS: [&str; 10] = [
+const FLAGS: [&str; 8] = [
     "--shards",
-    "--batch",
-    "--strategy",
     "--tcp",
     "--reactors",
     "--max-conns",
@@ -128,7 +130,13 @@ where
     })
 }
 
-fn report_shards(reports: &[ShardReport]) {
+/// The run's totals on stderr once serving is over.
+fn report(summary: &ReactorSummary) {
+    eprintln!(
+        "rts_adaptd: {} requests ({} parse errors), {} connections accepted, {} refused",
+        summary.requests, summary.parse_errors, summary.accepted_conns, summary.refused_conns
+    );
+    let reports = &summary.reports;
     let handled: u64 = reports.iter().map(|r| r.handled).sum();
     let hits: u64 = reports.iter().map(|r| r.memo.hits).sum();
     let misses: u64 = reports.iter().map(|r| r.memo.misses).sum();
@@ -136,6 +144,55 @@ fn report_shards(reports: &[ShardReport]) {
         "rts_adaptd: {} shards handled {handled} requests ({hits} memo hits, {misses} misses)",
         reports.len()
     );
+}
+
+/// The soft limit on open files, read from `/proc/self/limits`; `None`
+/// when it is unlimited or cannot be read.
+fn open_file_limit() -> Option<usize> {
+    let limits = std::fs::read_to_string("/proc/self/limits").ok()?;
+    let line = limits.lines().find(|l| l.starts_with("Max open files"))?;
+    line.split_whitespace().nth(3)?.parse().ok()
+}
+
+/// Copies stdin into `bridge` and `bridge` into stdout on two blocking
+/// threads. EOF on stdin closes the bridge's write half, which the
+/// reactor reads as the end of the session; the returned thread ends
+/// once the reactor has closed its end and the last answer is on
+/// stdout.
+fn bridge_stdio(bridge: UnixStream) -> io::Result<JoinHandle<io::Result<()>>> {
+    let inbound = bridge.try_clone()?;
+    // Left detached: if stdout fails first, this thread may stay blocked
+    // on a stdin that never ends, and the daemon must still exit.
+    std::thread::spawn(move || {
+        let _ = copy_lines(io::stdin().lock(), &inbound);
+        let _ = inbound.shutdown(std::net::Shutdown::Write);
+    });
+    Ok(std::thread::spawn(move || {
+        let copied = copy_lines(&bridge, io::stdout().lock());
+        if copied.is_err() {
+            // Nobody reads the answers: fail the reactor's next write,
+            // so it stops serving instead of filling the socket.
+            let _ = bridge.shutdown(std::net::Shutdown::Both);
+        }
+        copied
+    }))
+}
+
+/// Copies `from` into `to` until EOF, passing each read on at once.
+/// Deliberately not `io::copy`, whose in-kernel `splice` path held
+/// answers back from a piped stdout.
+fn copy_lines(mut from: impl Read, mut to: impl Write) -> io::Result<()> {
+    let mut buf = vec![0u8; 64 * 1024];
+    loop {
+        let n = match from.read(&mut buf) {
+            Ok(0) => return to.flush(),
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        to.write_all(&buf[..n])?;
+        to.flush()?;
+    }
 }
 
 fn fail(e: impl std::fmt::Display) -> ! {
@@ -147,14 +204,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let values = flag_values(&args);
     let shards = parsed(&values, "--shards").unwrap_or(4usize);
-    let batch = parsed(&values, "--batch").unwrap_or(256usize);
-    let strategy = match values.get("--strategy") {
-        None | Some(&"topdiff") => CarryInStrategy::TopDiff,
-        Some(&"exhaustive") => CarryInStrategy::Exhaustive,
-        Some(other) => usage(format!(
-            "unknown strategy {other:?} (use topdiff or exhaustive)"
-        )),
-    };
     if let Some(reactors) = parsed::<usize>(&values, "--reactors").filter(|&n| n != 1) {
         usage(format!(
             "--reactors {reactors}: the daemon runs one reactor"
@@ -164,6 +213,11 @@ fn main() {
     let compact_every = parsed(&values, "--compact-every").unwrap_or(512usize);
     let replicate_to: Option<SocketAddr> = parsed(&values, "--replicate-to");
     let tcp: Option<SocketAddr> = parsed(&values, "--tcp");
+    if let Some(limit) = open_file_limit().filter(|&limit| tcp.is_some() && max_conns >= limit) {
+        usage(format!(
+            "--max-conns {max_conns} is not below the open-file limit ({limit})"
+        ));
+    }
 
     // Replication piggybacks on the journal: the replicator mirrors
     // every journal-file mutation to the standby, and self-heals from
@@ -205,15 +259,15 @@ fn main() {
         }
     };
 
-    match tcp {
+    let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
+    options.journal = journal;
+    options.max_conns = max_conns;
+    let summary = match tcp {
         Some(addr) => {
             let listener = TcpListener::bind(addr).unwrap_or_else(|e| fail(e));
             if let Ok(local) = listener.local_addr() {
                 eprintln!("rts_adaptd listening on {local}");
             }
-            let mut options = ReactorOptions::new(strategy, shards);
-            options.journal = journal;
-            options.max_conns = max_conns;
             let shutdown = Shutdown::new();
             let watcher = Arc::clone(&shutdown);
             // Stdin EOF (Ctrl-D, or the supervisor closing the pipe)
@@ -229,37 +283,21 @@ fn main() {
                 }
                 watcher.request();
             });
-            let summary = serve_reactor(listener, &options, &shutdown).unwrap_or_else(|e| fail(e));
-            eprintln!(
-                "rts_adaptd: {} requests ({} parse errors), {} connections accepted, {} refused",
-                summary.requests,
-                summary.parse_errors,
-                summary.accepted_conns,
-                summary.refused_conns
-            );
-            report_shards(&summary.reports);
-            flush_replication(replicator.as_ref());
+            serve_reactor(listener, &options, &shutdown).unwrap_or_else(|e| fail(e))
         }
         None => {
-            let mut engine =
-                ShardedEngine::with_telemetry(strategy, shards, journal, None, Telemetry::new());
-            let stdin = io::stdin().lock();
-            let stdout = io::stdout().lock();
-            let result = serve(&mut engine, BufReader::new(stdin), stdout, batch);
-            let reports = engine.shutdown();
-            match result {
-                Ok(summary) => {
-                    eprintln!(
-                        "rts_adaptd: {} requests, {} parse errors",
-                        summary.requests, summary.parse_errors
-                    );
-                    report_shards(&reports);
-                    flush_replication(replicator.as_ref());
-                }
-                Err(e) => fail(e),
+            let (stream, bridge) = UnixStream::pair().unwrap_or_else(|e| fail(e));
+            let stdout_copy = bridge_stdio(bridge).unwrap_or_else(|e| fail(e));
+            let summary = serve_stream(stream, &options).unwrap_or_else(|e| fail(e));
+            match stdout_copy.join() {
+                Ok(Ok(())) => summary,
+                Ok(Err(e)) => fail(e),
+                Err(_) => fail("the stdout copy thread panicked"),
             }
         }
-    }
+    };
+    report(&summary);
+    flush_replication(replicator.as_ref());
 }
 
 /// Quiesces the replication stream on graceful shutdown so an orderly

@@ -21,11 +21,15 @@
 //!   worker shards with request batching and per-tenant FIFO ordering;
 //! * [`json`] / [`proto`] — a dependency-free JSON subset and the
 //!   line-delimited wire protocol;
-//! * [`reactor`] — the TCP front end of the `rts_adaptd` binary: one
-//!   epoll reactor that owns its listener, its connections and its shard
-//!   pool, with no per-connection threads;
-//! * [`server`] — the stdin front end: one request stream pumped
-//!   through the shard pool in batches;
+//! * [`conn`] — one connection's line protocol as a machine that owns
+//!   no socket and reads no clock: bytes in give seq-numbered commands,
+//!   answers in any order give egress bytes in seq order, with the
+//!   oversize bound and the backpressure watermarks;
+//! * [`reactor`] — the serving front end of the `rts_adaptd` binary:
+//!   one epoll reactor that owns its listener, its connections and its
+//!   shard pool, with no per-connection threads, and drives one
+//!   [`conn::Conn`] per TCP connection — or per stdin bridge, a Unix
+//!   stream the daemon copies stdin and stdout through;
 //! * [`telemetry`] — the observability spine: lock-free stage-latency
 //!   histograms, the monotonic tick source, and the worst-N
 //!   slow-request ring behind the `{"op":"metrics"}` verb and the
@@ -140,13 +144,13 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod conn;
 pub mod engine;
 pub mod journal;
 pub mod json;
 pub mod proto;
 pub mod reactor;
 pub mod replication;
-pub mod server;
 pub mod shard;
 pub mod telemetry;
 pub mod tenant;
@@ -163,9 +167,8 @@ pub mod prelude {
 pub use client::{connect_with_retry, LineClient, RetryPolicy};
 pub use engine::{AdaptEngine, Admitted, Request, Response, RtSpec};
 pub use journal::{replay, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
-pub use reactor::{serve_reactor, ReactorOptions, ReactorSummary, Shutdown};
+pub use reactor::{serve_reactor, serve_stream, ReactorOptions, ReactorSummary, Shutdown};
 pub use replication::{ReplPayload, ReplStats, Replicator};
-pub use server::serve;
 pub use shard::ShardedEngine;
 pub use telemetry::{Histogram, SlowRequest, Stage, StageSummary, Telemetry};
 pub use tenant::{ApplyError, MonitorEntry, TenantState};

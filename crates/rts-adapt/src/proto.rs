@@ -78,13 +78,13 @@ use crate::telemetry::{Histogram, SlowRequest, Stage};
 pub enum Command {
     /// An ordinary engine request, dispatched to the tenant's shard.
     Engine(Request),
-    /// `stats` or `metrics` — answered immediately by the front end
+    /// `stats` or `metrics` — answered immediately by the reactor
     /// from one [`MetricsReport`] in the requested format, never
     /// entering a shard queue.
     Report(ReportFormat),
 }
 
-/// How an observability verb renders the front's [`MetricsReport`].
+/// How an observability verb renders the reactor's [`MetricsReport`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ReportFormat {
     /// `{"op":"stats"}` — connection, reactor and shard gauges
@@ -126,7 +126,7 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
 }
 
 /// Parses one request line for the engine. `stats` and `metrics` —
-/// serving-layer verbs — are rejected here; front ends use
+/// serving-layer verbs — are rejected here; the reactor uses
 /// [`parse_command`].
 ///
 /// # Errors
@@ -343,25 +343,25 @@ pub fn render_response(seq: u64, response: &Response) -> String {
     out
 }
 
-/// Connection gauges of the TCP front end, as reported by the `stats`
-/// and `metrics` verbs. The stdin front end reports zeros (it has no
-/// connections).
+/// Connection gauges of the reactor, as reported by the `stats` and
+/// `metrics` verbs. The daemon's stdin bridge is one connection of a
+/// reactor without a listener: it reports one live connection, nothing
+/// refused, and the `--max-conns` value as the cap.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ConnStats {
     /// Connections currently being served.
     pub live: usize,
     /// Connections refused over the cap since startup.
     pub refused: u64,
-    /// The `--max-conns` cap (0 when no cap applies).
+    /// The `--max-conns` cap (enforced only on a listener).
     pub max: usize,
 }
 
-/// The serving reactor's egress counters, as reported by the `stats`
-/// and `metrics` verbs. Both fronts render them as the one entry of the
-/// `reactors` array (reactor 0), next to the [`ConnStats`] gauges that
-/// one reactor serves, so the field set — pinned by the cross-front
-/// byte-shape parity test — never depends on the front; the stdin front
-/// has no gathered egress, so its counters are zero.
+/// The serving reactor's counters, as reported by the `stats` and
+/// `metrics` verbs: the one entry of the `reactors` array (reactor 0),
+/// next to the [`ConnStats`] gauges that one reactor serves. TCP
+/// connections and the stdin bridge are served by the same loop, so
+/// the field set never depends on how the daemon was started.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct ReactorStats {
     /// Gathered-writev flush passes the reactor has run.
@@ -369,6 +369,9 @@ pub struct ReactorStats {
     /// Total iovecs submitted across those passes (responses per
     /// syscall ≈ `iovecs_written / flush_passes`).
     pub iovecs_written: u64,
+    /// `accept(2)` calls on the listener that failed (file-descriptor
+    /// exhaustion included; each back-off retry counts again).
+    pub accept_failures: u64,
 }
 
 /// Opens a serving-layer answer with the prefix `stats` and `metrics`
@@ -382,13 +385,15 @@ fn write_front_prefix(out: &mut String, seq: u64, verdict: &str, report: &Metric
     let ReactorStats {
         flush_passes,
         iovecs_written,
+        accept_failures,
     } = report.reactor;
     let _ = write!(
         out,
         "{{\"seq\":{seq},\"verdict\":\"{verdict}\",\"conns\":{{\"live\":{live},\
          \"refused\":{refused},\"max\":{max}}},\"reactors\":[{{\"reactor\":0,\"live\":{live},\
          \"refused\":{refused},\"max\":{max},\"flush_passes\":{flush_passes},\
-         \"iovecs_written\":{iovecs_written}}}],\"shards\":[",
+         \"iovecs_written\":{iovecs_written},\"accept_failures\":{accept_failures}}}],\
+         \"shards\":[",
     );
     for (i, s) in report.shards.iter().enumerate() {
         if i > 0 {
@@ -424,7 +429,7 @@ pub fn render_stats(seq: u64, report: &MetricsReport) -> String {
 }
 
 /// Renders an observability verb's answer in the requested format —
-/// the one call every front makes for `stats` and both `metrics`
+/// the one call the reactor makes for `stats` and both `metrics`
 /// variants.
 #[must_use]
 pub(crate) fn render_report(seq: u64, format: ReportFormat, report: &MetricsReport) -> String {
@@ -436,10 +441,10 @@ pub(crate) fn render_report(seq: u64, format: ReportFormat, report: &MetricsRepo
 }
 
 /// Everything the `{"op":"metrics"}` verb reports, assembled in one
-/// place (see [`crate::shard::ShardedEngine::metrics_report`]) so the
-/// reactor and stdin fronts render byte-shape-identical answers to
-/// `stats` and both `metrics` formats from the same code path (see
-/// [`render_stats`], [`render_metrics`], [`render_metrics_text`]). This
+/// place (see [`crate::shard::ShardedEngine::metrics_report`]) so
+/// `stats` and both `metrics` formats render from the same code path
+/// (see [`render_stats`], [`render_metrics`], [`render_metrics_text`]),
+/// whichever connection asks — TCP or the stdin bridge. This
 /// is the unification point for every previously ad-hoc counter in the
 /// workspace: connection gauges, shard snapshots (memo statistics
 /// included), stage-latency histograms, the solver's
@@ -448,9 +453,9 @@ pub(crate) fn render_report(seq: u64, format: ReportFormat, report: &MetricsRepo
 /// durability counters, and the worst-N slow-request ring.
 #[derive(Clone, Debug)]
 pub struct MetricsReport {
-    /// Connection gauges of the serving front (zeros on stdin).
+    /// Connection gauges of the serving reactor.
     pub conns: ConnStats,
-    /// The reactor's egress counters (zeros on stdin).
+    /// The reactor's egress and accept-failure counters.
     pub reactor: ReactorStats,
     /// Per-shard live snapshots, ordered by shard index.
     pub shards: Vec<ShardSnapshot>,
@@ -489,7 +494,7 @@ fn write_stage_summary(out: &mut String, histogram: &Histogram) {
 /// Renders the answer to the `{"op":"metrics"}` verb as a single JSON
 /// line (no trailing newline). Every cataloged series is always
 /// present — empty histograms render with `count:0` — so the field set
-/// is identical across fronts and load states by construction.
+/// is identical across connections and load states by construction.
 #[must_use]
 pub fn render_metrics(seq: u64, report: &MetricsReport) -> String {
     let mut out = String::with_capacity(1024 + 96 * report.shards.len());
@@ -585,6 +590,7 @@ pub fn render_prometheus(report: &MetricsReport) -> String {
         ("max", "gauge", report.conns.max as u64),
         ("flush_passes", "counter", report.reactor.flush_passes),
         ("iovecs_written", "counter", report.reactor.iovecs_written),
+        ("accept_failures", "counter", report.reactor.accept_failures),
     ] {
         let _ = writeln!(out, "# TYPE rts_adapt_reactor_{name} {kind}");
         let _ = writeln!(out, "rts_adapt_reactor_{name}{{reactor=\"0\"}} {value}");
@@ -999,6 +1005,7 @@ mod tests {
             reactor: ReactorStats {
                 flush_passes: 5,
                 iovecs_written: 31,
+                accept_failures: 2,
             },
             shards,
             ..sample_metrics_report()
@@ -1031,6 +1038,7 @@ mod tests {
             ("max", 64),
             ("flush_passes", 5),
             ("iovecs_written", 31),
+            ("accept_failures", 2),
         ] {
             assert_eq!(
                 rendered_reactors[0].get(field).and_then(Json::as_u64),
@@ -1253,6 +1261,7 @@ mod tests {
             reactor: ReactorStats {
                 flush_passes: 6,
                 iovecs_written: 18,
+                accept_failures: 7,
             },
             shards: vec![ShardSnapshot {
                 shard: 0,
@@ -1380,6 +1389,7 @@ mod tests {
             "max",
             "flush_passes",
             "iovecs_written",
+            "accept_failures",
         ] {
             assert!(reactors[0].get(field).is_some(), "reactors[0].{field}");
         }
@@ -1438,6 +1448,7 @@ mod tests {
             "rts_adapt_reactor_max{reactor=\"0\"} 64",
             "rts_adapt_reactor_flush_passes{reactor=\"0\"} 6",
             "rts_adapt_reactor_iovecs_written{reactor=\"0\"} 18",
+            "rts_adapt_reactor_accept_failures{reactor=\"0\"} 7",
         ] {
             assert!(text.contains(series), "missing series {series}");
         }

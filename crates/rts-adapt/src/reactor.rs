@@ -1,87 +1,73 @@
-//! The TCP front end: one epoll reactor over a lock-free shard pool, no
-//! per-connection threads.
+//! The serving front end: one epoll reactor over a lock-free shard pool,
+//! no per-connection threads.
 //!
 //! [`serve_reactor`] runs one non-blocking event loop over the vendored
 //! `mio` shim on the caller's thread. The loop owns the listener, every
-//! connection and the [`ShardedEngine`] it builds at startup, so nothing
-//! it touches is shared with another front.
+//! connection and the [`ShardedEngine`] it builds at startup.
+//! [`serve_stream`] runs the same loop over one connected Unix stream
+//! and no listener — how the daemon serves stdin. Each connection's
+//! line protocol (framing, the line bound, answer order, backpressure)
+//! is a socket-free [`Conn`] machine; the reactor only moves bytes and
+//! ticks between it and the socket.
 //!
-//! * **Accept** — the listener is polled for readiness; connections
-//!   beyond the `--max-conns` budget are refused with one protocol error
-//!   line and closed, never queued.
-//! * **Read** — per-connection buffers accumulate bytes until a newline;
-//!   complete lines are parsed and dispatched into the
-//!   [`ShardedEngine`]'s per-shard FIFO queues, tagged with a token that
-//!   packs `(connection slot, per-connection seq)` into the envelope's
-//!   `u64`. No lock is ever taken on the request path — the reactor is
-//!   each shard queue's single producer, each shard worker its single
-//!   consumer.
-//! * **Dispatch** — batches are sized adaptively by the observed
-//!   arrival rate: an EWMA of requests-per-pass sets the submit
-//!   threshold, so a sparse trickle dispatches immediately (no
-//!   full-batch latency tax) while a loaded reactor grows batches
-//!   toward a ceiling of 512 requests to amortize channel traffic.
-//!   Splitting a pass into several submissions preserves parse order,
-//!   hence per-tenant FIFO order.
-//! * **Wake** — workers signal finished batches through a poll
-//!   `Waker` (an `eventfd`), so responses interrupt the blocked
-//!   reactor immediately instead of riding the next I/O event. The
-//!   completion path is batched end to end: a worker sends **one**
-//!   channel message carrying every answer of a dispatched batch and
-//!   rings the waker **once** per batch.
-//! * **Write** — responses are re-ordered per connection by sequence
-//!   number (a connection's answers always arrive in line order,
-//!   exactly like the stdin front end's) and queued as one buffer per
-//!   response line. Egress is gathered: each readiness pass drains a
-//!   connection with `writev` over every queued response — one syscall
-//!   covers however many responses accumulated, instead of one write
-//!   per response. Write interest is registered only while a backlog
-//!   exists.
+//! * **Accept** — connections beyond the `--max-conns` budget are
+//!   refused with one protocol error line and closed, never queued. When
+//!   file descriptors run out (`EMFILE`/`ENFILE`) the listener goes
+//!   unpolled for a fixed 100 ms back-off, the failure is logged once
+//!   per episode, and every failed accept is counted in
+//!   `stats`/`metrics`.
+//! * **Read** — one bounded read loop per readiness event feeds the
+//!   machine; its lines are parsed and dispatched into the shard pool's
+//!   per-shard FIFO queues, tagged with a token that packs `(connection
+//!   slot, per-connection seq)` into the envelope's `u64`. The reactor
+//!   is each queue's single producer, each worker its single consumer:
+//!   no lock on the request path. A paused machine is not read.
+//! * **Dispatch** — an EWMA of requests-per-pass sets the submit
+//!   threshold, so a sparse trickle dispatches immediately while a
+//!   loaded reactor grows batches toward 512 requests. Splitting a pass
+//!   into several submissions preserves parse order, hence per-tenant
+//!   FIFO order.
+//! * **Wake** — a worker sends **one** channel message per answered
+//!   batch and rings the poll `Waker` (an `eventfd`) **once**, so
+//!   answers interrupt the blocked reactor at once.
+//! * **Write** — each flush pass drains a connection's queued answers
+//!   with one gathered `writev`; write interest is registered only while
+//!   a backlog exists.
 //!
-//! Backpressure is per connection and two-sided: a connection pauses
-//! (drops read interest) while it has 1024 requests in flight or an
-//! unflushed write backlog beyond 1 MiB, and resumes below the
-//! low-water marks. A slow or dead reader
-//! therefore throttles only itself; the shard queues stay bounded.
+//! Telemetry ([`crate::telemetry`]) costs **one monotonic clock read per
+//! poll iteration**: the pass tick, taken right after `poll` returns (so
+//! blocked time is never charged to a request), stamps every accept,
+//! read, parse and queueing event of the pass. The one exception is
+//! flush completion: when traced answers fully leave with a pass's
+//! writes, one extra read closes their respond/flush/total intervals;
+//! the machine releases each exactly once, when its last byte has left.
+//! With telemetry off no clock is read at all.
 //!
-//! Telemetry ([`crate::telemetry`]) rides the loop at **one monotonic
-//! clock read per poll iteration**: the pass tick, taken right after
-//! `poll` returns (so blocked time is never charged to a request),
-//! stamps every accept, read, parse, and respond event of the pass.
-//! The one deliberate exception is flush completion — when traced
-//! responses fully leave with a pass's write calls, one extra read
-//! closes their flush/total intervals. Flush completion is stamped
-//! against a *cumulative* egress offset, so a response retried after
-//! `EWOULDBLOCK` is recorded exactly once: when its last byte leaves
-//! the socket, never when a partial write merely advances the buffer.
-//! With telemetry off ([`ReactorOptions::telemetry`] = false) no clock
-//! is read at all and verdict populations are bit-identical either way.
-//!
-//! Ordering and determinism are inherited from [`crate::shard`]: a
-//! tenant's requests stay in submission order (they enter one FIFO in
-//! line order and tenants hash to exactly one shard), so verdict
-//! populations are bit-identical to the stdin front end and invariant
-//! to the shard count and the connection fan-out — pinned by the parity
-//! suite in `tests/proto_torture.rs`.
+//! Answers are invariant to the shard count, telemetry and connection
+//! fan-out: a tenant's requests enter one FIFO in line order (see
+//! [`crate::shard`]); `tests/proto_torture.rs` pins it.
 //!
 //! Graceful shutdown ([`Shutdown::request`], wired to stdin EOF by the
-//! daemon) wakes the reactor: it closes its listener so nothing new
-//! connects, keeps serving what already-connected clients have sent,
-//! and exits once everything is quiet — nothing in flight, every answer
-//! flushed, no buffered complete line unparsed — bounded by a 10 s
-//! grace. Only then is the pool shut down; a shard worker releases an
-//! answer only after its group commit has synced the journal appends
-//! behind it, so an orderly stop loses no accepted delta.
+//! daemon in TCP mode) closes the listener, keeps serving what
+//! connected clients already sent, and exits once everything is quiet —
+//! nothing in flight, every answer flushed, no buffered complete line
+//! unparsed — bounded by a 10 s grace. A reactor without a listener
+//! exits once its last connection is done. The pool shuts down after
+//! the loop; a worker releases an answer only after its group commit
+//! synced the journal appends behind it, so an orderly stop loses no
+//! accepted delta.
 //!
-//! Accepted sockets run with `TCP_NODELAY`: responses already leave in
-//! gathered writes, and Nagle would otherwise hold the tail of every
-//! window until the client's delayed ACK (tens of milliseconds), which
-//! stalls pipelined clients such as the replication stream.
+//! Accepted sockets run with `TCP_NODELAY`: answers already leave in
+//! gathered writes, and Nagle would hold the tail of every window until
+//! the client's delayed ACK, stalling pipelined clients such as the
+//! replication stream.
 
-use std::collections::{BTreeMap, VecDeque};
-use std::io::{self, IoSlice, Read as _, Write as _};
+use std::fs::File;
+use std::io::{self, Read as _, Write as _};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::OwnedFd;
 use std::os::unix::io::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -90,10 +76,10 @@ use mio::unix::SourceFd;
 use mio::{Events, Interest, Poll, Registry, Token, Waker};
 use rts_analysis::semi::CarryInStrategy;
 
+use crate::conn::{Conn, Flushed};
 use crate::engine::{Request, Response};
 use crate::journal::JournalDir;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
-use crate::server::{oversized_reason, MAX_LINE_BYTES};
 use crate::shard::{ResponseMeta, ShardReport, ShardedEngine};
 use crate::telemetry::{SlowRequest, Stage, Telemetry};
 
@@ -114,17 +100,19 @@ const SLOT_MASK: u64 = (1 << SLOT_BITS) - 1;
 /// Hard slot bound implied by the token split.
 const MAX_SLOTS: usize = 1 << SLOT_BITS;
 
-/// Requests a connection may have in flight before it stops being read.
-const HIGH_WATER: u64 = 1024;
-/// In-flight level at which a paused connection resumes reading.
-const LOW_WATER: u64 = 256;
-/// Unflushed response bytes at which a connection stops being read.
-const WRITE_BACKLOG_HIGH: usize = 1 << 20;
 /// Bytes read from one socket per readiness event before yielding to
 /// other connections (level-triggered polling re-delivers the rest).
 const READ_BUDGET: usize = 1 << 20;
 /// How long a draining reactor waits for in-flight answers to flush.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
+/// How long the listener goes unpolled after an accept failed for want
+/// of file descriptors. The listener is level-triggered, so polling it
+/// sooner would only repeat the failure on every pass.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
+/// `accept(2)` errors that mean the process or the system is out of file
+/// descriptors (Linux `ENFILE` and `EMFILE`).
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
 /// Most buffers gathered into one `writev` call (the shim additionally
 /// clips at the kernel's `IOV_MAX`); a connection with more queued
 /// responses simply loops.
@@ -195,7 +183,8 @@ pub struct ReactorOptions {
     /// Optional per-tenant journal persistence (replayed on startup).
     pub journal: Option<JournalDir>,
     /// Simultaneous-connection cap; connections beyond it are refused
-    /// with a protocol error line. Clamped to at least one.
+    /// with a protocol error line. Clamped to at least one. Only a
+    /// listener enforces it; [`serve_stream`] reports it in `stats`.
     pub max_conns: usize,
     /// Stage-latency telemetry (on by default). When off, the reactor
     /// takes zero clock reads on the hot path and every record call is
@@ -234,57 +223,19 @@ pub struct ReactorSummary {
     pub reports: Vec<ShardReport>,
 }
 
-/// A rendered answer awaiting its in-order turn, plus the trace stamps
-/// it carries if it came out of the engine with telemetry on.
-struct PendingLine {
-    line: String,
-    /// `(tenant, worker stamps)` for traced engine responses; `None`
-    /// for stats/metrics/error lines (those never enter a shard queue,
-    /// so they have no lifecycle to trace).
-    trace: Option<(u64, ResponseMeta)>,
-}
+/// What a traced engine answer carries through its connection's egress
+/// queue: the tenant and the worker's stamps. Answers of `stats`,
+/// `metrics` and error lines never enter a shard queue, so they carry
+/// nothing.
+type Trace = (u64, ResponseMeta);
 
-/// A traced response whose bytes sit in a connection's response queue:
-/// once the cumulative flushed offset covers `end`, the request's flush
-/// and total stages are known and the slow ring gets its entry.
-struct FlushTag {
-    /// Cumulative egress offset (total bytes ever queued to this
-    /// connection) at which this response's bytes end. Absolute, so a
-    /// partial write never moves it and the stage is stamped exactly
-    /// once — when the last byte actually leaves.
-    end: u64,
-    tenant: u64,
-    seq: u64,
-    meta: ResponseMeta,
-    /// Pass tick at which the line entered the response queue.
-    respond_ns: u64,
-}
-
-/// One live connection's state in the reactor.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes received but not yet consumed (partial line at the front).
-    read_buf: Vec<u8>,
-    /// Inside an oversized line: discard until the next newline, then
-    /// answer a bounded error (mirrors the blocking reader's resync).
-    skipping: bool,
-    /// Sequence number of the next line this connection sends.
-    next_seq: u64,
-    /// Sequence number whose answer is written next (per-connection
-    /// answers go out strictly in line order).
-    next_write: u64,
-    /// Rendered answers that arrived ahead of `next_write`.
-    pending: BTreeMap<u64, PendingLine>,
-    /// In-order response buffers awaiting egress, one per line; drained
-    /// front-to-back by gathered `writev`.
-    outq: VecDeque<Vec<u8>>,
-    /// Flushed prefix of `outq`'s front buffer.
-    head_written: usize,
-    /// Unflushed bytes across `outq`.
-    backlog: usize,
-    /// Cumulative bytes flushed to the socket over the connection's
-    /// lifetime (the offset space [`FlushTag::end`] lives in).
-    sent: u64,
+/// One live connection: its socket, its protocol machine, and the
+/// reactor's own stamps and poll state.
+struct Peer {
+    /// A TCP stream or the stdin bridge's Unix stream, non-blocking;
+    /// read through `File`, written with `writev`.
+    socket: File,
+    conn: Conn<Trace>,
     /// Pass tick at accept time (start of the accept stage).
     accept_ns: u64,
     /// Accept stage recorded (once, on the first bytes received).
@@ -292,76 +243,8 @@ struct Conn {
     /// Pass tick at which the oldest unconsumed bytes arrived — the
     /// start of every request parsed out of the current buffer.
     read_ns: u64,
-    /// Traced responses in `outq`, in queue order.
-    flush_tags: VecDeque<FlushTag>,
-    /// Requests dispatched to the pool and not yet answered. The slot
-    /// (and its envelope token) stays reserved until this reaches zero,
-    /// even after the socket dies.
-    in_flight: u64,
-    /// EOF (or fatal read error) seen; no further lines.
-    read_closed: bool,
-    /// Socket unusable; pending answers are dropped, the slot lingers
-    /// only until `in_flight` drains.
-    dead: bool,
-    /// Read interest withdrawn until in-flight/backlog recede.
-    paused: bool,
     /// Interest currently registered with the poller.
     interest: Option<Interest>,
-}
-
-impl Conn {
-    fn new(stream: TcpStream, accept_ns: u64) -> Conn {
-        Conn {
-            stream,
-            read_buf: Vec::new(),
-            skipping: false,
-            next_seq: 0,
-            next_write: 0,
-            pending: BTreeMap::new(),
-            outq: VecDeque::new(),
-            head_written: 0,
-            backlog: 0,
-            sent: 0,
-            accept_ns,
-            accept_done: false,
-            read_ns: 0,
-            flush_tags: VecDeque::new(),
-            in_flight: 0,
-            read_closed: false,
-            dead: false,
-            paused: false,
-            interest: None,
-        }
-    }
-
-    /// Drops every queued byte and tag (the socket is gone; nobody will
-    /// read them).
-    fn clear_egress(&mut self) {
-        self.pending.clear();
-        self.outq.clear();
-        self.head_written = 0;
-        self.backlog = 0;
-        self.flush_tags.clear();
-    }
-
-    /// Two-sided pause with hysteresis, so a connection at the
-    /// high-water mark does not flap interest on every single response.
-    fn refresh_pause(&mut self) {
-        if self.paused {
-            if self.in_flight <= LOW_WATER && self.backlog < WRITE_BACKLOG_HIGH / 2 {
-                self.paused = false;
-            }
-        } else if self.in_flight >= HIGH_WATER || self.backlog >= WRITE_BACKLOG_HIGH {
-            self.paused = true;
-        }
-    }
-
-    /// The slot can be released: nothing in flight and either the
-    /// socket is gone or everything was answered and flushed.
-    fn finished(&self) -> bool {
-        self.in_flight == 0
-            && (self.dead || (self.read_closed && self.pending.is_empty() && self.backlog == 0))
-    }
 }
 
 struct Reactor {
@@ -374,7 +257,13 @@ struct Reactor {
     /// one-read-per-iteration discipline; 0 with telemetry off).
     pass_ns: u64,
     listener: Option<TcpListener>,
-    conns: Vec<Option<Conn>>,
+    /// While accepts back off after descriptor exhaustion: when the
+    /// listener is polled again.
+    accept_resume: Option<Instant>,
+    /// Inside an exhaustion episode (logged once; ends at the next
+    /// successful accept).
+    accept_exhausted: bool,
+    conns: Vec<Option<Peer>>,
     free: Vec<usize>,
     live: usize,
     /// The connection budget (what refusal lines and the `conns` gauge
@@ -388,20 +277,21 @@ struct Reactor {
     pass_arrivals: u64,
     /// The run's counting totals (`reports` is filled at shutdown).
     run: ReactorSummary,
-    /// Gathered write syscalls issued and the iovecs they carried.
-    egress: ReactorStats,
+    /// Gathered write syscalls issued, the iovecs they carried, and the
+    /// failed accepts.
+    counters: ReactorStats,
 }
 
 impl Reactor {
     /// The observability report for the `stats`/`metrics` verbs: the
-    /// connection gauges and egress counters plus the pool's snapshot.
+    /// connection gauges and reactor counters plus the pool's snapshot.
     fn metrics_report(&self) -> proto::MetricsReport {
         let conns = ConnStats {
             live: self.live,
             refused: self.run.refused_conns,
             max: self.max_conns,
         };
-        self.pool.metrics_report(conns, self.egress)
+        self.pool.metrics_report(conns, self.counters)
     }
 
     /// Accepts until the listener would block, refusing over the cap.
@@ -409,6 +299,7 @@ impl Reactor {
         while let Some(listener) = &self.listener {
             match listener.accept() {
                 Ok((stream, _peer)) => {
+                    self.accept_exhausted = false;
                     if self.live >= self.max_conns {
                         self.run.refused_conns += 1;
                         // Best effort on a non-blocking socket: the
@@ -424,19 +315,23 @@ impl Reactor {
                     }
                     // Best effort: a socket without it still serves.
                     let _ = stream.set_nodelay(true);
-                    let idx = self.free.pop().unwrap_or_else(|| {
-                        self.conns.push(None);
-                        self.conns.len() - 1
-                    });
-                    self.live += 1;
-                    self.run.accepted_conns += 1;
-                    let mut conn = Conn::new(stream, self.pass_ns);
-                    self.update_interest(idx, &mut conn);
-                    self.conns[idx] = Some(conn);
+                    self.admit(File::from(OwnedFd::from(stream)));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                    self.counters.accept_failures += 1;
+                    if !self.accept_exhausted {
+                        self.accept_exhausted = true;
+                        eprintln!("accept failed: {e}; retrying every {ACCEPT_BACKOFF:?}");
+                    }
+                    let fd = listener.as_raw_fd();
+                    let _ = self.registry.deregister(&mut SourceFd(&fd));
+                    self.accept_resume = Some(Instant::now() + ACCEPT_BACKOFF);
+                    break;
+                }
                 Err(e) => {
+                    self.counters.accept_failures += 1;
                     eprintln!("accept failed: {e}");
                     break;
                 }
@@ -444,35 +339,68 @@ impl Reactor {
         }
     }
 
+    /// Polls the listener again once an accept back-off has run out.
+    fn resume_accepts(&mut self) {
+        if self.accept_resume.is_some_and(|at| Instant::now() >= at) {
+            self.accept_resume = None;
+            if let Some(listener) = &self.listener {
+                let fd = listener.as_raw_fd();
+                let _ = self
+                    .registry
+                    .register(&mut SourceFd(&fd), LISTENER, Interest::READABLE);
+            }
+        }
+    }
+
+    /// Gives a connected, non-blocking socket a slot and a fresh
+    /// protocol machine.
+    fn admit(&mut self, socket: File) {
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        self.live += 1;
+        self.run.accepted_conns += 1;
+        let mut peer = Peer {
+            socket,
+            conn: Conn::default(),
+            accept_ns: self.pass_ns,
+            accept_done: false,
+            read_ns: 0,
+            interest: None,
+        };
+        self.update_interest(idx, &mut peer);
+        self.conns[idx] = Some(peer);
+    }
+
     /// Applies one readiness event to a connection: errors kill it,
-    /// readable drains the socket into the read buffer (bounded by
+    /// readable drains the socket into its machine (bounded by
     /// [`READ_BUDGET`]; level-triggered polling re-delivers the rest).
     fn conn_event(&mut self, idx: usize, readable: bool, error: bool) {
-        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
+        let Some(peer) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
         if error {
-            conn.dead = true;
-            conn.read_closed = true;
+            peer.conn.abort();
             return;
         }
-        if !readable || conn.read_closed || conn.paused {
+        if !readable || !peer.conn.reading() {
             return;
         }
-        let was_empty = conn.read_buf.is_empty();
+        let was_empty = !peer.conn.has_input();
         let mut chunk = [0u8; 64 * 1024];
         let mut taken = 0;
         loop {
-            match conn.stream.read(&mut chunk) {
+            match (&peer.socket).read(&mut chunk) {
                 Ok(0) => {
-                    conn.read_closed = true;
+                    peer.conn.close_read();
                     break;
                 }
                 Ok(n) => {
-                    // Oversized floods are discarded by the parser each
-                    // service pass, so the buffer stays bounded by this
+                    // Oversized floods are discarded by the machine each
+                    // service pass, so its buffer stays bounded by this
                     // event's read budget plus one partial line.
-                    conn.read_buf.extend_from_slice(&chunk[..n]);
+                    peer.conn.feed(&chunk[..n]);
                     taken += n;
                     if taken >= READ_BUDGET {
                         break;
@@ -481,8 +409,7 @@ impl Reactor {
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    conn.dead = true;
-                    conn.read_closed = true;
+                    peer.conn.abort();
                     break;
                 }
             }
@@ -490,199 +417,76 @@ impl Reactor {
         if taken > 0 {
             // Both stamps reuse the pass tick — no clock read here.
             if was_empty {
-                conn.read_ns = self.pass_ns;
+                peer.read_ns = self.pass_ns;
             }
-            if !conn.accept_done {
-                conn.accept_done = true;
+            if !peer.accept_done {
+                peer.accept_done = true;
                 self.telemetry
-                    .record_stage(Stage::Accept, self.pass_ns.saturating_sub(conn.accept_ns));
+                    .record_stage(Stage::Accept, self.pass_ns.saturating_sub(peer.accept_ns));
             }
         }
     }
 
-    /// Drains every response the workers have finished, re-ordering each
-    /// into its connection's pending map (or dropping it if the
-    /// connection died) and recording the slots that need service.
+    /// Hands every response the workers have finished to its
+    /// connection's machine and records the slots that need service.
     fn route_responses(&mut self, touched: &mut Vec<usize>) {
         while let Some((packed, response, meta)) = self.pool.try_recv_traced() {
             let idx = ((packed >> SEQ_BITS) & SLOT_MASK) as usize;
             let seq = packed & SEQ_MASK;
-            let conn = self.conns[idx]
+            let peer = self.conns[idx]
                 .as_mut()
                 .expect("slots are reserved while requests are in flight");
-            conn.in_flight -= 1;
-            if !conn.dead {
-                // `solved_ns == 0` marks an untraced response (telemetry
-                // off): no stamps to carry forward.
-                let trace = (meta.solved_ns != 0).then(|| (response.tenant(), meta));
-                conn.pending.insert(
-                    seq,
-                    PendingLine {
-                        line: proto::render_response(seq, &response),
-                        trace,
-                    },
-                );
-            }
+            // `solved_ns == 0` marks an untraced response (telemetry
+            // off): no stamps to carry forward.
+            let trace = (meta.solved_ns != 0).then(|| (response.tenant(), meta));
+            let line = proto::render_response(seq, &response);
+            self.run.responses += peer.conn.answer(seq, line, trace, self.pass_ns);
             touched.push(idx);
         }
     }
 
-    /// Answers the line at `bytes` of `conn`'s read buffer, consuming
-    /// its seq: `stats`/`metrics` are served from the reactor thread
-    /// (they never enter a shard queue), engine requests join `batch`
-    /// tagged with the packed token and their read stamp, parse failures
-    /// get an error line. Shared by the in-stream and EOF-partial-line
-    /// sites of [`Reactor::parse_lines`].
-    fn answer_line(
-        &mut self,
-        idx: usize,
-        conn: &mut Conn,
-        bytes: std::ops::Range<usize>,
-        batch: &mut Vec<(u64, Request, u64)>,
-    ) {
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        self.run.requests += 1;
-        let parsed = std::str::from_utf8(&conn.read_buf[bytes])
-            .map_err(|_| "invalid UTF-8".to_string())
-            .and_then(|text| proto::parse_command(text.trim()));
-        match parsed {
-            Ok(Command::Report(format)) => {
-                let line = proto::render_report(seq, format, &self.metrics_report());
-                conn.pending.insert(seq, PendingLine { line, trace: None });
-            }
-            Ok(Command::Engine(request)) => {
-                self.telemetry
-                    .record_stage(Stage::Parse, self.pass_ns.saturating_sub(conn.read_ns));
-                batch.push((((idx as u64) << SEQ_BITS) | seq, request, conn.read_ns));
-                conn.in_flight += 1;
-                self.pass_arrivals += 1;
-            }
-            Err(reason) => {
-                self.run.parse_errors += 1;
-                let line = proto::render_response(seq, &Response::Error { tenant: 0, reason });
-                conn.pending.insert(seq, PendingLine { line, trace: None });
-            }
-        }
-    }
-
-    /// Parses complete lines out of `conn`'s read buffer (respecting the
-    /// pause watermarks), answering `stats` and parse errors immediately
-    /// and appending engine requests to `batch`.
-    fn parse_lines(&mut self, idx: usize, conn: &mut Conn, batch: &mut Vec<(u64, Request, u64)>) {
+    /// Hands out the complete lines buffered in `peer`'s machine (it
+    /// stops at the pause watermarks): `stats`/`metrics` are answered
+    /// from the reactor thread (they never enter a shard queue), engine
+    /// requests join `batch` tagged with the packed token and their read
+    /// stamp, and unparsable lines get an error answer.
+    fn parse_lines(&mut self, idx: usize, peer: &mut Peer, batch: &mut Vec<(u64, Request, u64)>) {
         debug_assert!(idx < MAX_SLOTS);
-        let mut consumed = 0;
-        loop {
-            conn.refresh_pause();
-            if conn.paused {
-                break;
-            }
-            if conn.skipping {
-                match conn.read_buf[consumed..].iter().position(|&b| b == b'\n') {
-                    Some(rel) => {
-                        consumed += rel + 1;
-                        conn.skipping = false;
-                        self.answer_error(conn, oversized_reason());
-                    }
-                    None => {
-                        // All garbage; drop it and wait for the newline.
-                        conn.read_buf.clear();
-                        consumed = 0;
-                        if conn.read_closed {
-                            // EOF ends the oversized line, like the
-                            // blocking reader's EOF case.
-                            conn.skipping = false;
-                            self.answer_error(conn, oversized_reason());
-                        }
-                        break;
-                    }
+        while let Some((seq, line)) = peer.conn.next_line() {
+            self.run.requests += 1;
+            let answer = match line {
+                Ok(Command::Engine(request)) => {
+                    self.telemetry
+                        .record_stage(Stage::Parse, self.pass_ns.saturating_sub(peer.read_ns));
+                    batch.push((((idx as u64) << SEQ_BITS) | seq, request, peer.read_ns));
+                    self.pass_arrivals += 1;
+                    continue;
                 }
-                continue;
-            }
-            match conn.read_buf[consumed..].iter().position(|&b| b == b'\n') {
-                Some(rel) => {
-                    let end = consumed + rel;
-                    self.answer_line(idx, conn, consumed..end, batch);
-                    consumed = end + 1;
+                Ok(Command::Report(format)) => {
+                    proto::render_report(seq, format, &self.metrics_report())
                 }
-                None => {
-                    if conn.read_buf.len() - consumed > MAX_LINE_BYTES {
-                        // Newline-less flood: discard and resync, with
-                        // one bounded error once the line finally ends.
-                        conn.skipping = true;
-                        conn.read_buf.clear();
-                        consumed = 0;
-                        continue;
-                    }
-                    if conn.read_closed && conn.read_buf.len() > consumed {
-                        // EOF: a partial unterminated line still counts.
-                        self.answer_line(idx, conn, consumed..conn.read_buf.len(), batch);
-                        consumed = conn.read_buf.len();
-                    }
-                    break;
+                Err(reason) => {
+                    self.run.parse_errors += 1;
+                    proto::render_response(seq, &Response::Error { tenant: 0, reason })
                 }
-            }
+            };
+            self.run.responses += peer.conn.answer(seq, answer, None, self.pass_ns);
         }
-        conn.read_buf.drain(..consumed.min(conn.read_buf.len()));
     }
 
-    /// Answers one line with a protocol error (consuming its seq).
-    fn answer_error(&mut self, conn: &mut Conn, reason: String) {
-        let seq = conn.next_seq;
-        conn.next_seq += 1;
-        self.run.requests += 1;
-        self.run.parse_errors += 1;
-        let line = proto::render_response(seq, &Response::Error { tenant: 0, reason });
-        conn.pending.insert(seq, PendingLine { line, trace: None });
-    }
-
-    /// Moves in-order answers into the response queue and flushes as far
-    /// as the socket allows with gathered writes.
-    fn flush(&mut self, idx: usize, conn: &mut Conn) {
-        while let Some(pending) = conn.pending.remove(&conn.next_write) {
-            let seq = conn.next_write;
-            let mut line = pending.line.into_bytes();
-            line.push(b'\n');
-            conn.backlog += line.len();
-            conn.outq.push_back(line);
-            conn.next_write += 1;
-            self.run.responses += 1;
-            if let Some((tenant, meta)) = pending.trace {
-                self.telemetry.record_stage(
-                    Stage::Respond,
-                    self.pass_ns.saturating_sub(meta.committed_ns),
-                );
-                conn.flush_tags.push_back(FlushTag {
-                    end: conn.sent + conn.backlog as u64,
-                    tenant,
-                    seq,
-                    meta,
-                    respond_ns: self.pass_ns,
-                });
-            }
-        }
-        self.write_out(conn);
-        if conn.dead {
-            conn.clear_egress();
-            return;
-        }
-        if conn
-            .flush_tags
-            .front()
-            .is_some_and(|tag| tag.end <= conn.sent)
-        {
+    /// Writes as much of `peer`'s queued egress as the socket takes, then
+    /// books the traced answers whose last byte left.
+    fn flush(&mut self, idx: usize, peer: &mut Peer) {
+        self.write_out(peer);
+        let done = peer.conn.flushed();
+        if done.len() > 0 {
             // The one deliberate extra clock read (see module docs):
             // taken only when traced responses completed this pass, it
             // is what puts the write-syscall cost inside the flush
             // stage and makes its p50 non-zero under load.
             let now = self.telemetry.now_ns();
-            while conn
-                .flush_tags
-                .front()
-                .is_some_and(|tag| tag.end <= conn.sent)
-            {
-                let tag = conn.flush_tags.pop_front().expect("front was checked");
-                self.record_flushed(idx, &tag, now);
+            for flushed in done {
+                self.record_flushed(idx, flushed, now);
             }
         }
     }
@@ -691,71 +495,56 @@ impl Reactor {
     /// at [`MAX_WRITEV_IOVECS`]) goes to the socket in a single `writev`
     /// — one syscall per pass covers however many responses accumulated,
     /// looping only when the clip or a short write left bytes behind.
-    fn write_out(&mut self, conn: &mut Conn) {
-        let fd = conn.stream.as_raw_fd();
-        while conn.backlog > 0 {
-            let mut slices: Vec<IoSlice<'_>> =
-                Vec::with_capacity(conn.outq.len().min(MAX_WRITEV_IOVECS));
-            for (i, buf) in conn.outq.iter().enumerate() {
-                if i == 0 {
-                    slices.push(IoSlice::new(&buf[conn.head_written..]));
-                } else {
-                    slices.push(IoSlice::new(buf));
-                }
-                if slices.len() >= MAX_WRITEV_IOVECS {
-                    break;
-                }
-            }
-            match mio::unix::writev(fd, &slices) {
+    fn write_out(&mut self, peer: &mut Peer) {
+        let fd = peer.socket.as_raw_fd();
+        while peer.conn.backlog() > 0 {
+            let (outcome, iovecs) = {
+                let slices = peer.conn.egress(MAX_WRITEV_IOVECS);
+                (mio::unix::writev(fd, &slices), slices.len() as u64)
+            };
+            match outcome {
                 Ok(0) => {
-                    conn.dead = true;
+                    peer.conn.abort();
                     return;
                 }
                 Ok(n) => {
-                    self.egress.flush_passes += 1;
-                    self.egress.iovecs_written += slices.len() as u64;
-                    conn.sent += n as u64;
-                    conn.backlog -= n;
-                    let mut left = n;
-                    while left > 0 {
-                        let front_rest = conn.outq[0].len() - conn.head_written;
-                        if left >= front_rest {
-                            left -= front_rest;
-                            conn.outq.pop_front();
-                            conn.head_written = 0;
-                        } else {
-                            conn.head_written += left;
-                            left = 0;
-                        }
-                    }
+                    self.counters.flush_passes += 1;
+                    self.counters.iovecs_written += iovecs;
+                    peer.conn.written(n);
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => {
-                    conn.dead = true;
+                    peer.conn.abort();
                     return;
                 }
             }
         }
     }
 
-    /// Books a fully-flushed traced response: flush and total stage
-    /// samples, plus its bid for the worst-N slow-request ring.
-    fn record_flushed(&self, idx: usize, tag: &FlushTag, now: u64) {
-        let meta = &tag.meta;
-        let flush_ns = now.saturating_sub(tag.respond_ns);
+    /// Books a fully-flushed traced response: respond, flush and total
+    /// stage samples, plus its bid for the worst-N slow-request ring.
+    fn record_flushed(&self, idx: usize, flushed: Flushed<Trace>, now: u64) {
+        let Flushed {
+            seq,
+            queued_ns,
+            tag: (tenant, meta),
+        } = flushed;
+        let respond_ns = queued_ns.saturating_sub(meta.committed_ns);
+        let flush_ns = now.saturating_sub(queued_ns);
         let total_ns = now.saturating_sub(meta.read_ns);
+        self.telemetry.record_stage(Stage::Respond, respond_ns);
         self.telemetry.record_stage(Stage::Flush, flush_ns);
         self.telemetry.record_stage(Stage::Total, total_ns);
         self.telemetry.offer_slow(SlowRequest {
-            tenant: tag.tenant,
+            tenant,
             conn: idx as u64,
-            seq: tag.seq,
+            seq,
             parse_ns: meta.submit_ns.saturating_sub(meta.read_ns),
             queue_ns: meta.dequeue_ns.saturating_sub(meta.submit_ns),
             solve_ns: meta.solve_ns,
             persist_ns: meta.committed_ns.saturating_sub(meta.solved_ns),
-            respond_ns: tag.respond_ns.saturating_sub(meta.committed_ns),
+            respond_ns,
             flush_ns,
             total_ns,
         });
@@ -764,32 +553,32 @@ impl Reactor {
     /// Reconciles the registered poll interest with what the connection
     /// currently needs (read unless closed/paused, write while a
     /// backlog exists).
-    fn update_interest(&mut self, idx: usize, conn: &mut Conn) {
-        let want_read = !conn.dead && !conn.read_closed && !conn.paused;
-        let want_write = !conn.dead && conn.backlog > 0;
+    fn update_interest(&mut self, idx: usize, peer: &mut Peer) {
+        let want_read = peer.conn.reading();
+        let want_write = peer.conn.backlog() > 0;
         let desired = match (want_read, want_write) {
             (true, true) => Some(Interest::READABLE | Interest::WRITABLE),
             (true, false) => Some(Interest::READABLE),
             (false, true) => Some(Interest::WRITABLE),
             (false, false) => None,
         };
-        if desired == conn.interest {
+        if desired == peer.interest {
             return;
         }
-        let fd = conn.stream.as_raw_fd();
+        let fd = peer.socket.as_raw_fd();
         let mut source = SourceFd(&fd);
         let token = Token(CONN_BASE + idx);
-        let outcome = match (conn.interest, desired) {
+        let outcome = match (peer.interest, desired) {
             (None, Some(interest)) => self.registry.register(&mut source, token, interest),
             (Some(_), Some(interest)) => self.registry.reregister(&mut source, token, interest),
             (Some(_), None) => self.registry.deregister(&mut source),
             (None, None) => Ok(()),
         };
         match outcome {
-            Ok(()) => conn.interest = desired,
+            Ok(()) => peer.interest = desired,
             Err(_) => {
-                conn.dead = true;
-                conn.interest = None;
+                peer.conn.abort();
+                peer.interest = None;
             }
         }
     }
@@ -828,26 +617,30 @@ impl Reactor {
     /// One connection's full service pass: parse what's buffered, flush
     /// what's answered, reconcile interest, release the slot if done.
     fn service_conn(&mut self, idx: usize, batch: &mut Vec<(u64, Request, u64)>) {
-        let Some(mut conn) = self.conns.get_mut(idx).and_then(Option::take) else {
+        let Some(mut peer) = self.conns.get_mut(idx).and_then(Option::take) else {
             return;
         };
-        if !conn.dead {
-            self.parse_lines(idx, &mut conn, batch);
-            self.flush(idx, &mut conn);
-        } else {
-            conn.clear_egress();
+        loop {
+            self.parse_lines(idx, &mut peer, batch);
+            self.flush(idx, &mut peer);
+            // A write that drained a full backlog lifts the pause; the
+            // lines it held back are already buffered, so no read event
+            // would ever come for them.
+            if !peer.conn.resumable() {
+                break;
+            }
         }
-        self.update_interest(idx, &mut conn);
-        if conn.finished() {
-            if conn.interest.is_some() {
-                let fd = conn.stream.as_raw_fd();
+        self.update_interest(idx, &mut peer);
+        if peer.conn.finished() {
+            if peer.interest.is_some() {
+                let fd = peer.socket.as_raw_fd();
                 let _ = self.registry.deregister(&mut SourceFd(&fd));
             }
             self.live -= 1;
             self.free.push(idx);
-            // `conn` drops here, closing the socket.
+            // `peer` drops here, closing the socket.
         } else {
-            self.conns[idx] = Some(conn);
+            self.conns[idx] = Some(peer);
         }
         self.maybe_submit(batch);
     }
@@ -868,27 +661,15 @@ impl Reactor {
         touched.extend((0..self.conns.len()).filter(|&i| self.conns[i].is_some()));
     }
 
-    /// Every answer owed to a live connection has been flushed.
-    fn all_flushed(&self) -> bool {
-        self.conns
-            .iter()
-            .flatten()
-            .all(|conn| conn.dead || (conn.pending.is_empty() && conn.backlog == 0))
-    }
-
-    /// No live connection holds a buffered complete line that the
-    /// draining loop still owes an answer to. Unterminated partial
-    /// lines don't count: without EOF there is no way to know whether
-    /// the rest is coming, and the drain cannot wait on a slow sender.
-    fn no_pending_lines(&self) -> bool {
-        self.conns
-            .iter()
-            .flatten()
-            .all(|conn| conn.dead || !conn.read_buf.contains(&b'\n'))
+    /// Every live connection has every complete line it sent answered
+    /// and written.
+    fn all_settled(&self) -> bool {
+        self.conns.iter().flatten().all(|peer| peer.conn.settled())
     }
 
     /// The event loop: serves until a requested shutdown has drained
-    /// (or its grace ran out). Only poller failures are errors;
+    /// (or its grace ran out), or — with no listener — until the last
+    /// connection is done. Only poller failures are errors;
     /// per-connection I/O errors only ever kill that connection.
     fn run(&mut self, poll: &mut Poll, waker: &Waker, shutdown: &Shutdown) -> io::Result<()> {
         let mut events = Events::with_capacity(1024);
@@ -907,16 +688,26 @@ impl Reactor {
                 }
                 self.submit(&mut batch);
             }
+            if self.listener.is_none() && self.live == 0 {
+                return Ok(());
+            }
             if self.draining && drain_deadline.is_some_and(|d| Instant::now() >= d) {
                 return Ok(());
             }
-            let timeout = self.draining.then(|| Duration::from_millis(50));
+            let backoff = self
+                .accept_resume
+                .map(|at| at.saturating_duration_since(Instant::now()));
+            let timeout = match (self.draining.then(|| Duration::from_millis(50)), backoff) {
+                (Some(a), Some(b)) => Some(a.min(b)),
+                (a, b) => a.or(b),
+            };
             poll.poll(&mut events, timeout)?;
             // The pass tick: one clock read per poll iteration, taken
             // after the (possibly long) wait so blocked time is never
             // charged to a request, reused for every stamp below.
             self.pass_ns = self.telemetry.now_ns();
             let quiet = events.is_empty();
+            self.resume_accepts();
 
             touched.clear();
             let mut woken = false;
@@ -946,14 +737,9 @@ impl Reactor {
             self.submit(&mut batch);
             self.end_pass();
             // Draining exit: a whole poll interval passed with no socket
-            // activity, nothing is in flight, every answer is flushed,
-            // and no buffered complete line awaits parsing.
-            if self.draining
-                && quiet
-                && self.pool.in_flight() == 0
-                && self.all_flushed()
-                && self.no_pending_lines()
-            {
+            // activity, nothing is in flight, and every connection has
+            // each complete line it sent answered and written.
+            if self.draining && quiet && self.pool.in_flight() == 0 && self.all_settled() {
                 return Ok(());
             }
         }
@@ -979,10 +765,38 @@ pub fn serve_reactor(
     shutdown: &Shutdown,
 ) -> io::Result<ReactorSummary> {
     listener.set_nonblocking(true)?;
+    serve(Some(listener), None, options, shutdown)
+}
+
+/// Serves one already-connected stream — the daemon's stdin bridge — on
+/// the caller's thread with no listener, exactly as [`serve_reactor`]
+/// serves each TCP connection, and returns the run's totals once the
+/// peer has closed its side and every line it sent has been answered
+/// and written (or the stream died).
+///
+/// # Errors
+///
+/// As for [`serve_reactor`].
+pub fn serve_stream(stream: UnixStream, options: &ReactorOptions) -> io::Result<ReactorSummary> {
+    stream.set_nonblocking(true)?;
+    let socket = File::from(OwnedFd::from(stream));
+    serve(None, Some(socket), options, &Shutdown::default())
+}
+
+/// The reactor loop over an optional listener and an optional
+/// pre-connected socket.
+fn serve(
+    listener: Option<TcpListener>,
+    connected: Option<File>,
+    options: &ReactorOptions,
+    shutdown: &Shutdown,
+) -> io::Result<ReactorSummary> {
     let mut poll = Poll::new()?;
-    let listener_fd = listener.as_raw_fd();
-    poll.registry()
-        .register(&mut SourceFd(&listener_fd), LISTENER, Interest::READABLE)?;
+    if let Some(listener) = &listener {
+        let fd = listener.as_raw_fd();
+        poll.registry()
+            .register(&mut SourceFd(&fd), LISTENER, Interest::READABLE)?;
+    }
     let waker = Arc::new(Waker::new(poll.registry(), WAKER)?);
     let registry = poll.registry().try_clone()?;
     let notify = Arc::clone(&waker);
@@ -1006,7 +820,9 @@ pub fn serve_reactor(
         telemetry: Arc::clone(pool.telemetry()),
         pool,
         pass_ns: 0,
-        listener: Some(listener),
+        listener,
+        accept_resume: None,
+        accept_exhausted: false,
         conns: Vec::new(),
         free: Vec::new(),
         live: 0,
@@ -1015,8 +831,12 @@ pub fn serve_reactor(
         arrival_ewma: 1.0,
         pass_arrivals: 0,
         run: ReactorSummary::default(),
-        egress: ReactorStats::default(),
+        counters: ReactorStats::default(),
     };
+    if let Some(socket) = connected {
+        reactor.pass_ns = reactor.telemetry.now_ns();
+        reactor.admit(socket);
+    }
     let outcome = reactor.run(&mut poll, &waker, shutdown);
     // Teardown: close every socket, then stop the workers once they
     // have answered whatever is still in flight.

@@ -437,8 +437,8 @@ impl ShardedEngine {
         self.shared.stats()
     }
 
-    /// The pool's telemetry registry (shared with its workers and
-    /// whichever serving front pumps the pool).
+    /// The pool's telemetry registry (shared with its workers and the
+    /// reactor that drives the pool).
     #[must_use]
     pub fn telemetry(&self) -> &Arc<Telemetry> {
         &self.telemetry
@@ -593,12 +593,7 @@ impl ShardedEngine {
     /// Receives one response, blocking while any are in flight. Returns
     /// `None` once nothing is in flight.
     pub fn recv(&mut self) -> Option<(u64, Response)> {
-        self.recv_traced().map(|(seq, response, _)| (seq, response))
-    }
-
-    /// Blocking receive keeping the worker's telemetry stamps.
-    pub fn recv_traced(&mut self) -> Option<(u64, Response, ResponseMeta)> {
-        self.receive(true)
+        self.receive(true).map(|(seq, response, _)| (seq, response))
     }
 
     /// The next answer — waiting for one iff `block` — or `None` once
@@ -632,16 +627,6 @@ impl ShardedEngine {
     pub fn drain(&mut self) -> Vec<(u64, Response)> {
         let mut out = Vec::with_capacity(self.in_flight);
         while let Some(answer) = self.recv() {
-            out.push(answer);
-        }
-        out
-    }
-
-    /// [`ShardedEngine::drain`] with each response's worker-side trace
-    /// stamps (what the pump front ends feed into the stage histograms).
-    pub fn drain_traced(&mut self) -> Vec<(u64, Response, ResponseMeta)> {
-        let mut out = Vec::with_capacity(self.in_flight);
-        while let Some(answer) = self.recv_traced() {
             out.push(answer);
         }
         out

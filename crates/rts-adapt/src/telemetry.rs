@@ -11,8 +11,8 @@
 //! accept → read/parse → enqueue → dequeue → solve → persist → respond
 //! → flush —
 //! recorded into merge-able histograms that the `{"op":"metrics"}` verb
-//! (see [`crate::proto::render_metrics`]) exposes from both serving
-//! fronts, the reactor and the stdin pump.
+//! (see [`crate::proto::render_metrics`]) exposes on every reactor
+//! connection, TCP or the stdin bridge.
 //!
 //! # Histogram layout
 //!
@@ -406,7 +406,7 @@ impl Stage {
 pub struct SlowRequest {
     /// Tenant the request addressed.
     pub tenant: u64,
-    /// Serving-front connection slot (0 on the stdin front).
+    /// The reactor's connection slot (the stdin bridge is slot 0).
     pub conn: u64,
     /// Per-connection sequence number.
     pub seq: u64,

@@ -1,12 +1,16 @@
 //! The `rts_adaptd` command line, driven as a subprocess: it refuses
-//! what it does not understand, answers a stdin session in order, and in
-//! TCP mode prints the `listening on` line that the benchmark and the
-//! fleet smoke parse, serves, and drains on stdin EOF.
+//! what it does not understand, answers a stdin session in order — from
+//! a pipe or a regular file, whose lines the daemon bridges into one
+//! reactor connection — and in TCP mode prints the `listening on` line
+//! that the benchmark and the fleet smoke parse, serves, drains on
+//! stdin EOF, and weathers running out of file descriptors.
 
 use std::io::{BufRead, BufReader, Write};
-use std::process::{Child, Command, ExitStatus, Stdio};
+use std::net::{SocketAddr, TcpStream};
+use std::process::{Child, ChildStderr, Command, ExitStatus, Stdio};
 use std::time::{Duration, Instant};
 
+use rts_adapt::json;
 use rts_adapt::{LineClient, RetryPolicy};
 
 const DAEMON: &str = env!("CARGO_BIN_EXE_rts_adaptd");
@@ -44,6 +48,10 @@ fn unknown_flags_and_unparsable_values_exit_with_usage() {
         // One reactor serves every connection: `--reactors` takes only 1.
         &["--reactors", "2"],
         &["--reactors", "0"],
+        // The daemon always runs TopDiff, and stdin is one reactor
+        // connection with no batch knob of its own.
+        &["--strategy", "exhaustive"],
+        &["--batch", "8"],
         &["--shards", "abc"],
         &["--max-conns", "1O"],
         &["--tcp"],
@@ -58,6 +66,27 @@ fn unknown_flags_and_unparsable_values_exit_with_usage() {
         assert!(stderr.contains("usage: rts_adaptd"), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must not serve");
     }
+}
+
+/// Runs one stdin session: `input` is written to the daemon's stdin
+/// from a separate thread, then closed; returns the exit status and
+/// every stdout line.
+fn stdin_session(args: &[&str], input: Vec<u8>) -> (ExitStatus, Vec<String>) {
+    let mut child = Command::new(DAEMON)
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn rts_adaptd");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    let feeding = std::thread::spawn(move || stdin.write_all(&input));
+    let lines: Vec<String> = BufReader::new(child.stdout.take().expect("stdout is piped"))
+        .lines()
+        .map(|line| line.expect("utf-8 answer"))
+        .collect();
+    feeding.join().unwrap().expect("write the session");
+    (wait_bounded(&mut child, Duration::from_secs(60)), lines)
 }
 
 #[test]
@@ -135,6 +164,221 @@ fn a_huge_core_count_is_an_error_line_and_the_session_goes_on() {
     assert!(lines[0].contains("cores"), "{}", lines[0]);
     assert!(lines[1].contains("\"verdict\":\"accept\""), "{}", lines[1]);
     assert!(lines[2].contains("\"verdict\":\"accept\""), "{}", lines[2]);
+}
+
+/// A regular file as stdin — which epoll cannot poll — is served like a
+/// pipe: the daemon's copy thread bridges it into the reactor.
+#[test]
+fn a_regular_file_on_stdin_is_served_in_order() {
+    let path = std::env::temp_dir().join(format!("hydra_stdin_file_{}.jsonl", std::process::id()));
+    std::fs::write(
+        &path,
+        format!(
+            "{REGISTER}\n\
+             {{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}}\n\
+             not json\n\
+             {{\"op\":\"query\",\"tenant\":1}}\n"
+        ),
+    )
+    .expect("write the session file");
+    let out = Command::new(DAEMON)
+        .args(["--shards", "2"])
+        .stdin(std::fs::File::open(&path).expect("open the session file"))
+        .output()
+        .expect("run rts_adaptd");
+    let _ = std::fs::remove_file(&path);
+    assert!(out.status.success(), "{}", out.status);
+    let text = String::from_utf8(out.stdout).expect("utf-8 answers");
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "{lines:?}");
+    for (i, line) in lines.iter().enumerate() {
+        assert!(line.starts_with(&format!("{{\"seq\":{i},")), "{line}");
+    }
+    assert!(lines[1].contains("\"periods_ms\":[7582]"), "{}", lines[1]);
+    assert!(lines[2].contains("\"verdict\":\"error\""), "{}", lines[2]);
+    assert!(lines[3].contains("\"periods_ms\":[7582]"), "{}", lines[3]);
+}
+
+/// EOF ends an unterminated last line, which is still answered.
+#[test]
+fn an_unterminated_final_stdin_line_is_answered() {
+    let (status, lines) = stdin_session(&[], b"{\"op\":\"query\",\"tenant\":9}".to_vec());
+    assert!(status.success(), "{status}");
+    assert_eq!(lines.len(), 1, "{lines:?}");
+    assert!(lines[0].contains("unknown tenant 9"), "{}", lines[0]);
+}
+
+/// An empty stdin is an empty session: exit 0, nothing on stdout.
+#[test]
+fn an_empty_stdin_exits_zero_with_no_output() {
+    let out = Command::new(DAEMON)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run rts_adaptd");
+    assert!(out.status.success(), "{}", out.status);
+    assert!(
+        out.stdout.is_empty(),
+        "{:?}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// A 3 MiB line without a newline is one bounded error — never buffered
+/// whole — and the stream stays line-synchronized for the query after
+/// it.
+#[test]
+fn a_three_mib_stdin_line_is_one_error_and_the_next_query_is_answered() {
+    let mut input = vec![b'x'; 3 << 20];
+    input.extend_from_slice(b"\n{\"op\":\"query\",\"tenant\":5}\n");
+    let (status, lines) = stdin_session(&["--shards", "2"], input);
+    assert!(status.success(), "{status}");
+    assert_eq!(lines.len(), 2, "{lines:?}");
+    assert!(
+        lines[0].starts_with("{\"seq\":0,") && lines[0].contains("exceeds"),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains("unknown tenant 5"), "{}", lines[1]);
+}
+
+/// Stdin is one connection of the reactor, and `stats` says so: one
+/// live connection under the default cap, and one gathered write per
+/// earlier answer of a lockstep session.
+#[test]
+fn a_stdin_session_is_one_live_reactor_connection_in_stats() {
+    let mut child = Command::new(DAEMON)
+        .args(["--shards", "1"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn rts_adaptd");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped")).lines();
+    let mut exchange = |line: &str| {
+        writeln!(stdin, "{line}").expect("send a line");
+        stdout.next().expect("an answer").expect("utf-8 answer")
+    };
+    assert!(exchange(REGISTER).contains("\"verdict\":\"accept\""));
+    assert!(exchange("{\"op\":\"query\",\"tenant\":1}").contains("\"verdict\":\"accept\""));
+    let stats = exchange("{\"op\":\"stats\"}");
+    assert!(
+        stats.starts_with(
+            "{\"seq\":2,\"verdict\":\"stats\",\"conns\":{\"live\":1,\"refused\":0,\"max\":64},\
+             \"reactors\":[{\"reactor\":0,\"live\":1,\"refused\":0,\"max\":64,\
+             \"flush_passes\":2,\"iovecs_written\":2,\"accept_failures\":0}],\"shards\":["
+        ),
+        "{stats}"
+    );
+    drop(stdin);
+    assert!(stdout.next().is_none(), "nothing after the last answer");
+    let status = wait_bounded(&mut child, Duration::from_secs(60));
+    assert!(status.success(), "{status}");
+}
+
+/// Spawns the daemon in TCP mode under `ulimit -n {limit}` (its own
+/// limit only) and returns it with its address and its stderr lines.
+fn spawn_limited(
+    limit: u32,
+    args: &str,
+) -> (Child, SocketAddr, std::io::Lines<BufReader<ChildStderr>>) {
+    let mut child = Command::new("sh")
+        .arg("-c")
+        .arg(format!(
+            "ulimit -n {limit} && exec \"$DAEMON\" --tcp 127.0.0.1:0 {args}"
+        ))
+        .env("DAEMON", DAEMON)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn rts_adaptd under a descriptor limit");
+    let mut stderr = BufReader::new(child.stderr.take().expect("stderr is piped")).lines();
+    let announced = stderr
+        .next()
+        .expect("the daemon announces its address")
+        .expect("utf-8 stderr");
+    let addr = announced
+        .strip_prefix("rts_adaptd listening on ")
+        .unwrap_or_else(|| panic!("unexpected first stderr line: {announced}"))
+        .parse()
+        .expect("a socket address");
+    (child, addr, stderr)
+}
+
+/// A connection cap the process cannot hold open is refused at start.
+#[test]
+fn max_conns_at_the_open_file_limit_exits_with_usage() {
+    let out = Command::new("sh")
+        .arg("-c")
+        .arg("ulimit -n 40 && exec \"$DAEMON\" --tcp 127.0.0.1:0 --max-conns 40")
+        .env("DAEMON", DAEMON)
+        .stdin(Stdio::null())
+        .output()
+        .expect("run rts_adaptd under a descriptor limit");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("open-file limit (40)"), "{stderr}");
+    assert!(stderr.contains("usage: rts_adaptd"), "{stderr}");
+}
+
+/// Running out of descriptors is one log line per episode, not one per
+/// pass: the listener backs off while connections already admitted are
+/// served, `metrics` counts the failed accepts, and once descriptors
+/// free up new connections are served again.
+#[test]
+fn descriptor_exhaustion_backs_off_logs_once_and_is_counted() {
+    let (mut child, addr, stderr) = spawn_limited(40, "--shards 1 --max-conns 39");
+    let mut first = LineClient::connect(addr, &RetryPolicy::quick()).expect("dial the daemon");
+    let probe = "{\"op\":\"query\",\"tenant\":9}";
+    assert!(first
+        .request(probe)
+        .expect("query")
+        .contains("unknown tenant 9"));
+    // More connections than the daemon has descriptors left for.
+    let hold: Vec<TcpStream> = (0..48)
+        .map(|_| TcpStream::connect(addr).expect("the kernel completes the handshake"))
+        .collect();
+    // Several back-off periods pass while the listener stays readable.
+    std::thread::sleep(Duration::from_millis(600));
+    assert!(first
+        .request(probe)
+        .expect("query")
+        .contains("unknown tenant 9"));
+    let metrics = first.request("{\"op\":\"metrics\"}").expect("metrics");
+    let failures = json::parse(&metrics).ok().and_then(|m| {
+        m.get("reactors")?
+            .as_array()?
+            .first()?
+            .get("accept_failures")?
+            .as_u64()
+    });
+    assert!(failures.is_some_and(|n| n >= 1), "{metrics}");
+    drop(hold);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let served = LineClient::connect(addr, &RetryPolicy::quick())
+            .and_then(|mut c| c.request(probe))
+            .is_ok_and(|answer| answer.contains("unknown tenant 9"));
+        if served {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "no connection served after the descriptors freed up"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    drop(first);
+    drop(child.stdin.take());
+    let status = wait_bounded(&mut child, Duration::from_secs(60));
+    assert!(status.success(), "{status}");
+    let log: Vec<String> = stderr.map_while(Result::ok).collect();
+    let failed = log
+        .iter()
+        .filter(|line| line.contains("accept failed"))
+        .count();
+    assert_eq!(failed, 1, "one log line per exhaustion episode: {log:?}");
 }
 
 #[test]

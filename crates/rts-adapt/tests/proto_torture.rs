@@ -1,57 +1,56 @@
 //! Protocol torture: malformed, truncated, adversarial and oversized
-//! line-JSON — plus mid-request disconnects — against both serving
-//! fronts (the stdin pump and the TCP reactor). The service contract
-//! under attack is simple: **every line gets a polite
+//! line-JSON — plus mid-request disconnects — against the reactor, over
+//! TCP and over the Unix stream the daemon bridges stdin through. The
+//! service contract under attack is simple: **every line gets a polite
 //! `verdict:"error"`/`"reject"` answer, nothing panics, no worker
 //! wedges, and the stream stays line-synchronized** so a well-formed
 //! request after the garbage is still served. The
 //! Export/Import/Evict verbs get the same treatment as the PR 4 ops —
 //! including payloads that parse but must not install anything.
 //!
-//! The TCP front (`rts_adapt::reactor`) gets its own battery:
-//! slow-loris drip feeds, clients that vanish with responses still in
-//! flight, a thousand idle connections under one active one, over-cap
-//! refusal — plus the parity pin: the same scripted sessions through
-//! the stdin pump and over reactor connections (at *different* shard
-//! counts and telemetry settings) must produce byte-identical response
+//! The TCP connections get their own battery: slow-loris drip feeds,
+//! clients that vanish with responses still in flight, a thousand idle
+//! connections under one active one, over-cap refusal — plus the
+//! invariance pin: the same scripted sessions at *different* shard
+//! counts and telemetry settings must produce byte-identical response
 //! streams, a loaded journaled reactor must sample every lifecycle
 //! stage, and an orderly reactor shutdown must lose no accepted delta
 //! from the journal.
 
 mod common;
 
-use std::io::{BufReader, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::unix::net::UnixStream;
 
 use common::{retry, spawn_reactor, Client, Served, TempDir};
 use rts_adapt::journal::JournalDir;
 use rts_adapt::json::{self, Json};
-use rts_adapt::reactor::ReactorOptions;
-use rts_adapt::server::{serve, ServeSummary};
-use rts_adapt::{ShardedEngine, Stage};
+use rts_adapt::reactor::{serve_stream, ReactorOptions, ReactorSummary};
+use rts_adapt::Stage;
 use rts_analysis::semi::CarryInStrategy;
 
-/// Serves `input` on a fresh 2-shard engine and returns the summary and
-/// response lines. The engine shuts down cleanly afterwards — a wedged
-/// worker would hang right here, failing the test by timeout.
-fn run_lines(input: &str) -> (ServeSummary, Vec<String>) {
-    let mut engine = ShardedEngine::new(CarryInStrategy::TopDiff, 2);
-    let (summary, lines) = serve_lines(&mut engine, input, 8);
-    let _ = engine.shutdown();
+/// Serves `input` as one stream on a fresh 2-shard reactor with no
+/// listener — the path the daemon's stdin takes — and returns the
+/// run's totals and the response lines. The reactor returns only once
+/// every line is answered and its workers are joined — a wedged worker
+/// would hang right here, failing the test by timeout.
+fn run_lines(input: &str) -> (ReactorSummary, Vec<String>) {
+    let (served, client) = UnixStream::pair().unwrap();
+    let serving = std::thread::spawn(move || serve_stream(served, &reactor(2, 8)));
+    let mut writer = client.try_clone().unwrap();
+    let input = input.to_owned();
+    let feeding = std::thread::spawn(move || {
+        writer.write_all(input.as_bytes()).unwrap();
+        writer.shutdown(std::net::Shutdown::Write).unwrap();
+    });
+    let lines: Vec<String> = BufReader::new(client)
+        .lines()
+        .map(|line| line.expect("utf-8 answer"))
+        .collect();
+    feeding.join().unwrap();
+    let summary = serving.join().unwrap().unwrap();
     (summary, lines)
-}
-
-/// One stdin-pump stream over `engine`, dispatching up to `batch` lines
-/// per round.
-fn serve_lines(
-    engine: &mut ShardedEngine,
-    input: &str,
-    batch: usize,
-) -> (ServeSummary, Vec<String>) {
-    let mut out: Vec<u8> = Vec::new();
-    let summary = serve(engine, BufReader::new(input.as_bytes()), &mut out, batch).unwrap();
-    let text = String::from_utf8(out).unwrap();
-    (summary, text.lines().map(str::to_owned).collect())
 }
 
 /// Reactor options: `shards` workers, a `max_conns` budget, no journal.
@@ -60,6 +59,22 @@ fn reactor(shards: usize, max_conns: usize) -> ReactorOptions {
         max_conns,
         ..ReactorOptions::new(CarryInStrategy::TopDiff, shards)
     }
+}
+
+/// The answers a fresh reactor over the journal in `dir` gives to
+/// `queries`, at yet another shard count — what a restarted daemon
+/// would say.
+fn replay_queries(dir: &TempDir, queries: &[String]) -> Vec<String> {
+    let (addr, shutdown, handle) = spawn_reactor(ReactorOptions {
+        journal: Some(JournalDir::at(dir.path())),
+        ..reactor(3, 4)
+    });
+    let mut c = Client::connect(addr);
+    let answers = queries.iter().map(|q| c.request(q)).collect();
+    drop(c);
+    shutdown.request();
+    handle.join().unwrap().unwrap();
+    answers
 }
 
 const REGISTER: &str = "{\"op\":\"register\",\"tenant\":1,\"cores\":2,\"rt\":[\
@@ -301,7 +316,7 @@ fn oversized_import_payloads_are_bounded_politely() {
 }
 
 // ---------------------------------------------------------------------
-// Event-driven front end (rts_adapt::reactor)
+// TCP connections
 // ---------------------------------------------------------------------
 
 /// A slow-loris client dripping one request a few bytes at a time never
@@ -435,17 +450,16 @@ fn run_scripts(addr: SocketAddr, scripts: &[Vec<String>]) -> Vec<Vec<String>> {
     handles.into_iter().map(|h| h.join().unwrap()).collect()
 }
 
-/// The parity pin: the same scripted sessions — registrations, deltas,
-/// garbage, mode flips, queries, with per-tenant stream affinity —
-/// through the stdin pump at 1 shard (one `serve` stream per script)
-/// and over reactor connections at 3 shards produce **byte-identical
-/// response streams**, with telemetry on and with it off. Verdict
-/// populations are therefore invariant to the serving front, the shard
-/// count and telemetry (histograms observe, never participate); with
-/// telemetry off the metrics verb still answers, every stage at zero
-/// count.
+/// The invariance pin: the same scripted sessions — registrations,
+/// deltas, garbage, mode flips, queries, with per-tenant stream
+/// affinity, one connection per script — produce **byte-identical
+/// response streams** on a reactor at 1 shard with telemetry on and at
+/// 3 shards with telemetry on and off. Verdict populations are
+/// therefore invariant to the shard count and telemetry (histograms
+/// observe, never participate); with telemetry off the metrics verb
+/// still answers, every stage at zero count.
 #[test]
-fn stdin_and_reactor_fronts_answer_byte_identically() {
+fn reactor_answers_are_invariant_to_shard_count_and_telemetry() {
     let scripts: Vec<Vec<String>> = (0..6u64)
         .map(|i| {
             let tenant = 100 + i;
@@ -471,20 +485,15 @@ fn stdin_and_reactor_fronts_answer_byte_identically() {
         })
         .collect();
 
-    let mut engine = ShardedEngine::new(CarryInStrategy::TopDiff, 1);
-    let stdin: Vec<Vec<String>> = scripts
-        .iter()
-        .map(|script| serve_lines(&mut engine, &(script.join("\n") + "\n"), 8).1)
-        .collect();
-    let _ = engine.shutdown();
     let expected: usize = scripts.iter().map(Vec::len).sum();
-    for telemetry in [true, false] {
-        let front = format!("telemetry {telemetry}");
+    let mut reference: Option<Vec<Vec<String>>> = None;
+    for (shards, telemetry) in [(1, true), (3, true), (3, false)] {
+        let setup = format!("{shards} shards, telemetry {telemetry}");
         let (addr, shutdown, handle) = spawn_reactor(ReactorOptions {
             telemetry,
-            ..reactor(3, 64)
+            ..reactor(shards, 64)
         });
-        let tcp = run_scripts(addr, &scripts);
+        let answers = run_scripts(addr, &scripts);
         let verbs = usize::from(!telemetry);
         if !telemetry {
             let metrics = Client::connect(addr).request("{\"op\":\"metrics\"}");
@@ -492,17 +501,24 @@ fn stdin_and_reactor_fronts_answer_byte_identically() {
                 assert_eq!(
                     stage_field(&metrics, stage, "count").and_then(|v| v.as_u64()),
                     Some(0),
-                    "{front}: stage {} sampled: {metrics}",
+                    "{setup}: stage {} sampled: {metrics}",
                     stage.name()
                 );
             }
         }
         shutdown.request();
         let summary = handle.join().unwrap().unwrap();
-
-        assert_eq!(stdin, tcp, "{front}: per-stream answers must match");
-        assert_eq!(summary.requests, (expected + verbs) as u64, "{front}");
-        assert_eq!(summary.responses, (expected + verbs) as u64, "{front}");
+        assert_eq!(summary.requests, (expected + verbs) as u64, "{setup}");
+        assert_eq!(summary.responses, (expected + verbs) as u64, "{setup}");
+        match &reference {
+            None => reference = Some(answers),
+            Some(reference) => {
+                assert_eq!(
+                    reference, &answers,
+                    "{setup}: per-stream answers must match"
+                );
+            }
+        }
     }
 }
 
@@ -572,77 +588,6 @@ fn a_loaded_journaled_reactor_samples_every_lifecycle_stage() {
     handle.join().unwrap().unwrap();
 }
 
-/// The observability parity pin: `stats`, `metrics`, and the Prometheus
-/// exposition answer with the **exact same field set** on the stdin and
-/// reactor fronts. Numeric values legitimately differ (timings,
-/// connection gauges, process-wide counters), so every digit run is
-/// masked to `#` and the remaining byte shape — field names, nesting,
-/// ordering, units — must be identical. Both fronts answer the verbs
-/// only after the engine answers have left, so the slow-request ring
-/// holds the same one sampled request on each.
-#[test]
-fn stats_and_metrics_share_a_byte_shape_across_fronts() {
-    fn mask(line: &str) -> String {
-        let mut out = String::with_capacity(line.len());
-        let mut in_digits = false;
-        for c in line.chars() {
-            if c.is_ascii_digit() {
-                if !in_digits {
-                    out.push('#');
-                }
-                in_digits = true;
-            } else {
-                in_digits = false;
-                out.push(c);
-            }
-        }
-        out
-    }
-    let engine_lines = [
-        REGISTER,
-        "{\"op\":\"arrival\",\"tenant\":1,\"passive_ms\":5342,\"t_max_ms\":10000}",
-        "{\"op\":\"mode\",\"tenant\":1,\"slot\":0,\"mode\":\"active\"}",
-        "{\"op\":\"query\",\"tenant\":1}",
-    ];
-    let verbs = [
-        "{\"op\":\"stats\"}",
-        "{\"op\":\"metrics\"}",
-        "{\"op\":\"metrics\",\"format\":\"prometheus\"}",
-    ];
-    // One line per round: every verb follows the flushed engine answers.
-    let mut engine = ShardedEngine::new(CarryInStrategy::TopDiff, 2);
-    let script: String = engine_lines
-        .iter()
-        .chain(&verbs)
-        .map(|l| format!("{l}\n"))
-        .collect();
-    let (_, stdin) = serve_lines(&mut engine, &script, 1);
-    let _ = engine.shutdown();
-    let (addr, shutdown, handle) = spawn_reactor(reactor(2, 16));
-    let mut c = Client::connect(addr);
-    for line in engine_lines {
-        c.send(line);
-    }
-    let mut tcp: Vec<String> = engine_lines.iter().map(|_| c.recv()).collect();
-    for line in verbs {
-        c.send(line);
-    }
-    tcp.extend(verbs.iter().map(|_| c.recv()));
-    drop(c);
-    shutdown.request();
-    handle.join().unwrap().unwrap();
-    // The first four lines are engine answers (covered by the strict
-    // parity pin above); the last three are the observability verbs.
-    assert_eq!(stdin.len(), tcp.len());
-    for (i, (s, r)) in stdin.iter().zip(&tcp).enumerate().skip(4) {
-        assert_eq!(
-            mask(s),
-            mask(r),
-            "line {i}: field sets diverged\nstdin:   {s}\nreactor: {r}"
-        );
-    }
-}
-
 /// The no-lost-delta pin: a shutdown requested while a journaled
 /// pipeline is still in flight answers everything first, and a fresh
 /// engine replaying the journal afterwards reports exactly the state of
@@ -678,21 +623,10 @@ fn orderly_reactor_shutdown_loses_no_accepted_delta() {
     assert_eq!(summary.requests, n_flips as u64 + 2);
     assert_eq!(summary.responses, n_flips as u64 + 2);
 
-    // Replay the journal in a fresh engine (at yet another shard
+    // Replay the journal in a fresh reactor (at yet another shard
     // count): the query must report the periods of the last delta the
     // live daemon accepted.
-    let mut engine =
-        ShardedEngine::with_journal(CarryInStrategy::TopDiff, 3, JournalDir::at(dir.path()));
-    let mut out: Vec<u8> = Vec::new();
-    serve(
-        &mut engine,
-        BufReader::new("{\"op\":\"query\",\"tenant\":1}\n".as_bytes()),
-        &mut out,
-        8,
-    )
-    .unwrap();
-    let _ = engine.shutdown();
-    let replayed = String::from_utf8(out).unwrap();
+    let replayed = replay_queries(&dir, &["{\"op\":\"query\",\"tenant\":1}".to_string()]).remove(0);
     let periods = |s: &str| {
         s.split("\"periods_ms\":[")
             .nth(1)
@@ -814,19 +748,14 @@ fn drain_of_concurrent_journaled_pipelines_loses_no_accepted_delta() {
     assert_eq!(summary.requests, expected);
     assert_eq!(summary.responses, expected);
 
-    // Replay the journal in a fresh engine at another shard count:
+    // Replay the journal in a fresh reactor at another shard count:
     // every tenant must report the periods of the last delta the
     // reactor accepted before the drain.
-    let mut engine =
-        ShardedEngine::with_journal(CarryInStrategy::TopDiff, 3, JournalDir::at(dir.path()));
-    let input: String = tenants
+    let queries: Vec<String> = tenants
         .iter()
-        .map(|t| format!("{{\"op\":\"query\",\"tenant\":{t}}}\n"))
+        .map(|t| format!("{{\"op\":\"query\",\"tenant\":{t}}}"))
         .collect();
-    let mut out: Vec<u8> = Vec::new();
-    serve(&mut engine, BufReader::new(input.as_bytes()), &mut out, 8).unwrap();
-    let _ = engine.shutdown();
-    let replayed = String::from_utf8(out).unwrap();
+    let replayed = replay_queries(&dir, &queries);
     let periods = |s: &str| {
         s.split("\"periods_ms\":[")
             .nth(1)
@@ -836,7 +765,7 @@ fn drain_of_concurrent_journaled_pipelines_loses_no_accepted_delta() {
             .unwrap()
             .to_string()
     };
-    for (line, (t, last)) in replayed.lines().zip(&last_accepts) {
+    for (line, (t, last)) in replayed.iter().zip(&last_accepts) {
         assert_eq!(
             periods(line),
             periods(last),

@@ -141,21 +141,6 @@ impl<'a> SecurityRta<'a> {
         Ok(result)
     }
 
-    /// Response time of the single security task `index` under `periods`,
-    /// reusing the cascade for its higher-priority peers. Convenience for
-    /// tests; [`SecurityRta::response_times`] is the workhorse.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(s)` if task `s ≤ index` is unschedulable.
-    pub fn response_time_of(&self, index: usize, periods: &[Duration]) -> Result<Duration, usize> {
-        let all = self.response_times(&periods[..=index.min(periods.len() - 1)]);
-        match all {
-            Ok(r) => Ok(r[index]),
-            Err(s) => Err(s),
-        }
-    }
-
     /// Returns `true` if every security task meets `R_s ≤ T_s` under
     /// `periods`.
     #[must_use]

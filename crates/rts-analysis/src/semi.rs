@@ -294,22 +294,6 @@ impl Environment {
         self
     }
 
-    /// The higher-priority migrating tasks registered so far.
-    #[must_use]
-    pub fn migrating_tasks(&self) -> &[MigratingHp] {
-        &self.migrating
-    }
-
-    /// The pinned tasks on `core`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range.
-    #[must_use]
-    pub fn pinned_on(&self, core: usize) -> &[HpTask] {
-        &self.per_core_pinned[core]
-    }
-
     /// Worst-case response time of a migrating task with WCET `wcet`
     /// against this environment (paper Eqs. 6–8).
     ///

@@ -138,16 +138,6 @@ impl Partition {
         })
     }
 
-    /// A partition that places every one of `n` tasks on core 0. Handy for
-    /// uniprocessor tests.
-    #[must_use]
-    pub fn all_on_core_zero(n: usize) -> Self {
-        Partition {
-            assignment: vec![CoreId::new(0); n],
-            num_cores: 1,
-        }
-    }
-
     /// Number of tasks covered by this partition.
     #[must_use]
     pub fn len(&self) -> usize {

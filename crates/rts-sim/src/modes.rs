@@ -72,10 +72,10 @@ impl PhaseOutcome {
 }
 
 /// Simulates `phases` back to back on `platform`, each from a
-/// synchronous release (see the module docs for why that is the
-/// conservative transition model). `seed` feeds each phase's randomized
-/// arrival/demand models, offset per phase index so phases draw
-/// independent streams.
+/// synchronous release, so each configuration is verified on its own;
+/// the transition between two phases is not (see the module docs).
+/// `seed` feeds each phase's randomized arrival/demand models, offset
+/// per phase index so phases draw independent streams.
 #[must_use]
 pub fn simulate_phases(platform: Platform, phases: &[ModePhase], seed: u64) -> Vec<PhaseOutcome> {
     phases
