@@ -29,7 +29,8 @@
 //!   (`select_periods_with_env` over an environment equal to a freshly
 //!   built one — [`Environment`] equality is defined over the registered
 //!   tasks, and selection runs leave the environment migrating-free);
-//! * cache hits return a stored miss result verbatim;
+//! * cache hits return the stored [`SolvedSelection`] of a miss — the
+//!   same allocation, not a copy;
 //! * the memo key is the **exact** configuration — every `(C_s, T^max_s)`
 //!   tick pair in priority order ([`SecFingerprint`]) — so two
 //!   configurations collide only if they are equal, in which case
@@ -37,8 +38,20 @@
 //!
 //! The `rts-adapt` crate's seeded parity battery asserts this end to end
 //! for both carry-in strategies.
+//!
+//! # One entry, held by reference
+//!
+//! Each solved configuration is one [`SolvedSelection`]: the exact
+//! configuration plus Algorithm 1's answer. The per-tenant memo and an
+//! attached [`SharedSelectionStore`] both hold it through an [`Arc`], so
+//! tenants of one RT profile that visit the same configuration share one
+//! allocation. The memo is a set of those references, looked up by the
+//! exact configuration read straight from the [`SecurityTaskSet`]: a
+//! hit builds no [`SecFingerprint`] and copies no selection.
 
-use std::collections::HashMap;
+use std::borrow::Borrow;
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use rts_analysis::semi::{CarryInStrategy, Environment};
@@ -100,11 +113,140 @@ impl SecFingerprint {
     }
 }
 
+/// Algorithm 1's answer for one exact security configuration, with the
+/// configuration it answers: the one value the per-tenant memo and the
+/// [`SharedSelectionStore`] hold, each through an [`Arc`]. Rejections are
+/// entries too, so re-asking about an infeasible configuration is a hit.
+#[derive(PartialEq, Eq, Debug)]
+pub struct SolvedSelection {
+    config: SecFingerprint,
+    digest: u64,
+    outcome: Result<PeriodSelection, SelectionError>,
+}
+
+impl SolvedSelection {
+    /// Pairs `config` with Algorithm 1's `outcome` for it.
+    #[must_use]
+    pub(crate) fn new(
+        config: SecFingerprint,
+        outcome: Result<PeriodSelection, SelectionError>,
+    ) -> Self {
+        SolvedSelection {
+            digest: config.digest(),
+            config,
+            outcome,
+        }
+    }
+
+    /// The exact configuration this entry answers.
+    #[must_use]
+    pub fn config(&self) -> &SecFingerprint {
+        &self.config
+    }
+
+    /// [`SecFingerprint::digest`] of the configuration, computed once.
+    #[must_use]
+    pub fn digest(&self) -> u64 {
+        self.digest
+    }
+
+    /// Algorithm 1's answer: the selected periods and response times, or
+    /// why the configuration is not schedulable.
+    ///
+    /// # Errors
+    ///
+    /// The [`SelectionError`] a from-scratch
+    /// [`select_periods`](crate::select_periods) run reports.
+    pub fn outcome(&self) -> Result<&PeriodSelection, SelectionError> {
+        self.outcome.as_ref().map_err(|e| *e)
+    }
+}
+
+/// A configuration as the per-tenant memo hashes and compares it: its
+/// `(C_s, T^max_s)` tick pairs in priority order, read from a stored
+/// [`SecFingerprint`] or straight from the [`SecurityTaskSet`] being
+/// asked about.
+trait ConfigPairs {
+    fn count(&self) -> usize;
+    fn pair(&self, i: usize) -> (u64, u64);
+}
+
+impl ConfigPairs for SecFingerprint {
+    fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn pair(&self, i: usize) -> (u64, u64) {
+        self.0[i]
+    }
+}
+
+impl ConfigPairs for SecurityTaskSet {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn pair(&self, i: usize) -> (u64, u64) {
+        let task = &self[i];
+        (task.wcet().as_ticks(), task.t_max().as_ticks())
+    }
+}
+
+impl Hash for dyn ConfigPairs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.count());
+        for i in 0..self.count() {
+            let (c, t) = self.pair(i);
+            state.write_u64(c);
+            state.write_u64(t);
+        }
+    }
+}
+
+impl PartialEq for dyn ConfigPairs {
+    fn eq(&self, other: &Self) -> bool {
+        self.count() == other.count() && (0..self.count()).all(|i| self.pair(i) == other.pair(i))
+    }
+}
+
+impl Eq for dyn ConfigPairs {}
+
+/// One per-tenant memo slot: a shared entry, hashed and compared by its
+/// exact configuration (as [`ConfigPairs`], so a [`SecurityTaskSet`]
+/// finds it without building a [`SecFingerprint`]).
+#[derive(Clone, Debug)]
+struct MemoSlot(Arc<SolvedSelection>);
+
+impl Borrow<dyn ConfigPairs> for MemoSlot {
+    fn borrow(&self) -> &(dyn ConfigPairs + 'static) {
+        &self.0.config
+    }
+}
+
+impl Hash for MemoSlot {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        Borrow::<dyn ConfigPairs>::borrow(self).hash(state);
+    }
+}
+
+impl PartialEq for MemoSlot {
+    fn eq(&self, other: &Self) -> bool {
+        self.0.config == other.0.config
+    }
+}
+
+impl Eq for MemoSlot {}
+
 /// Per-tenant memo size bound: at this many distinct configurations the
 /// memo is flushed before the next insert, keeping a long-running
 /// service's memory bounded no matter how many fresh fingerprints a
-/// WCET-re-profiling stream mints (≈ a few hundred bytes per entry, so
-/// ~1 MiB worst case per tenant).
+/// WCET-re-profiling stream mints. Measured with a counting allocator,
+/// a memo slot costs its tenant about 18 B (one pointer in a hash set),
+/// and the [`SolvedSelection`] behind it 96 B plus 32 B per monitor
+/// (224 B at four). Tenants and the store that hold one entry share its
+/// cost, but an entry only one tenant has seen costs that tenant a whole
+/// entry: the worst case is just under 1 MiB per tenant at four monitors
+/// (4 096 × 242 B).
 const MEMO_CAPACITY: usize = 4096;
 
 /// Cache statistics of one [`IncrementalSelector`].
@@ -163,12 +305,12 @@ impl MemoStats {
 /// let system = System::new(platform, rt, partition, sec.clone())?;
 ///
 /// let mut selector = IncrementalSelector::new(&system, CarryInStrategy::Exhaustive);
-/// let incremental = selector.select(&sec)?;
+/// let incremental = selector.select(&sec);
 /// let from_scratch = select_periods(&system, CarryInStrategy::Exhaustive)?;
-/// assert_eq!(incremental, from_scratch); // the parity guarantee
+/// assert_eq!(incremental.outcome()?, &from_scratch); // the parity guarantee
 /// assert_eq!(selector.stats().misses, 1);
-/// let again = selector.select(&sec)?;    // memo hit, same answer
-/// assert_eq!(again, from_scratch);
+/// let again = selector.select(&sec); // memo hit: the same entry
+/// assert!(std::sync::Arc::ptr_eq(&again, &incremental));
 /// assert_eq!(selector.stats().hits, 1);
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
@@ -178,7 +320,7 @@ pub struct IncrementalSelector {
     rt_ok: bool,
     strategy: CarryInStrategy,
     identity: SystemIdentity,
-    memo: HashMap<SecFingerprint, Result<PeriodSelection, SelectionError>>,
+    memo: HashSet<MemoSlot>,
     shared: Option<SharedHandle>,
     hits: u64,
     shared_hits: u64,
@@ -198,7 +340,7 @@ impl IncrementalSelector {
             rt_ok: rts_analysis::rt_schedulable(system),
             strategy,
             identity: SystemIdentity::of(system),
-            memo: HashMap::new(),
+            memo: HashSet::new(),
             shared: None,
             hits: 0,
             shared_hits: 0,
@@ -234,53 +376,59 @@ impl IncrementalSelector {
     }
 
     /// Algorithm 1 for `sec` against the tenant's RT side — memoized,
-    /// with the module-level parity guarantee.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the [`select_periods`](crate::select_periods) errors for
-    /// the equivalent system (rejections are memoized too: re-asking
-    /// about a known-infeasible configuration is also a cache hit).
-    pub fn select(&mut self, sec: &SecurityTaskSet) -> Result<PeriodSelection, SelectionError> {
+    /// with the module-level parity guarantee. The answer is the memo's
+    /// entry for the configuration (shared, never copied); its
+    /// [`SolvedSelection::outcome`] is exactly the
+    /// [`select_periods`](crate::select_periods) result for the
+    /// equivalent system. Rejections are memoized too: re-asking about
+    /// a known-infeasible configuration is also a cache hit.
+    pub fn select(&mut self, sec: &SecurityTaskSet) -> Arc<SolvedSelection> {
         if !self.rt_ok {
-            return Err(SelectionError::RtUnschedulable);
+            return Arc::new(SolvedSelection::new(
+                SecFingerprint::of(sec),
+                Err(SelectionError::RtUnschedulable),
+            ));
         }
-        let fingerprint = SecFingerprint::of(sec);
-        if let Some(cached) = self.memo.get(&fingerprint) {
+        if let Some(MemoSlot(cached)) = self.memo.get(sec as &dyn ConfigPairs) {
             self.hits += 1;
-            return cached.clone();
+            return Arc::clone(cached);
         }
+        let config = SecFingerprint::of(sec);
         // A structurally identical tenant may have solved this exact
-        // configuration already; adopt its answer into the per-tenant
+        // configuration already; adopt its entry into the per-tenant
         // memo so later revisits are local hits.
-        if let Some(shared) = &self.shared {
-            if let Some(cached) = shared.lookup(&fingerprint, self.strategy) {
-                self.shared_hits += 1;
-                if self.memo.len() >= MEMO_CAPACITY {
-                    self.memo.clear();
-                    self.flushes += 1;
-                }
-                self.memo.insert(fingerprint, cached.clone());
-                return cached;
+        let shared = self
+            .shared
+            .as_ref()
+            .and_then(|shared| shared.lookup(&config, self.strategy));
+        let solved = if let Some(solved) = shared {
+            self.shared_hits += 1;
+            solved
+        } else {
+            self.misses += 1;
+            // Unwind safety for the long-lived environment: a panic
+            // inside selection (analysis assertion, arithmetic overflow)
+            // would leak the cascade's migrating entries into `self.env`,
+            // silently inflating interference for every later selection
+            // on this tenant. Restore the migrating-free invariant before
+            // re-raising so a caller that contains the panic keeps a
+            // correct engine.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                select_periods_with_env(sec, &mut self.env, self.strategy)
+            }))
+            .unwrap_or_else(|payload| {
+                self.env.truncate_migrating(0);
+                std::panic::resume_unwind(payload);
+            });
+            let solved = Arc::new(SolvedSelection::new(config, outcome));
+            if let Some(shared) = &self.shared {
+                shared.publish(self.strategy, Arc::clone(&solved));
             }
-        }
-        self.misses += 1;
-        // Unwind safety for the long-lived environment: a panic inside
-        // selection (analysis assertion, arithmetic overflow) would leak
-        // the cascade's migrating entries into `self.env`, silently
-        // inflating interference for every later selection on this
-        // tenant. Restore the migrating-free invariant before re-raising
-        // so a caller that contains the panic keeps a correct engine.
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            select_periods_with_env(sec, &mut self.env, self.strategy)
-        }))
-        .unwrap_or_else(|payload| {
-            self.env.truncate_migrating(0);
-            std::panic::resume_unwind(payload);
-        });
+            solved
+        };
         // Bound the memo: a long-running tenant whose WCETs are
         // re-profiled forever mints unboundedly many fingerprints, and an
-        // unbounded map would grow the service's memory without limit.
+        // unbounded set would grow the service's memory without limit.
         // Flushing wholesale is correct (entries are pure functions of
         // the key) and the steady-state working set — the mode hypercube
         // of the current monitor table — re-warms within a few misses.
@@ -288,11 +436,8 @@ impl IncrementalSelector {
             self.memo.clear();
             self.flushes += 1;
         }
-        if let Some(shared) = &self.shared {
-            shared.publish(&fingerprint, self.strategy, result.clone());
-        }
-        self.memo.insert(fingerprint, result.clone());
-        result
+        self.memo.insert(MemoSlot(Arc::clone(&solved)));
+        solved
     }
 
     /// Memo statistics so far.
@@ -364,7 +509,11 @@ mod tests {
                 );
                 let incremental = selector.select(&sec);
                 let scratch = select_periods(&with_security(&base, sec), strategy);
-                assert_eq!(incremental, scratch, "config {i}, {strategy:?}");
+                assert_eq!(
+                    incremental.outcome(),
+                    scratch.as_ref().map_err(|e| *e),
+                    "config {i}, {strategy:?}"
+                );
             }
             let stats = selector.stats();
             assert_eq!((stats.hits, stats.misses), (1, 3), "{strategy:?}");
@@ -382,17 +531,19 @@ mod tests {
             SecurityTask::new(ms(9000), ms(10_000)).unwrap(),
         ]);
         let expected = select_periods(&with_security(&base, sec.clone()), CarryInStrategy::TopDiff);
-        assert!(expected.is_err());
-        assert_eq!(selector.select(&sec), expected);
-        assert_eq!(selector.select(&sec), expected);
+        let expected = expected.unwrap_err();
+        assert_eq!(selector.select(&sec).outcome(), Err(expected));
+        assert_eq!(selector.select(&sec).outcome(), Err(expected));
         let stats = selector.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // A rejection leaves the environment clean: a feasible config
         // still gets the from-scratch answer afterwards.
         let ok = SecurityTaskSet::new(vec![SecurityTask::new(ms(223), ms(10_000)).unwrap()]);
         assert_eq!(
-            selector.select(&ok),
+            selector.select(&ok).outcome(),
             select_periods(&with_security(&base, ok.clone()), CarryInStrategy::TopDiff)
+                .as_ref()
+                .map_err(|e| *e)
         );
     }
 
@@ -408,7 +559,10 @@ mod tests {
         let mut selector = IncrementalSelector::new(&sys, CarryInStrategy::TopDiff);
         assert!(!selector.rt_schedulable());
         let sec = SecurityTaskSet::new(vec![SecurityTask::new(ms(1), ms(100)).unwrap()]);
-        assert_eq!(selector.select(&sec), Err(SelectionError::RtUnschedulable));
+        assert_eq!(
+            selector.select(&sec).outcome(),
+            Err(SelectionError::RtUnschedulable)
+        );
         assert_eq!(selector.stats().misses, 0, "no Algorithm 1 run needed");
     }
 
@@ -450,8 +604,10 @@ mod tests {
             // Spot-check parity across a flush boundary.
             if wcet_ticks % 1024 == 0 {
                 assert_eq!(
-                    incremental,
+                    incremental.outcome(),
                     select_periods(&with_security(&base, sec), CarryInStrategy::TopDiff)
+                        .as_ref()
+                        .map_err(|e| *e)
                 );
             }
         }
@@ -475,16 +631,19 @@ mod tests {
             SecurityTask::new(ms(5342), ms(10_000)).unwrap(),
             SecurityTask::new(ms(223), ms(10_000)).unwrap(),
         ]);
-        let scratch = select_periods(&base, CarryInStrategy::TopDiff);
+        let scratch = select_periods(&base, CarryInStrategy::TopDiff).unwrap();
 
-        // A solves and publishes; B adopts without running Algorithm 1.
-        assert_eq!(a.select(&sec), scratch);
-        assert_eq!(b.select(&sec), scratch);
+        // A solves and publishes; B adopts A's entry without running
+        // Algorithm 1.
+        let solved = a.select(&sec);
+        assert_eq!(solved.outcome(), Ok(&scratch));
+        let adopted = b.select(&sec);
+        assert!(Arc::ptr_eq(&adopted, &solved), "one entry, shared");
         let (sa, sb) = (a.stats(), b.stats());
         assert_eq!((sa.hits, sa.shared_hits, sa.misses), (0, 0, 1));
         assert_eq!((sb.hits, sb.shared_hits, sb.misses), (0, 1, 0));
-        // The adopted answer landed in B's own memo: revisits are local.
-        assert_eq!(b.select(&sec), scratch);
+        // The adopted entry landed in B's own memo: revisits are local.
+        assert!(Arc::ptr_eq(&b.select(&sec), &solved));
         assert_eq!(b.stats().hits, 1);
         assert!((sb.hit_rate() - 1.0).abs() < f64::EPSILON);
 
@@ -499,8 +658,10 @@ mod tests {
         let mut c = IncrementalSelector::new(&other, CarryInStrategy::TopDiff);
         c.attach_shared(Arc::clone(&store));
         assert_eq!(
-            c.select(&sec),
+            c.select(&sec).outcome(),
             select_periods(&with_security(&other, sec), CarryInStrategy::TopDiff)
+                .as_ref()
+                .map_err(|e| *e)
         );
         let sc = c.stats();
         assert_eq!((sc.shared_hits, sc.misses), (0, 1));
@@ -510,7 +671,8 @@ mod tests {
     #[test]
     fn empty_configuration_is_trivially_admitted() {
         let mut selector = IncrementalSelector::new(&rover(), CarryInStrategy::Exhaustive);
-        let sel = selector.select(&SecurityTaskSet::default()).unwrap();
+        let solved = selector.select(&SecurityTaskSet::default());
+        let sel = solved.outcome().unwrap();
         assert!(sel.periods.is_empty());
         assert!(sel.response_times.is_empty());
     }

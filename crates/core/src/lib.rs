@@ -61,7 +61,7 @@ pub mod shared_store;
 pub mod prelude {
     pub use crate::assemble::assemble_system;
     pub use crate::error::SelectionError;
-    pub use crate::incremental::{IncrementalSelector, MemoStats, SecFingerprint};
+    pub use crate::incremental::{IncrementalSelector, MemoStats, SecFingerprint, SolvedSelection};
     pub use crate::period_selection::{select_periods, PeriodSelection};
     pub use crate::schemes::{Scheme, SchemeOutcome};
     pub use rts_analysis::semi::CarryInStrategy;
@@ -69,7 +69,7 @@ pub mod prelude {
 
 pub use assemble::assemble_system;
 pub use error::SelectionError;
-pub use incremental::{IncrementalSelector, MemoStats, SecFingerprint};
+pub use incremental::{IncrementalSelector, MemoStats, SecFingerprint, SolvedSelection};
 pub use period_selection::{
     rt_environment, select_periods, select_periods_with_env, PeriodSelection,
 };

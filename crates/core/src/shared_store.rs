@@ -13,6 +13,8 @@
 //! already solved a configuration, every structurally identical tenant
 //! can reuse the answer — periods, response times, or the memoized
 //! rejection — with zero solver work and **zero loss of exactness**.
+//! The answer is a [`SolvedSelection`] held by [`Arc`]: a tenant that
+//! adopts it keeps a reference in its own memo, not a copy.
 //!
 //! # Key exactness
 //!
@@ -36,9 +38,12 @@
 //! capacity-bounded with the same wholesale-flush policy as the
 //! per-tenant memo (entries are pure functions of the key, so flushing
 //! is always correct and the hot working set re-warms within a few
-//! misses).
+//! misses). A flush drops only the store's own references: an entry
+//! that tenant memos still hold stays alive, and those tenants keep
+//! answering from it; the store simply stops handing it out.
 //!
 //! [`rt_environment`]: crate::period_selection::rt_environment
+//! [`SolvedSelection`]: crate::incremental::SolvedSelection
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -48,9 +53,7 @@ use std::sync::{Arc, Mutex};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::System;
 
-use crate::error::SelectionError;
-use crate::incremental::SecFingerprint;
-use crate::period_selection::PeriodSelection;
+use crate::incremental::{SecFingerprint, SolvedSelection};
 
 /// The exact identity of a frozen RT side: core count plus every core's
 /// `(wcet, period)` tick pairs in pinned (priority) order — precisely
@@ -124,7 +127,7 @@ pub struct SharedStoreStats {
     pub flushes: u64,
 }
 
-type Stripe = HashMap<SharedKey, Result<PeriodSelection, SelectionError>>;
+type Stripe = HashMap<SharedKey, Arc<SolvedSelection>>;
 
 /// The cross-tenant memo. One per worker pool; see the module docs.
 #[derive(Debug, Default)]
@@ -149,14 +152,14 @@ impl SharedSelectionStore {
     }
 
     /// Looks `key` up, counting a hit or a miss.
-    fn lookup(&self, key: &SharedKey) -> Option<Result<PeriodSelection, SelectionError>> {
+    fn lookup(&self, key: &SharedKey) -> Option<Arc<SolvedSelection>> {
         let stripe = self.stripes[Self::stripe_of(key)]
             .lock()
             .expect("shared-store stripe poisoned");
         match stripe.get(key) {
             Some(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(cached.clone())
+                Some(Arc::clone(cached))
             }
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -169,7 +172,7 @@ impl SharedSelectionStore {
     /// is at capacity. Concurrent solvers of the same key may both
     /// insert; the entries are equal (pure function of the key), so the
     /// last write is as good as the first.
-    fn insert(&self, key: SharedKey, value: Result<PeriodSelection, SelectionError>) {
+    fn insert(&self, key: SharedKey, value: Arc<SolvedSelection>) {
         let mut stripe = self.stripes[Self::stripe_of(&key)]
             .lock()
             .expect("shared-store stripe poisoned");
@@ -226,17 +229,15 @@ impl SharedHandle {
         &self,
         config: &SecFingerprint,
         strategy: CarryInStrategy,
-    ) -> Option<Result<PeriodSelection, SelectionError>> {
+    ) -> Option<Arc<SolvedSelection>> {
         self.store.lookup(&self.key(config, strategy))
     }
 
-    pub(crate) fn publish(
-        &self,
-        config: &SecFingerprint,
-        strategy: CarryInStrategy,
-        value: Result<PeriodSelection, SelectionError>,
-    ) {
-        self.store.insert(self.key(config, strategy), value);
+    /// Publishes an entry this tenant solved under `strategy`, keyed by
+    /// the entry's own configuration.
+    pub(crate) fn publish(&self, strategy: CarryInStrategy, solved: Arc<SolvedSelection>) {
+        let key = self.key(solved.config(), strategy);
+        self.store.insert(key, solved);
     }
 }
 
@@ -301,12 +302,15 @@ mod tests {
         let sec =
             SecurityTaskSet::new(vec![rts_model::SecurityTask::new(ms(10), ms(1000)).unwrap()]);
         let config = SecFingerprint::of(&sec);
-        let value = Ok(PeriodSelection {
-            periods: rts_model::periods::PeriodVector::from_raw(vec![ms(123)]),
-            response_times: vec![ms(45)],
-        });
+        let value = Arc::new(SolvedSelection::new(
+            config.clone(),
+            Ok(crate::PeriodSelection {
+                periods: rts_model::periods::PeriodVector::from_raw(vec![ms(123)]),
+                response_times: vec![ms(45)],
+            }),
+        ));
         assert!(a.lookup(&config, CarryInStrategy::TopDiff).is_none());
-        a.publish(&config, CarryInStrategy::TopDiff, value.clone());
+        a.publish(CarryInStrategy::TopDiff, Arc::clone(&value));
         // The structurally identical tenant hits; different system or
         // strategy misses.
         assert_eq!(b.lookup(&config, CarryInStrategy::TopDiff), Some(value));

@@ -1,7 +1,10 @@
 //! Intrusion-detection substrate for the HYDRA-C reproduction.
 //!
 //! Replaces the paper's physical security stack with faithful synthetic
-//! equivalents (see DESIGN.md for the substitution argument):
+//! equivalents. The reproduction reads two things off a monitor: its
+//! scheduling footprint (WCET, period) and the instant its scan reaches
+//! an attacked object. Each substitute keeps those — the objects it
+//! scans, the order it scans them in, and the attacks it must find:
 //!
 //! * [`filesystem`] + [`hashing`] + [`tripwire`] — the image data store
 //!   and the Tripwire-style integrity checker;

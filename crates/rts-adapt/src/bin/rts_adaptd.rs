@@ -139,9 +139,11 @@ fn report(summary: &ReactorSummary) {
     let reports = &summary.reports;
     let handled: u64 = reports.iter().map(|r| r.handled).sum();
     let hits: u64 = reports.iter().map(|r| r.memo.hits).sum();
+    let shared: u64 = reports.iter().map(|r| r.memo.shared_hits).sum();
     let misses: u64 = reports.iter().map(|r| r.memo.misses).sum();
     eprintln!(
-        "rts_adaptd: {} shards handled {handled} requests ({hits} memo hits, {misses} misses)",
+        "rts_adaptd: {} shards handled {handled} requests \
+         ({hits} memo hits, {shared} shared hits, {misses} misses)",
         reports.len()
     );
 }

@@ -484,13 +484,7 @@ impl AdaptEngine {
                 }
             }
         };
-        let response = Response::Admitted(Admitted {
-            tenant,
-            periods: out.selection.periods.as_slice().to_vec(),
-            response_times: out.selection.response_times.clone(),
-            fingerprint: out.fingerprint,
-            cached: out.cached,
-        });
+        let response = admitted_answer(tenant, &slot.state, out.cached);
         let Some(journal) = &self.journal else {
             return response;
         };
@@ -524,14 +518,7 @@ impl AdaptEngine {
         let Some(slot) = self.tenants.get(&tenant) else {
             return unknown_tenant(tenant);
         };
-        let sel = slot.state.admitted();
-        Response::Admitted(Admitted {
-            tenant,
-            periods: sel.periods.as_slice().to_vec(),
-            response_times: sel.response_times.clone(),
-            fingerprint: slot.state.admitted_fingerprint(),
-            cached: true,
-        })
+        admitted_answer(tenant, &slot.state, true)
     }
 
     fn export(&self, tenant: u64) -> Response {
@@ -580,14 +567,7 @@ impl AdaptEngine {
         if let Some(store) = &self.shared {
             slot.state.attach_shared(Arc::clone(store));
         }
-        let sel = slot.state.admitted();
-        let response = Response::Admitted(Admitted {
-            tenant,
-            periods: sel.periods.as_slice().to_vec(),
-            response_times: sel.response_times.clone(),
-            fingerprint: slot.state.admitted_fingerprint(),
-            cached: false,
-        });
+        let response = admitted_answer(tenant, &slot.state, false);
         if let Some(journal) = &self.journal {
             // The imported tenant's journal starts compacted: one
             // registration + one snapshot of the re-admitted state. A
@@ -748,6 +728,18 @@ pub(crate) fn poison_after_failed_write(journal: &JournalDir, tenant: u64) {
              a restart may recover a DIVERGENT state for this tenant"
         );
     }
+}
+
+/// The `Admitted` answer carrying `state`'s committed configuration.
+fn admitted_answer(tenant: u64, state: &TenantState, cached: bool) -> Response {
+    let sel = state.admitted();
+    Response::Admitted(Admitted {
+        tenant,
+        periods: sel.periods.as_slice().to_vec(),
+        response_times: sel.response_times.clone(),
+        fingerprint: state.admitted_fingerprint(),
+        cached,
+    })
 }
 
 fn unknown_tenant(tenant: u64) -> Response {

@@ -65,6 +65,14 @@
 //! tenant's replication ops in journal order. [`JournalDir::append_event`]
 //! is the one-event group: write, fsync, replicate.
 //!
+//! A group holds one open handle per tenant it touched, and a group can
+//! touch more tenants than the process has file descriptors. When
+//! opening a journal fails for want of descriptors, the append commits
+//! the group so far (every synced file is closed by then) and opens
+//! once more; a sync that failed in that early commit is reported by
+//! the group's next [`JournalDir::commit`], before any answer of the
+//! group is released.
+//!
 //! A group's files are synced side by side, not one after another: the
 //! committing thread syncs files itself while a small, fixed,
 //! process-wide set of helper threads claims the rest, and the commit
@@ -547,6 +555,9 @@ fn count(counter: &std::sync::atomic::AtomicU64) {
 pub struct AppendGroup {
     files: HashMap<u64, GroupFile>,
     held: Vec<(u64, DeltaEvent, u64)>,
+    /// Syncs that failed in a commit made early for want of file
+    /// descriptors, reported by the group's next commit.
+    failed: Vec<(u64, io::Error)>,
 }
 
 #[derive(Debug)]
@@ -612,7 +623,11 @@ const SYNC_HELPERS: usize = 4;
 /// helper it woke claim files by index until none is left, and the sync
 /// that finishes last wakes the committer.
 struct SyncJob {
-    files: Vec<(u64, std::fs::File)>,
+    /// Each file is taken, synced and closed by the thread that claims
+    /// it, so none is open any more once `left` reaches 0, even while a
+    /// helper still holds the job: an append that committed early for
+    /// want of descriptors opens a file right after the commit returns.
+    files: Vec<(u64, Mutex<Option<std::fs::File>>)>,
     /// The index of the next unclaimed file.
     next: AtomicUsize,
     /// Files whose sync has not returned yet.
@@ -627,7 +642,9 @@ impl SyncJob {
     fn run(&self) -> bool {
         let mut last = false;
         while let Some((tenant, file)) = self.files.get(self.next.fetch_add(1, Ordering::Relaxed)) {
-            if let Err(e) = file.sync_all() {
+            // Each index is claimed once, so the lock is never contended.
+            let file = file.lock().unwrap_or_else(PoisonError::into_inner).take();
+            if let Some(Err(e)) = file.map(|file| file.sync_all()) {
                 self.failed
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
@@ -688,7 +705,10 @@ fn sync_side_by_side(files: Vec<(u64, std::fs::File)>) -> Vec<(u64, io::Error)> 
     let wanted = files.len().saturating_sub(1);
     let job = Arc::new(SyncJob {
         left: AtomicUsize::new(files.len()),
-        files,
+        files: files
+            .into_iter()
+            .map(|(tenant, file)| (tenant, Mutex::new(Some(file))))
+            .collect(),
         next: AtomicUsize::new(0),
         failed: Mutex::new(Vec::new()),
         committer: std::thread::current(),
@@ -867,9 +887,11 @@ impl JournalDir {
     /// Appends one accepted event to a tenant's journal inside `group`:
     /// one `write(2)` of the line and its newline to the group's handle
     /// for the file (opened on the tenant's first append of the group).
-    /// Nothing is synced or replicated until [`JournalDir::commit`]. On
-    /// failure the tenant's handle and held ops leave the group; the
-    /// caller poisons the journal.
+    /// Nothing is synced or replicated until [`JournalDir::commit`],
+    /// except when the open runs out of file descriptors: then the group
+    /// so far is committed early to free its handles (see the module
+    /// docs). On failure the tenant's handle and held ops leave the
+    /// group; the caller poisons the journal.
     ///
     /// # Errors
     ///
@@ -884,23 +906,19 @@ impl JournalDir {
     ) -> io::Result<()> {
         let mut line = render_event(event);
         line.push('\n');
-        let entry = match group.files.entry(tenant) {
-            std::collections::hash_map::Entry::Occupied(entry) => entry.into_mut(),
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                let file = std::fs::OpenOptions::new()
-                    .append(true)
-                    .open(self.path_for(tenant))?;
-                // The replicated op carries the byte offset its line
-                // starts at; the byte-identical replica uses it to drop
-                // late duplicates and to detect gaps (see
-                // `crate::replication`). Only paid when replication is on.
-                let len = match &self.replicate {
-                    Some(_) => file.metadata()?.len(),
-                    None => 0,
-                };
-                slot.insert(GroupFile { file, len })
-            }
-        };
+        if !group.files.contains_key(&tenant) {
+            let file = self.open_for_append(group, tenant)?;
+            // The replicated op carries the byte offset its line starts
+            // at; the byte-identical replica uses it to drop late
+            // duplicates and to detect gaps (see `crate::replication`).
+            // Only paid when replication is on.
+            let len = match &self.replicate {
+                Some(_) => file.metadata()?.len(),
+                None => 0,
+            };
+            group.files.insert(tenant, GroupFile { file, len });
+        }
+        let entry = group.files.get_mut(&tenant).expect("opened above");
         let at = entry.len;
         if let Err(e) = entry.file.write_all(line.as_bytes()) {
             group.forget(tenant);
@@ -914,6 +932,26 @@ impl JournalDir {
         Ok(())
     }
 
+    /// Opens `tenant`'s journal for appending. When the process or the
+    /// system is out of file descriptors and `group` holds handles,
+    /// commits the group so far, which closes them, and opens once more;
+    /// the failed syncs of that commit stay in the group for its next.
+    fn open_for_append(&self, group: &mut AppendGroup, tenant: u64) -> io::Result<std::fs::File> {
+        let open = || {
+            std::fs::OpenOptions::new()
+                .append(true)
+                .open(self.path_for(tenant))
+        };
+        match open() {
+            Err(e) if crate::out_of_descriptors(&e) && !group.files.is_empty() => {
+                let failed = self.commit(group);
+                group.failed = failed;
+                open()
+            }
+            opened => opened,
+        }
+    }
+
     /// Commits a group: fsyncs every file it appended to — once per
     /// file, however many events the file took — and only after every
     /// sync has returned streams the held appends, in append order, to
@@ -924,8 +962,9 @@ impl JournalDir {
     /// docs). Returns the tenants whose sync failed (their appends are
     /// not replicated; the caller poisons their journals).
     pub fn commit(&self, group: &mut AppendGroup) -> Vec<(u64, io::Error)> {
+        let mut failed = std::mem::take(&mut group.failed);
         if group.files.is_empty() {
-            return Vec::new();
+            return failed;
         }
         let files: Vec<(u64, std::fs::File)> = group
             .files
@@ -933,7 +972,7 @@ impl JournalDir {
             .map(|(tenant, entry)| (tenant, entry.file))
             .collect();
         FSYNCS.fetch_add(files.len() as u64, Ordering::Relaxed);
-        let failed = sync_side_by_side(files);
+        failed.extend(sync_side_by_side(files));
         count(&COMMITS);
         if let Some(repl) = &self.replicate {
             for (tenant, event, at) in group.held.drain(..) {

@@ -155,6 +155,14 @@ pub mod shard;
 pub mod telemetry;
 pub mod tenant;
 
+/// Whether `e` means the process or the system is out of file
+/// descriptors (Linux `EMFILE` and `ENFILE`).
+pub(crate) fn out_of_descriptors(e: &std::io::Error) -> bool {
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    matches!(e.raw_os_error(), Some(EMFILE | ENFILE))
+}
+
 /// The most common imports in one place.
 pub mod prelude {
     pub use crate::engine::{AdaptEngine, Admitted, Request, Response, RtSpec};

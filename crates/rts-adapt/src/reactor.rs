@@ -109,10 +109,6 @@ const DRAIN_GRACE: Duration = Duration::from_secs(10);
 /// of file descriptors. The listener is level-triggered, so polling it
 /// sooner would only repeat the failure on every pass.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
-/// `accept(2)` errors that mean the process or the system is out of file
-/// descriptors (Linux `ENFILE` and `EMFILE`).
-const ENFILE: i32 = 23;
-const EMFILE: i32 = 24;
 /// Most buffers gathered into one `writev` call (the shim additionally
 /// clips at the kernel's `IOV_MAX`); a connection with more queued
 /// responses simply loops.
@@ -319,7 +315,7 @@ impl Reactor {
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) => {
+                Err(e) if crate::out_of_descriptors(&e) => {
                     self.counters.accept_failures += 1;
                     if !self.accept_exhausted {
                         self.accept_exhausted = true;

@@ -8,9 +8,14 @@
 //! incremental selector, and **only an admitted configuration is
 //! committed** — a rejected event leaves the table and the running
 //! periods exactly as they were (see the crate docs for why this
-//! preserves schedulability).
+//! preserves schedulability). The committed configuration is the
+//! selector's memo entry itself, shared with the memo (and with every
+//! tenant of the same RT profile through an attached store), never a
+//! copy of it.
 
-use hydra_core::incremental::{IncrementalSelector, MemoStats, SecFingerprint};
+use std::sync::Arc;
+
+use hydra_core::incremental::{IncrementalSelector, MemoStats, SolvedSelection};
 use hydra_core::{PeriodSelection, SelectionError};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
@@ -66,16 +71,12 @@ impl std::fmt::Display for ApplyError {
     }
 }
 
-/// An accepted delta's outcome: the newly committed configuration.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// An accepted delta's outcome. The newly committed configuration is
+/// the tenant's [`TenantState::admitted`] selection.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct AdmittedDelta {
-    /// The refreshed period selection (index-aligned with the monitor
-    /// table).
-    pub selection: PeriodSelection,
-    /// FNV-1a digest of the admitted security configuration (a compact
-    /// correlation token; the memo key is the exact configuration).
-    pub fingerprint: u64,
-    /// Whether the answer came from the memo (`true`) or ran Algorithm 1.
+    /// Whether the tenant's own memo answered (`true`), rather than the
+    /// shared store or a run of Algorithm 1.
     pub cached: bool,
 }
 
@@ -84,8 +85,8 @@ pub struct AdmittedDelta {
 pub struct TenantState {
     selector: IncrementalSelector,
     monitors: Vec<MonitorEntry>,
-    admitted: PeriodSelection,
-    admitted_fingerprint: u64,
+    /// The committed memo entry; its outcome is always admitted.
+    admitted: Arc<SolvedSelection>,
 }
 
 impl TenantState {
@@ -98,21 +99,8 @@ impl TenantState {
     /// fails Eq. 1 — such a tenant can never admit anything, so
     /// registration itself is refused.
     pub fn new(system: &System, strategy: CarryInStrategy) -> Result<Self, SelectionError> {
-        let mut selector = IncrementalSelector::new(system, strategy);
-        if !selector.rt_schedulable() {
-            return Err(SelectionError::RtUnschedulable);
-        }
-        let empty = SecurityTaskSet::default();
-        let admitted = selector
-            .select(&empty)
-            .expect("the empty security configuration is trivially schedulable");
-        let fingerprint = SecFingerprint::of(&empty).digest();
-        Ok(TenantState {
-            selector,
-            monitors: Vec::new(),
-            admitted,
-            admitted_fingerprint: fingerprint,
-        })
+        // The empty table always admits: only Eq. 1 can refuse it.
+        TenantState::restore(system, strategy, Vec::new())
     }
 
     /// Rebuilds a tenant directly at a snapshotted monitor table, in one
@@ -142,13 +130,12 @@ impl TenantState {
             return Err(SelectionError::RtUnschedulable);
         }
         let sec: SecurityTaskSet = monitors.iter().map(MonitorEntry::admission_task).collect();
-        let admitted = selector.select(&sec)?;
-        let fingerprint = SecFingerprint::of(&sec).digest();
+        let admitted = selector.select(&sec);
+        admitted.outcome()?;
         Ok(TenantState {
             selector,
             monitors,
             admitted,
-            admitted_fingerprint: fingerprint,
         })
     }
 
@@ -159,16 +146,18 @@ impl TenantState {
     }
 
     /// The currently committed period selection (index-aligned with
-    /// [`TenantState::monitors`]).
+    /// [`TenantState::monitors`]) — the memo entry's own allocation.
     #[must_use]
     pub fn admitted(&self) -> &PeriodSelection {
-        &self.admitted
+        self.admitted
+            .outcome()
+            .expect("only an admitted configuration is committed")
     }
 
     /// Digest of the committed configuration.
     #[must_use]
     pub fn admitted_fingerprint(&self) -> u64 {
-        self.admitted_fingerprint
+        self.admitted.digest()
     }
 
     /// Attaches a cross-tenant shared selection store to this tenant's
@@ -208,21 +197,14 @@ impl TenantState {
     pub fn apply(&mut self, event: &DeltaEvent) -> Result<AdmittedDelta, ApplyError> {
         let next = self.post_event_table(event)?;
         let sec: SecurityTaskSet = next.iter().map(MonitorEntry::admission_task).collect();
-        let fingerprint = SecFingerprint::of(&sec).digest();
         let hits_before = self.selector.stats().hits;
-        match self.selector.select(&sec) {
-            Ok(selection) => {
-                self.monitors = next;
-                self.admitted = selection.clone();
-                self.admitted_fingerprint = fingerprint;
-                Ok(AdmittedDelta {
-                    selection,
-                    fingerprint,
-                    cached: self.selector.stats().hits > hits_before,
-                })
-            }
-            Err(e) => Err(ApplyError::Rejected(e)),
-        }
+        let solved = self.selector.select(&sec);
+        solved.outcome().map_err(ApplyError::Rejected)?;
+        self.monitors = next;
+        self.admitted = solved;
+        Ok(AdmittedDelta {
+            cached: self.selector.stats().hits > hits_before,
+        })
     }
 
     /// The monitor table `event` would produce, without committing it.
@@ -300,11 +282,11 @@ mod tests {
         let mut t = tenant();
         let tripwire = MonitorSpec::fixed(ms(5342), ms(10_000)).unwrap();
         let kmod = MonitorSpec::fixed(ms(223), ms(10_000)).unwrap();
-        let out = t.apply(&DeltaEvent::Arrival { monitor: tripwire }).unwrap();
-        assert_eq!(out.selection.periods[0], ms(7582));
-        let out = t.apply(&DeltaEvent::Arrival { monitor: kmod }).unwrap();
-        assert_eq!(out.selection.periods[0], ms(7582));
-        assert_eq!(out.selection.periods[1], ms(2783));
+        t.apply(&DeltaEvent::Arrival { monitor: tripwire }).unwrap();
+        assert_eq!(t.admitted().periods[0], ms(7582));
+        t.apply(&DeltaEvent::Arrival { monitor: kmod }).unwrap();
+        assert_eq!(t.admitted().periods[0], ms(7582));
+        assert_eq!(t.admitted().periods[1], ms(2783));
         assert_eq!(t.monitors().len(), 2);
         assert_eq!(t.admitted().periods.len(), 2);
     }
@@ -373,6 +355,33 @@ mod tests {
     }
 
     #[test]
+    fn tenants_share_each_solved_selection_instead_of_copying_it() {
+        let store = hydra_core::SharedSelectionStore::new();
+        let (mut a, mut b) = (tenant(), tenant());
+        a.attach_shared(Arc::clone(&store));
+        b.attach_shared(Arc::clone(&store));
+        let modal = MonitorSpec::modal(ms(100), ms(350), ms(5000)).unwrap();
+        let arrival = DeltaEvent::Arrival { monitor: modal };
+        a.apply(&arrival).unwrap();
+        let adopted = b.apply(&arrival).unwrap();
+        assert!(!adopted.cached, "a shared hit is not the tenant's own memo");
+        assert_eq!(b.memo_stats().shared_hits, 1);
+        // Two tenants of one RT profile that admit the same
+        // configuration commit the same allocation.
+        assert!(std::ptr::eq(a.admitted(), b.admitted()));
+
+        // A tenant that returns to a configuration through its own memo
+        // gets that same allocation back.
+        let passive: *const PeriodSelection = b.admitted();
+        let flip = |mode| DeltaEvent::ModeChange { slot: 0, mode };
+        b.apply(&flip(MonitorMode::Active)).unwrap();
+        assert!(!std::ptr::eq(b.admitted(), passive));
+        assert!(b.apply(&flip(MonitorMode::Passive)).unwrap().cached);
+        assert!(std::ptr::eq(b.admitted(), passive));
+        assert!(std::ptr::eq(b.admitted(), a.admitted()));
+    }
+
+    #[test]
     fn mode_aware_admission_beats_conservative() {
         // The whole point: passive-mode periods selected for the passive
         // WCET are shorter than what conservative (active-WCET) admission
@@ -407,14 +416,13 @@ mod tests {
         let b = MonitorSpec::modal(ms(50), ms(80), ms(2000)).unwrap();
         t.apply(&DeltaEvent::Arrival { monitor: a }).unwrap();
         t.apply(&DeltaEvent::Arrival { monitor: b }).unwrap();
-        let out = t
-            .apply(&DeltaEvent::WcetUpdate {
-                slot: 0,
-                passive_wcet: ms(250),
-                active_wcet: ms(250),
-            })
-            .unwrap();
-        assert_eq!(out.selection.periods.len(), 2);
+        t.apply(&DeltaEvent::WcetUpdate {
+            slot: 0,
+            passive_wcet: ms(250),
+            active_wcet: ms(250),
+        })
+        .unwrap();
+        assert_eq!(t.admitted().periods.len(), 2);
         assert_eq!(t.monitors()[0].spec.passive_wcet(), ms(250));
         t.apply(&DeltaEvent::Departure { slot: 0 }).unwrap();
         assert_eq!(t.monitors().len(), 1);

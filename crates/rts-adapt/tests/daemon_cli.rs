@@ -68,25 +68,35 @@ fn unknown_flags_and_unparsable_values_exit_with_usage() {
     }
 }
 
-/// Runs one stdin session: `input` is written to the daemon's stdin
-/// from a separate thread, then closed; returns the exit status and
-/// every stdout line.
-fn stdin_session(args: &[&str], input: Vec<u8>) -> (ExitStatus, Vec<String>) {
-    let mut child = Command::new(DAEMON)
-        .args(args)
+/// Runs one stdin session of `daemon`: `input` is written to its stdin
+/// from a separate thread, then closed; returns the exit status, every
+/// stdout line and every stderr line.
+fn session_of(mut daemon: Command, input: Vec<u8>) -> (ExitStatus, Vec<String>, Vec<String>) {
+    let mut child = daemon
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .stderr(Stdio::piped())
         .spawn()
         .expect("spawn rts_adaptd");
     let mut stdin = child.stdin.take().expect("stdin is piped");
     let feeding = std::thread::spawn(move || stdin.write_all(&input));
+    let stderr = BufReader::new(child.stderr.take().expect("stderr is piped"));
+    let logging = std::thread::spawn(move || stderr.lines().map_while(Result::ok).collect());
     let lines: Vec<String> = BufReader::new(child.stdout.take().expect("stdout is piped"))
         .lines()
         .map(|line| line.expect("utf-8 answer"))
         .collect();
     feeding.join().unwrap().expect("write the session");
-    (wait_bounded(&mut child, Duration::from_secs(60)), lines)
+    let log = logging.join().expect("collect stderr");
+    let status = wait_bounded(&mut child, Duration::from_secs(60));
+    (status, lines, log)
+}
+
+/// A stdin session of `rts_adaptd {args}` (see [`session_of`]).
+fn stdin_session(args: &[&str], input: Vec<u8>) -> (ExitStatus, Vec<String>, Vec<String>) {
+    let mut daemon = Command::new(DAEMON);
+    daemon.args(args);
+    session_of(daemon, input)
 }
 
 #[test]
@@ -202,7 +212,7 @@ fn a_regular_file_on_stdin_is_served_in_order() {
 /// EOF ends an unterminated last line, which is still answered.
 #[test]
 fn an_unterminated_final_stdin_line_is_answered() {
-    let (status, lines) = stdin_session(&[], b"{\"op\":\"query\",\"tenant\":9}".to_vec());
+    let (status, lines, _) = stdin_session(&[], b"{\"op\":\"query\",\"tenant\":9}".to_vec());
     assert!(status.success(), "{status}");
     assert_eq!(lines.len(), 1, "{lines:?}");
     assert!(lines[0].contains("unknown tenant 9"), "{}", lines[0]);
@@ -230,7 +240,7 @@ fn an_empty_stdin_exits_zero_with_no_output() {
 fn a_three_mib_stdin_line_is_one_error_and_the_next_query_is_answered() {
     let mut input = vec![b'x'; 3 << 20];
     input.extend_from_slice(b"\n{\"op\":\"query\",\"tenant\":5}\n");
-    let (status, lines) = stdin_session(&["--shards", "2"], input);
+    let (status, lines, _) = stdin_session(&["--shards", "2"], input);
     assert!(status.success(), "{status}");
     assert_eq!(lines.len(), 2, "{lines:?}");
     assert!(
@@ -418,5 +428,117 @@ fn tcp_mode_announces_its_address_serves_and_drains_at_stdin_eof() {
         rest.iter()
             .any(|line| line.contains("1 requests (0 parse errors), 1 connections accepted")),
         "{rest:?}"
+    );
+}
+
+/// A stdin session of `rts_adaptd {args}` under `ulimit -n {limit}` (its
+/// own limit only; see [`session_of`]).
+fn limited_stdin_session(
+    limit: u32,
+    args: &str,
+    input: String,
+) -> (ExitStatus, Vec<String>, Vec<String>) {
+    let mut daemon = Command::new("sh");
+    daemon
+        .arg("-c")
+        .arg(format!("ulimit -n {limit} && exec \"$DAEMON\" {args}"))
+        .env("DAEMON", DAEMON);
+    session_of(daemon, input.into_bytes())
+}
+
+/// An answer without its `{"seq":N,` prefix.
+fn unsequenced(line: &str) -> &str {
+    line.split_once(',').map_or(line, |(_, rest)| rest)
+}
+
+/// A group commit can touch more tenants than the daemon has file
+/// descriptors (one shard groups up to 1 024 queued requests, one open
+/// journal each). Running out of descriptors there must not fail an
+/// acknowledged append: after a 200-tenant session under `ulimit -n 64`
+/// and a restart over the same journal, every tenant answers what it
+/// answered before, and no journal was moved aside as corrupt.
+#[test]
+fn a_group_wider_than_the_descriptor_limit_loses_no_acknowledged_delta() {
+    let dir = std::env::temp_dir().join(format!("hydra_emfile_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let tenants = 1..=200u64;
+    let mut session = String::new();
+    for t in tenants.clone() {
+        session.push_str(&REGISTER.replace("\"tenant\":1", &format!("\"tenant\":{t}")));
+        session.push('\n');
+    }
+    for t in tenants.clone() {
+        session.push_str(&format!(
+            "{{\"op\":\"arrival\",\"tenant\":{t},\"passive_ms\":100,\"active_ms\":350,\
+             \"t_max_ms\":5000}}\n"
+        ));
+    }
+    for mode in ["active", "passive", "active"] {
+        for t in tenants.clone() {
+            session.push_str(&format!(
+                "{{\"op\":\"mode\",\"tenant\":{t},\"slot\":0,\"mode\":\"{mode}\"}}\n"
+            ));
+        }
+    }
+    let queries: String = tenants
+        .clone()
+        .map(|t| format!("{{\"op\":\"query\",\"tenant\":{t}}}\n"))
+        .collect();
+    session.push_str(&queries);
+    let args = format!("--journal {} --shards 1", dir.display());
+
+    let (status, answers, log) = limited_stdin_session(64, &args, session);
+    assert!(status.success(), "{status}");
+    assert_eq!(answers.len(), 1_200, "{log:?}");
+    assert!(
+        answers.iter().all(|a| a.contains("\"verdict\":\"accept\"")),
+        "{answers:?}"
+    );
+    let (status, replayed, log) = limited_stdin_session(64, &args, queries);
+    assert!(status.success(), "{status}");
+    assert_eq!(replayed.len(), 200, "{log:?}");
+    for (before, after) in answers[1_000..].iter().zip(&replayed) {
+        assert_eq!(unsequenced(before), unsequenced(after), "{log:?}");
+    }
+    let corrupt: Vec<String> = std::fs::read_dir(&dir)
+        .expect("the journal directory")
+        .map(|entry| entry.expect("a directory entry").file_name())
+        .map(|name| name.to_string_lossy().into_owned())
+        .filter(|name| name.contains("corrupt"))
+        .collect();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(corrupt.is_empty(), "journals moved aside: {corrupt:?}");
+}
+
+/// The drain summary accounts for every selection: own-memo hits,
+/// shared-store hits and Algorithm 1 runs add up to the selections made.
+#[test]
+fn the_drain_summary_counts_memo_and_shared_hits_and_misses() {
+    let mut session = String::new();
+    for t in [1, 2] {
+        session.push_str(&REGISTER.replace("\"tenant\":1", &format!("\"tenant\":{t}")));
+        session.push('\n');
+        session.push_str(&format!(
+            "{{\"op\":\"arrival\",\"tenant\":{t},\"passive_ms\":100,\"active_ms\":350,\
+             \"t_max_ms\":5000}}\n"
+        ));
+    }
+    for mode in ["active", "passive"] {
+        session.push_str(&format!(
+            "{{\"op\":\"mode\",\"tenant\":2,\"slot\":0,\"mode\":\"{mode}\"}}\n"
+        ));
+    }
+    // Two registrations and four deltas are six selections: each new
+    // tenant solves its empty table, tenant 2 adopts tenant 1's arrival
+    // from the shared store, its escalation runs Algorithm 1 and its
+    // calm-down is its own memo's.
+    let (status, answers, log) = stdin_session(&["--shards", "1"], session.into_bytes());
+    assert!(status.success(), "{status}");
+    assert_eq!(answers.len(), 6, "{answers:?}");
+    assert!(
+        log.iter().any(|line| line
+            == "rts_adaptd: 1 shards handled 6 requests \
+                (1 memo hits, 1 shared hits, 4 misses)"),
+        "{log:?}"
     );
 }
