@@ -266,6 +266,26 @@ pub struct MemoStats {
     pub flushes: u64,
 }
 
+impl std::ops::AddAssign for MemoStats {
+    fn add_assign(&mut self, other: MemoStats) {
+        self.hits += other.hits;
+        self.shared_hits += other.shared_hits;
+        self.misses += other.misses;
+        self.entries += other.entries;
+        self.flushes += other.flushes;
+    }
+}
+
+impl std::iter::Sum for MemoStats {
+    fn sum<I: Iterator<Item = MemoStats>>(iter: I) -> Self {
+        let mut total = MemoStats::default();
+        for stats in iter {
+            total += stats;
+        }
+        total
+    }
+}
+
 impl MemoStats {
     /// Fraction of requests answered without running Algorithm 1 —
     /// per-tenant and shared hits combined — in `[0, 1]` (`0` before any

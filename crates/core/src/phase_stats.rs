@@ -41,19 +41,6 @@ impl SelectionStats {
             self.cascade_tasks as f64 / self.cascades as f64
         }
     }
-
-    /// The counters as `(series name, value)` pairs in a stable order —
-    /// the single naming source for metric expositions, kept next to
-    /// the counters they describe.
-    #[must_use]
-    pub fn series(&self) -> [(&'static str, u64); 4] {
-        [
-            ("solver_selections", self.selections),
-            ("solver_probes", self.probes),
-            ("solver_cascades", self.cascades),
-            ("solver_cascade_tasks", self.cascade_tasks),
-        ]
-    }
 }
 
 /// Reads the counters.

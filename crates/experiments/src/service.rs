@@ -37,7 +37,7 @@ use ids_sim::reactive::{ModalMonitor, SweepOutcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rts_adapt::engine::{AdaptEngine, Request, Response, RtSpec};
-use rts_adapt::shard::{ShardReport, ShardedEngine};
+use rts_adapt::shard::{ShardSnapshot, ShardedEngine};
 use rts_adapt::telemetry::{StageSummary, Telemetry};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::{DeltaEvent, MonitorSpec};
@@ -47,6 +47,7 @@ use rts_partition::FitHeuristic;
 use rts_taskgen::table3::{generate_workload, Table3Config, UtilizationGroup};
 
 use hydra_core::assemble::assemble_system;
+use hydra_core::incremental::MemoStats;
 
 /// Load-harness parameters.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,8 +96,8 @@ pub struct ServiceReport {
     pub rejected: u64,
     /// Requests answered `error` (must be zero for a healthy run).
     pub errors: u64,
-    /// Per-shard worker reports (tenant counts, memo statistics).
-    pub shards: Vec<ShardReport>,
+    /// Each shard's final snapshot (tenant counts, memo statistics).
+    pub shards: Vec<ShardSnapshot>,
     /// Per-stage latency summaries from the pool's telemetry registry.
     /// The in-process harness has no serving front, so only the worker
     /// stages (`queue`, `solve`) carry samples; all eight stages are
@@ -131,36 +132,35 @@ impl ServiceReport {
         percentile(&self.latencies_us, q)
     }
 
+    /// Memo statistics summed over all shards.
+    fn memo(&self) -> MemoStats {
+        self.shards.iter().map(|s| s.memo).sum()
+    }
+
     /// Aggregated per-tenant memo hits across all shards.
     #[must_use]
     pub fn memo_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.memo.hits).sum()
+        self.memo().hits
     }
 
     /// Aggregated cross-tenant shared-store hits across all shards.
     #[must_use]
     pub fn memo_shared_hits(&self) -> u64 {
-        self.shards.iter().map(|s| s.memo.shared_hits).sum()
+        self.memo().shared_hits
     }
 
     /// Aggregated memo misses (full solves) across all shards.
     #[must_use]
     pub fn memo_misses(&self) -> u64 {
-        self.shards.iter().map(|s| s.memo.misses).sum()
+        self.memo().misses
     }
 
     /// Combined memo hit rate: the fraction of selections answered
     /// without a solve, whether by the tenant's own memo or by the
-    /// cross-tenant shared store.
+    /// cross-tenant shared store ([`MemoStats::hit_rate`]).
     #[must_use]
     pub fn memo_hit_rate(&self) -> f64 {
-        let hits = self.memo_hits() + self.memo_shared_hits();
-        let total = hits + self.memo_misses();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
+        self.memo().hit_rate()
     }
 }
 

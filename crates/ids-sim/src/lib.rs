@@ -15,8 +15,6 @@
 //!   detection instants (the paper's "detection time" measurement);
 //! * [`rover`] — the §5.1 platform: task parameters, Table 2, the Fig. 5
 //!   trial runner;
-//! * [`netmon`] / [`hwmon`] — the packet-monitoring and
-//!   performance-counter rows of Table 1, realized;
 //! * [`reactive`] — the paper's §6 multi-mode (reactive) monitor sketch;
 //! * [`catalog`] — Table 1.
 //!
@@ -38,9 +36,7 @@ pub mod catalog;
 pub mod detection;
 pub mod filesystem;
 pub mod hashing;
-pub mod hwmon;
 pub mod kmod;
-pub mod netmon;
 pub mod reactive;
 pub mod rover;
 pub mod tripwire;
@@ -49,7 +45,6 @@ pub use attack::{Attack, AttackKind};
 pub use detection::ScanModel;
 pub use filesystem::ObjectStore;
 pub use kmod::{ExpectedProfile, ModuleRegistry};
-pub use netmon::PacketMonitor;
 pub use reactive::{ModalMonitor, MonitorMode};
 pub use rover::{run_trial, RoverConfiguration, RoverScheme, TrialOutcome};
 pub use tripwire::BaselineDb;

@@ -71,6 +71,7 @@ use std::os::unix::net::UnixStream;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use hydra_core::incremental::MemoStats;
 use rts_adapt::client::RetryPolicy;
 use rts_adapt::journal::JournalDir;
 use rts_adapt::reactor::{serve_reactor, serve_stream, ReactorOptions, ReactorSummary, Shutdown};
@@ -136,15 +137,16 @@ fn report(summary: &ReactorSummary) {
         "rts_adaptd: {} requests ({} parse errors), {} connections accepted, {} refused",
         summary.requests, summary.parse_errors, summary.accepted_conns, summary.refused_conns
     );
-    let reports = &summary.reports;
-    let handled: u64 = reports.iter().map(|r| r.handled).sum();
-    let hits: u64 = reports.iter().map(|r| r.memo.hits).sum();
-    let shared: u64 = reports.iter().map(|r| r.memo.shared_hits).sum();
-    let misses: u64 = reports.iter().map(|r| r.memo.misses).sum();
+    let shards = &summary.shards;
+    let handled: u64 = shards.iter().map(|s| s.handled).sum();
+    let memo: MemoStats = shards.iter().map(|s| s.memo).sum();
     eprintln!(
         "rts_adaptd: {} shards handled {handled} requests \
-         ({hits} memo hits, {shared} shared hits, {misses} misses)",
-        reports.len()
+         ({} memo hits, {} shared hits, {} misses)",
+        shards.len(),
+        memo.hits,
+        memo.shared_hits,
+        memo.misses
     );
 }
 

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use hydra_core::incremental::MemoStats;
-use hydra_core::SharedSelectionStore;
+use hydra_core::{SelectionError, SharedSelectionStore};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::DeltaEvent;
 use rts_model::time::Duration;
@@ -36,7 +36,7 @@ use rts_model::{CoreId, Partition, Platform, RtTask, RtTaskSet, SecurityTaskSet,
 
 use crate::journal::{self, AppendGroup, JournalDir, ReplayError, TenantHistory, TenantSnapshot};
 use crate::replication::{ReplPayload, ReplicaStore};
-use crate::tenant::{ApplyError, TenantState};
+use crate::tenant::{ApplyError, MonitorEntry, TenantState};
 
 /// One legacy RT task as it crosses the registration boundary.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -256,10 +256,16 @@ pub struct AdaptEngine {
     journal: Option<JournalDir>,
     /// Optional cross-tenant selection memo (see
     /// [`hydra_core::shared_store`]): when set, every tenant this engine
-    /// creates — by registration, import or journal recovery — gets the
-    /// store attached, so structurally identical tenants share solved
-    /// configurations. The sharded pool hands all its workers one store.
+    /// creates — by registration, journal recovery, import or adopt —
+    /// gets the store before its first selection, so structurally
+    /// identical tenants share solved configurations. The sharded pool
+    /// hands all its workers one store.
     shared: Option<Arc<SharedSelectionStore>>,
+    /// Memo counts of the tenants this engine dropped (evicted, or
+    /// replaced by a registration, import or adopt of the same id), so
+    /// [`AdaptEngine::memo_stats`]'s counters never go backwards.
+    /// `entries` stays 0: dropped entries are not cached here.
+    retired: MemoStats,
     /// The standby role's replica store, beside `journal`: written by
     /// [`Request::Replicate`], promoted by [`Request::Adopt`], and never
     /// seen by recovery or queries.
@@ -278,6 +284,7 @@ impl AdaptEngine {
             tenants: HashMap::new(),
             journal: None,
             shared: None,
+            retired: MemoStats::default(),
             replica: None,
             group: AppendGroup::default(),
         }
@@ -295,21 +302,65 @@ impl AdaptEngine {
             replica: Some(ReplicaStore::open(&journal)),
             journal: Some(journal),
             shared: None,
+            retired: MemoStats::default(),
             group: AppendGroup::default(),
         }
     }
 
     /// Attaches a cross-tenant [`SharedSelectionStore`] and returns the
-    /// engine. Existing tenants (if any) are attached too, so the call
-    /// order relative to recovery does not matter. An engine without a
-    /// store behaves exactly as before — per-tenant memos only.
+    /// engine: every tenant created from now on — boot recovery
+    /// included, so attach before [`AdaptEngine::recover_journaled`] —
+    /// consults and publishes to it from its first selection. An engine
+    /// without a store behaves exactly as before — per-tenant memos
+    /// only.
     #[must_use]
     pub fn with_shared_store(mut self, store: Arc<SharedSelectionStore>) -> Self {
-        for slot in self.tenants.values_mut() {
-            slot.state.attach_shared(Arc::clone(&store));
-        }
         self.shared = Some(store);
         self
+    }
+
+    /// A new tenant's state for `system` at `monitors` (empty for a
+    /// registration), with the engine's store attached before its first
+    /// selection: every way this engine creates a tenant goes through
+    /// here.
+    fn new_state(
+        &self,
+        system: &System,
+        monitors: Vec<MonitorEntry>,
+    ) -> Result<TenantState, SelectionError> {
+        TenantState::restore_shared(system, self.strategy, monitors, self.shared.clone())
+    }
+
+    /// Rebuilds a resident slot from a history (journal recovery,
+    /// import and adopt share this path): replay, then keep the
+    /// registration for future snapshots/exports. The tail length
+    /// continues from the on-disk tail so the compaction policy keeps
+    /// counting correctly across restarts.
+    fn replay_slot(&self, history: &TenantHistory) -> Result<TenantSlot, ReplayError> {
+        let state =
+            journal::replay_from(history, |system, monitors| self.new_state(system, monitors))?;
+        Ok(TenantSlot {
+            cores: history.cores,
+            rt: history.rt.clone(),
+            state,
+            tail_len: history.events.len(),
+        })
+    }
+
+    /// Installs `slot` as `tenant`, keeping the memo counts of the
+    /// tenant it replaces, if any.
+    fn install(&mut self, tenant: u64, slot: TenantSlot) {
+        if let Some(replaced) = self.tenants.insert(tenant, slot) {
+            self.retire(&replaced);
+        }
+    }
+
+    /// Folds a dropped tenant's memo counters into `retired`.
+    fn retire(&mut self, slot: &TenantSlot) {
+        self.retired += MemoStats {
+            entries: 0,
+            ..slot.state.memo_stats()
+        };
     }
 
     /// Boot-time recovery: replays every journaled tenant accepted by
@@ -329,13 +380,10 @@ impl AdaptEngine {
         for tenant in journal.tenants().into_iter().filter(|&t| filter(t)) {
             let replayed = journal
                 .recover_tenant(tenant)
-                .and_then(|history| replay_slot(&history, self.strategy));
+                .and_then(|history| self.replay_slot(&history));
             match replayed {
-                Ok(mut slot) => {
-                    if let Some(store) = &self.shared {
-                        slot.state.attach_shared(Arc::clone(store));
-                    }
-                    self.tenants.insert(tenant, slot);
+                Ok(slot) => {
+                    self.install(tenant, slot);
                     restored += 1;
                 }
                 Err(e) => {
@@ -353,17 +401,14 @@ impl AdaptEngine {
         self.tenants.len()
     }
 
-    /// Aggregated memo statistics over all tenants.
+    /// Aggregated memo statistics: the live tenants' entries, and
+    /// counters that also keep the counts of every tenant the engine
+    /// dropped, so they never go backwards.
     #[must_use]
     pub fn memo_stats(&self) -> MemoStats {
-        let mut total = MemoStats::default();
+        let mut total = self.retired;
         for t in self.tenants.values() {
-            let s = t.state.memo_stats();
-            total.hits += s.hits;
-            total.shared_hits += s.shared_hits;
-            total.misses += s.misses;
-            total.entries += s.entries;
-            total.flushes += s.flushes;
+            total += t.state.memo_stats();
         }
         total
     }
@@ -428,13 +473,10 @@ impl AdaptEngine {
             Ok(s) => s,
             Err(reason) => return Response::Error { tenant, reason },
         };
-        match TenantState::new(&system, self.strategy) {
-            Ok(mut state) => {
-                if let Some(store) = &self.shared {
-                    state.attach_shared(Arc::clone(store));
-                }
+        match self.new_state(&system, Vec::new()) {
+            Ok(state) => {
                 let fingerprint = state.admitted_fingerprint();
-                self.tenants.insert(
+                self.install(
                     tenant,
                     TenantSlot {
                         cores,
@@ -546,7 +588,7 @@ impl AdaptEngine {
     /// journal here starts compacted.
     fn install_history(&mut self, tenant: u64, history: &TenantHistory) -> Response {
         self.commit();
-        let mut slot = match replay_slot(history, self.strategy) {
+        let mut slot = match self.replay_slot(history) {
             Ok(slot) => slot,
             // The payload's configuration does not admit here — an
             // analysis verdict, like a rejected registration.
@@ -564,9 +606,6 @@ impl AdaptEngine {
                 }
             }
         };
-        if let Some(store) = &self.shared {
-            slot.state.attach_shared(Arc::clone(store));
-        }
         let response = admitted_answer(tenant, &slot.state, false);
         if let Some(journal) = &self.journal {
             // The imported tenant's journal starts compacted: one
@@ -575,7 +614,7 @@ impl AdaptEngine {
             // any journal write, it never changes the admission answer.
             let _ = compact_slot(journal, tenant, &mut slot);
         }
-        self.tenants.insert(tenant, slot);
+        self.install(tenant, slot);
         response
     }
 
@@ -606,7 +645,9 @@ impl AdaptEngine {
                 }
             }
         }
-        self.tenants.remove(&tenant);
+        if let Some(evicted) = self.tenants.remove(&tenant) {
+            self.retire(&evicted);
+        }
         Response::Evicted {
             tenant,
             fingerprint,
@@ -671,24 +712,6 @@ impl AdaptEngine {
         };
         compact_slot(&journal, tenant, slot).map(|()| true)
     }
-}
-
-/// Rebuilds a resident slot from a history (journal recovery and
-/// import share this path): replay, then keep the registration for
-/// future snapshots/exports. The tail length continues from the
-/// on-disk tail so the compaction policy keeps counting correctly
-/// across restarts.
-fn replay_slot(
-    history: &TenantHistory,
-    strategy: CarryInStrategy,
-) -> Result<TenantSlot, ReplayError> {
-    let state = journal::replay(history, strategy)?;
-    Ok(TenantSlot {
-        cores: history.cores,
-        rt: history.rt.clone(),
-        state,
-        tail_len: history.events.len(),
-    })
 }
 
 /// One snapshot-compaction step — the single place the engine rewrites

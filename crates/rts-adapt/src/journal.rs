@@ -31,9 +31,11 @@
 //! # Why replay is exact
 //!
 //! [`replay`] rebuilds the snapshot's configuration through
-//! [`TenantState::restore`] — one full Algorithm 1 admission of the
-//! snapshotted monitor table — then re-applies the tail, in order,
-//! through the very same [`TenantState::apply`] the live service used.
+//! [`TenantState::restore`] — one admission of the snapshotted monitor
+//! table, by Algorithm 1 or, in a serving engine, by the shared store's
+//! entry for the identical problem (a store hit is exact) — then
+//! re-applies the tail, in order, through the very same
+//! [`TenantState::apply`] the live service used.
 //! Admission is a pure function of (frozen RT system, committed monitor
 //! table, event), so every replayed step re-admits with the same verdict
 //! and the same selected periods, and the replayed state's monitor
@@ -45,9 +47,11 @@
 //! analysed rejected configurations the journal deliberately forgets.
 //!
 //! Nothing is *trusted* from a snapshot beyond the configuration itself:
-//! restore re-verifies it through the analysis, and the recorded
-//! fingerprint must match the restored one — so recovery and hand-off
-//! never install a configuration the analysis has not re-admitted.
+//! restore re-verifies it through the analysis (or takes the analysis'
+//! answer for the identical problem from the shared store), and the
+//! recorded fingerprint must match the restored one — so recovery and
+//! hand-off never install a configuration the analysis has not
+//! re-admitted.
 //!
 //! # Group commit
 //!
@@ -121,9 +125,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 
+use hydra_core::SelectionError;
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
 use rts_model::time::Duration;
+use rts_model::System;
 
 use crate::engine::{build_rt_system, RtSpec};
 use crate::json::{self, Json};
@@ -1283,18 +1289,30 @@ pub fn replay(
     history: &TenantHistory,
     strategy: CarryInStrategy,
 ) -> Result<TenantState, ReplayError> {
+    replay_from(history, |system, monitors| {
+        TenantState::restore(system, strategy, monitors)
+    })
+}
+
+/// [`replay`], building the tenant's first state with `restore` — the
+/// registered system at the snapshot's monitor table, or at an empty
+/// one — so the engine can hand each tenant its shared store before
+/// that first selection.
+pub(crate) fn replay_from(
+    history: &TenantHistory,
+    restore: impl FnOnce(&System, Vec<MonitorEntry>) -> Result<TenantState, SelectionError>,
+) -> Result<TenantState, ReplayError> {
     let system = build_rt_system(history.cores, &history.rt).map_err(ReplayError::Malformed)?;
     let mut state = match &history.snapshot {
         Some(snapshot) => {
-            let state = TenantState::restore(&system, strategy, snapshot.monitors.clone())
-                .map_err(|e| match e {
-                    hydra_core::SelectionError::RtUnschedulable => {
-                        ReplayError::Malformed("registration not admissible".into())
-                    }
-                    other => ReplayError::SnapshotDiverged {
-                        reason: other.to_string(),
-                    },
-                })?;
+            let state = restore(&system, snapshot.monitors.clone()).map_err(|e| match e {
+                SelectionError::RtUnschedulable => {
+                    ReplayError::Malformed("registration not admissible".into())
+                }
+                other => ReplayError::SnapshotDiverged {
+                    reason: other.to_string(),
+                },
+            })?;
             if state.admitted_fingerprint() != snapshot.fingerprint {
                 return Err(ReplayError::Malformed(format!(
                     "snapshot fingerprint {:016x} does not match its configuration's {:016x}",
@@ -1304,7 +1322,7 @@ pub fn replay(
             }
             state
         }
-        None => TenantState::new(&system, strategy)
+        None => restore(&system, Vec::new())
             .map_err(|e| ReplayError::Malformed(format!("registration not admissible: {e}")))?,
     };
     for (i, event) in history.events.iter().enumerate() {

@@ -38,11 +38,12 @@
 //!   accepted deltas appended as line JSON, snapshot compaction that
 //!   truncates the delta tail (write-then-rename, automatic via
 //!   `--compact-every`), and a replay entry point that rebuilds tenant
-//!   state bit-identically — snapshot restore re-runs Algorithm 1, so
-//!   recovery never installs an unverified configuration. The same
-//!   history shape is the hand-off payload behind the protocol's
-//!   `export`/`import`/`evict` verbs, which move a tenant between two
-//!   daemons with bit-identical subsequent answers;
+//!   state bit-identically — snapshot restore re-admits the snapshot's
+//!   configuration, by Algorithm 1 or by the shared store's entry for
+//!   the identical problem, so recovery never installs an unverified
+//!   configuration. The same history shape is the hand-off payload
+//!   behind the protocol's `export`/`import`/`evict` verbs, which move a
+//!   tenant between two daemons with bit-identical subsequent answers;
 //! * [`client`] — the bounded-retry dial-out path (connect backoff
 //!   through daemon restart windows, line-protocol round trips) shared
 //!   by the replicator, the fleet coordinator and the smoke harnesses;

@@ -68,7 +68,7 @@ use crate::journal;
 use crate::json::{self, Json};
 use crate::replication::ReplPayload;
 use crate::shard::ShardSnapshot;
-use crate::telemetry::{Histogram, SlowRequest, Stage};
+use crate::telemetry::{Histogram, SlowRequest, Stage, StageSummary};
 
 /// One parsed protocol line: either a request for the engine, or an
 /// observability verb the *serving layer* answers itself (`stats` and
@@ -374,56 +374,15 @@ pub struct ReactorStats {
     pub accept_failures: u64,
 }
 
-/// Opens a serving-layer answer with the prefix `stats` and `metrics`
-/// share — `seq`, `verdict`, the `conns` gauges, the one-entry
-/// `reactors` array (the gauges again, with the egress counters) and
-/// one `shards` entry per shard (queue depth, handled count, memo
-/// statistics, tenant count) — leaving the object open for the caller
-/// to continue or close.
-fn write_front_prefix(out: &mut String, seq: u64, verdict: &str, report: &MetricsReport) {
-    let ConnStats { live, refused, max } = report.conns;
-    let ReactorStats {
-        flush_passes,
-        iovecs_written,
-        accept_failures,
-    } = report.reactor;
-    let _ = write!(
-        out,
-        "{{\"seq\":{seq},\"verdict\":\"{verdict}\",\"conns\":{{\"live\":{live},\
-         \"refused\":{refused},\"max\":{max}}},\"reactors\":[{{\"reactor\":0,\"live\":{live},\
-         \"refused\":{refused},\"max\":{max},\"flush_passes\":{flush_passes},\
-         \"iovecs_written\":{iovecs_written},\"accept_failures\":{accept_failures}}}],\
-         \"shards\":[",
-    );
-    for (i, s) in report.shards.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"shard\":{},\"queue_depth\":{},\"handled\":{},\"memo_hits\":{},\
-             \"memo_shared_hits\":{},\"memo_misses\":{},\"memo_hit_rate\":{:.4},\
-             \"tenants\":{}}}",
-            s.shard,
-            s.queue_depth,
-            s.handled,
-            s.memo_hits,
-            s.memo_shared_hits,
-            s.memo_misses,
-            s.memo_hit_rate(),
-            s.tenants
-        );
-    }
-    out.push(']');
-}
-
-/// Renders the answer to the `stats` verb — the report's connection
-/// gauges, reactor entry and shard entries — as a single JSON line (no
-/// trailing newline).
+/// Renders the answer to the `stats` verb — the `STATS_BLOCKS` rows
+/// of the report's `series` — as a single JSON line (no trailing
+/// newline).
 #[must_use]
 pub fn render_stats(seq: u64, report: &MetricsReport) -> String {
+    let rows = series(report);
     let mut out = String::with_capacity(288 + 96 * report.shards.len());
-    write_front_prefix(&mut out, seq, "stats", report);
+    let _ = write!(out, "{{\"seq\":{seq},\"verdict\":\"stats\"");
+    write_json_rows(&mut out, split_stats(&rows).0);
     out.push('}');
     out
 }
@@ -450,7 +409,8 @@ pub(crate) fn render_report(seq: u64, format: ReportFormat, report: &MetricsRepo
 /// included), stage-latency histograms, the solver's
 /// selection/probe/cascade counters, the analysis layer's fixed-point
 /// walk counters, the cross-tenant shared-store counters, the journal's
-/// durability counters, and the worst-N slow-request ring.
+/// durability counters, and the worst-N slow-request ring. Every scalar
+/// among them is one row of `series`.
 #[derive(Clone, Debug)]
 pub struct MetricsReport {
     /// Connection gauges of the serving reactor.
@@ -473,73 +433,280 @@ pub struct MetricsReport {
     pub slow: Vec<SlowRequest>,
 }
 
+/// A series value as both formats print it.
+#[derive(Clone, Copy, Debug)]
+enum SeriesValue {
+    /// A count or gauge, printed as an integer.
+    Int(u64),
+    /// A derived ratio, printed with the given number of decimals.
+    Ratio(f64, usize),
+}
+
+impl std::fmt::Display for SeriesValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            SeriesValue::Int(value) => write!(f, "{value}"),
+            SeriesValue::Ratio(value, decimals) => write!(f, "{value:.decimals$}"),
+        }
+    }
+}
+
+/// One scalar of the observability verbs: where it sits in the JSON
+/// answers, what the Prometheus text calls it, and its value.
+#[derive(Clone, Copy, Debug)]
+struct Series {
+    /// The JSON block (`conns`, `reactors`, `shards`, `solver`, …).
+    block: &'static str,
+    /// The entry of an array block, as its label and index
+    /// (`("reactor", 0)`, `("shard", i)`): the JSON entry opens with it
+    /// as a field, the Prometheus sample carries it as a label.
+    label: Option<(&'static str, usize)>,
+    /// The JSON field.
+    field: &'static str,
+    /// The Prometheus family and its type (`counter` or `gauge`);
+    /// `None` for a ratio the JSON answers derive from counters the
+    /// text already carries.
+    prometheus: Option<(&'static str, &'static str)>,
+    /// The value.
+    value: SeriesValue,
+}
+
+/// The blocks the `stats` verb answers with; `metrics` puts the stage
+/// histograms right after them.
+const STATS_BLOCKS: [&str; 3] = ["conns", "reactors", "shards"];
+
+/// A row of one block: its field, Prometheus family and value.
+type Row = (
+    &'static str,
+    Option<(&'static str, &'static str)>,
+    SeriesValue,
+);
+
+fn counter(field: &'static str, family: &'static str, value: u64) -> Row {
+    (field, Some((family, "counter")), SeriesValue::Int(value))
+}
+
+fn gauge(field: &'static str, family: &'static str, value: u64) -> Row {
+    (field, Some((family, "gauge")), SeriesValue::Int(value))
+}
+
+fn ratio(field: &'static str, value: f64, decimals: usize) -> Row {
+    (field, None, SeriesValue::Ratio(value, decimals))
+}
+
+/// Every scalar `stats`, `metrics` and the Prometheus text report, one
+/// row each, in JSON order: a block's rows are adjacent, and so are the
+/// rows of one array entry. The three renderers are loops over these
+/// rows, so adding a counter is adding a row here. Only the stage
+/// histograms and the slow-request ring have renderers of their own.
+/// An array block with no entry renders nothing; a pool always has at
+/// least one shard.
+#[must_use]
+fn series(report: &MetricsReport) -> Vec<Series> {
+    let mut rows = Vec::with_capacity(32 + 8 * report.shards.len());
+    let mut block = |block: &'static str, label, fields: &[Row]| {
+        rows.extend(fields.iter().map(|&(field, prometheus, value)| Series {
+            block,
+            label,
+            field,
+            prometheus,
+            value,
+        }));
+    };
+    let ConnStats { live, refused, max } = report.conns;
+    let (live, max) = (live as u64, max as u64);
+    block(
+        "conns",
+        None,
+        &[
+            gauge("live", "rts_adapt_conns_live", live),
+            counter("refused", "rts_adapt_conns_refused", refused),
+            gauge("max", "rts_adapt_conns_max", max),
+        ],
+    );
+    let r = report.reactor;
+    block(
+        "reactors",
+        Some(("reactor", 0)),
+        &[
+            gauge("live", "rts_adapt_reactor_live", live),
+            counter("refused", "rts_adapt_reactor_refused", refused),
+            gauge("max", "rts_adapt_reactor_max", max),
+            counter(
+                "flush_passes",
+                "rts_adapt_reactor_flush_passes",
+                r.flush_passes,
+            ),
+            counter(
+                "iovecs_written",
+                "rts_adapt_reactor_iovecs_written",
+                r.iovecs_written,
+            ),
+            counter(
+                "accept_failures",
+                "rts_adapt_reactor_accept_failures",
+                r.accept_failures,
+            ),
+        ],
+    );
+    for s in &report.shards {
+        block(
+            "shards",
+            Some(("shard", s.shard)),
+            &[
+                gauge("queue_depth", "rts_adapt_shard_queue_depth", s.queue_depth),
+                counter("handled", "rts_adapt_shard_handled", s.handled),
+                counter("memo_hits", "rts_adapt_shard_memo_hits", s.memo.hits),
+                counter(
+                    "memo_shared_hits",
+                    "rts_adapt_shard_memo_shared_hits",
+                    s.memo.shared_hits,
+                ),
+                counter("memo_misses", "rts_adapt_shard_memo_misses", s.memo.misses),
+                ratio("memo_hit_rate", s.memo.hit_rate(), 4),
+                gauge("tenants", "rts_adapt_shard_tenants", s.tenants as u64),
+            ],
+        );
+    }
+    let sel = &report.solver;
+    block(
+        "solver",
+        None,
+        &[
+            counter("selections", "rts_adapt_solver_selections", sel.selections),
+            counter("probes", "rts_adapt_solver_probes", sel.probes),
+            counter("cascades", "rts_adapt_solver_cascades", sel.cascades),
+            counter(
+                "cascade_tasks",
+                "rts_adapt_solver_cascade_tasks",
+                sel.cascade_tasks,
+            ),
+            ratio("mean_cascade_tasks", sel.mean_cascade_tasks(), 2),
+        ],
+    );
+    let w = &report.walks;
+    block(
+        "walks",
+        None,
+        &[
+            counter("walks", "rts_adapt_walks_total", w.walks),
+            counter("evals", "rts_adapt_walk_evals", w.evals),
+            counter(
+                "quick_confirms",
+                "rts_adapt_walk_quick_confirms",
+                w.quick_confirms,
+            ),
+            ratio("mean_evals", w.mean_evals(), 2),
+        ],
+    );
+    let st = &report.shared_store;
+    block(
+        "shared_store",
+        None,
+        &[
+            counter("hits", "rts_adapt_shared_store_hits", st.hits),
+            counter("misses", "rts_adapt_shared_store_misses", st.misses),
+            gauge(
+                "entries",
+                "rts_adapt_shared_store_entries",
+                st.entries as u64,
+            ),
+            counter("flushes", "rts_adapt_shared_store_flushes", st.flushes),
+        ],
+    );
+    let j = &report.journal;
+    block(
+        "journal",
+        None,
+        &[
+            counter("appends", "rts_adapt_journal_appends", j.appends),
+            counter("snapshots", "rts_adapt_journal_snapshots", j.snapshots),
+            counter("fsyncs", "rts_adapt_journal_fsyncs", j.fsyncs),
+            counter("commits", "rts_adapt_journal_commits", j.commits),
+            counter("torn_tails", "rts_adapt_journal_torn_tails", j.torn_tails),
+        ],
+    );
+    rows
+}
+
+/// Splits [`series`] rows into the [`STATS_BLOCKS`] rows and the rest.
+fn split_stats(rows: &[Series]) -> (&[Series], &[Series]) {
+    let at = rows
+        .iter()
+        .position(|row| !STATS_BLOCKS.contains(&row.block))
+        .unwrap_or(rows.len());
+    rows.split_at(at)
+}
+
+/// Writes rows as JSON blocks, each opening with a comma: `,"block":{…}`,
+/// or `,"block":[{"label":N,…},…]` for an array block.
+fn write_json_rows(out: &mut String, rows: &[Series]) {
+    let close = |out: &mut String, row: &Series| {
+        out.push_str(if row.label.is_some() { "}]" } else { "}" });
+    };
+    let mut previous: Option<&Series> = None;
+    for row in rows {
+        let opens_entry = match previous {
+            Some(p) if (p.block, p.label) == (row.block, row.label) => {
+                out.push(',');
+                false
+            }
+            Some(p) if p.block == row.block => {
+                out.push_str("},{");
+                true
+            }
+            _ => {
+                if let Some(p) = previous {
+                    close(out, p);
+                }
+                let open = if row.label.is_some() { "[{" } else { "{" };
+                let _ = write!(out, ",\"{}\":{open}", row.block);
+                true
+            }
+        };
+        if let (true, Some((label, index))) = (opens_entry, row.label) {
+            let _ = write!(out, "\"{label}\":{index},");
+        }
+        let _ = write!(out, "\"{}\":{}", row.field, row.value);
+        previous = Some(row);
+    }
+    if let Some(p) = previous {
+        close(out, p);
+    }
+}
+
 fn us(ns: u64) -> f64 {
     ns as f64 / 1000.0
 }
 
-fn write_stage_summary(out: &mut String, histogram: &Histogram) {
-    let _ = write!(
-        out,
-        "{{\"count\":{},\"p50_us\":{:.1},\"p90_us\":{:.1},\"p99_us\":{:.1},\
-         \"max_us\":{:.1},\"mean_us\":{:.1}}}",
-        histogram.count(),
-        us(histogram.quantile_ns(0.50)),
-        us(histogram.quantile_ns(0.90)),
-        us(histogram.quantile_ns(0.99)),
-        us(histogram.max_ns()),
-        histogram.mean_ns() / 1000.0,
-    );
-}
-
 /// Renders the answer to the `{"op":"metrics"}` verb as a single JSON
-/// line (no trailing newline). Every cataloged series is always
-/// present — empty histograms render with `count:0` — so the field set
-/// is identical across connections and load states by construction.
+/// line (no trailing newline): the report's `series` rows, with the
+/// stage summaries after the `STATS_BLOCKS` and the slow-request
+/// ring last. Every cataloged series is always present — empty
+/// histograms render with `count:0` — so the field set is identical
+/// across connections and load states by construction.
 #[must_use]
 pub fn render_metrics(seq: u64, report: &MetricsReport) -> String {
+    let rows = series(report);
+    let (stats, rest) = split_stats(&rows);
     let mut out = String::with_capacity(1024 + 96 * report.shards.len());
-    write_front_prefix(&mut out, seq, "metrics", report);
+    let _ = write!(out, "{{\"seq\":{seq},\"verdict\":\"metrics\"");
+    write_json_rows(&mut out, stats);
     out.push_str(",\"stages\":{");
     for (i, (stage, histogram)) in report.stages.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "\"{}\":", stage.name());
-        write_stage_summary(&mut out, histogram);
+        let s = StageSummary::of(stage.name(), histogram);
+        let _ = write!(
+            out,
+            "\"{}\":{{\"count\":{},\"p50_us\":{:.1},\"p90_us\":{:.1},\"p99_us\":{:.1},\
+             \"max_us\":{:.1},\"mean_us\":{:.1}}}",
+            s.stage, s.count, s.p50_us, s.p90_us, s.p99_us, s.max_us, s.mean_us,
+        );
     }
-    let solver = &report.solver;
-    let _ = write!(
-        out,
-        "}},\"solver\":{{\"selections\":{},\"probes\":{},\"cascades\":{},\
-         \"cascade_tasks\":{},\"mean_cascade_tasks\":{:.2}}}",
-        solver.selections,
-        solver.probes,
-        solver.cascades,
-        solver.cascade_tasks,
-        solver.mean_cascade_tasks()
-    );
-    let walks = &report.walks;
-    let _ = write!(
-        out,
-        ",\"walks\":{{\"walks\":{},\"evals\":{},\"quick_confirms\":{},\"mean_evals\":{:.2}}}",
-        walks.walks,
-        walks.evals,
-        walks.quick_confirms,
-        walks.mean_evals()
-    );
-    let store = &report.shared_store;
-    let _ = write!(
-        out,
-        ",\"shared_store\":{{\"hits\":{},\"misses\":{},\"entries\":{},\"flushes\":{}}}",
-        store.hits, store.misses, store.entries, store.flushes
-    );
-    let journal = &report.journal;
-    let _ = write!(
-        out,
-        ",\"journal\":{{\"appends\":{},\"snapshots\":{},\"fsyncs\":{},\"commits\":{},\
-         \"torn_tails\":{}}}",
-        journal.appends, journal.snapshots, journal.fsyncs, journal.commits, journal.torn_tails
-    );
+    out.push('}');
+    write_json_rows(&mut out, rest);
     out.push_str(",\"slow\":[");
     for (i, slow) in report.slow.iter().enumerate() {
         if i > 0 {
@@ -571,55 +738,41 @@ pub fn render_metrics(seq: u64, report: &MetricsReport) -> String {
 /// log2 resolution).
 const PROMETHEUS_LE_US: [u64; 6] = [10, 100, 1_000, 10_000, 100_000, 1_000_000];
 
-/// Renders the same report as a Prometheus-style text exposition
-/// (`# TYPE` headers, cumulative `_bucket{le=...}` histograms, labeled
-/// per-shard counters). Multi-line text — serve it via
-/// [`render_metrics_text`] on the line protocol or dump it raw.
-#[must_use]
-pub fn render_prometheus(report: &MetricsReport) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("# TYPE rts_adapt_conns_live gauge\n");
-    let _ = writeln!(out, "rts_adapt_conns_live {}", report.conns.live);
-    out.push_str("# TYPE rts_adapt_conns_refused counter\n");
-    let _ = writeln!(out, "rts_adapt_conns_refused {}", report.conns.refused);
-    out.push_str("# TYPE rts_adapt_conns_max gauge\n");
-    let _ = writeln!(out, "rts_adapt_conns_max {}", report.conns.max);
-    for (name, kind, value) in [
-        ("live", "gauge", report.conns.live as u64),
-        ("refused", "counter", report.conns.refused),
-        ("max", "gauge", report.conns.max as u64),
-        ("flush_passes", "counter", report.reactor.flush_passes),
-        ("iovecs_written", "counter", report.reactor.iovecs_written),
-        ("accept_failures", "counter", report.reactor.accept_failures),
-    ] {
-        let _ = writeln!(out, "# TYPE rts_adapt_reactor_{name} {kind}");
-        let _ = writeln!(out, "rts_adapt_reactor_{name}{{reactor=\"0\"}} {value}");
-    }
-    for (name, kind) in [
-        ("queue_depth", "gauge"),
-        ("handled", "counter"),
-        ("memo_hits", "counter"),
-        ("memo_shared_hits", "counter"),
-        ("memo_misses", "counter"),
-        ("tenants", "gauge"),
-    ] {
-        let _ = writeln!(out, "# TYPE rts_adapt_shard_{name} {kind}");
-        for s in &report.shards {
-            let value = match name {
-                "queue_depth" => s.queue_depth,
-                "handled" => s.handled,
-                "memo_hits" => s.memo_hits,
-                "memo_shared_hits" => s.memo_shared_hits,
-                "memo_misses" => s.memo_misses,
-                _ => s.tenants as u64,
-            };
-            let _ = writeln!(
-                out,
-                "rts_adapt_shard_{name}{{shard=\"{}\"}} {value}",
-                s.shard
-            );
+/// Writes the rows that have a Prometheus family, one family at a time
+/// in the order the families first appear: its `# TYPE` header, then
+/// one sample per row, labeled by the row's array entry.
+fn write_prometheus_rows(out: &mut String, rows: &[Series]) {
+    let mut written: Vec<&str> = Vec::new();
+    for (name, kind) in rows.iter().filter_map(|row| row.prometheus) {
+        if written.contains(&name) {
+            continue;
+        }
+        written.push(name);
+        let _ = writeln!(out, "# TYPE {name} {kind}");
+        for row in rows
+            .iter()
+            .filter(|row| row.prometheus == Some((name, kind)))
+        {
+            out.push_str(name);
+            if let Some((label, index)) = row.label {
+                let _ = write!(out, "{{{label}=\"{index}\"}}");
+            }
+            let _ = writeln!(out, " {}", row.value);
         }
     }
+}
+
+/// Renders the same report as a Prometheus-style text exposition
+/// (`# TYPE` headers, cumulative `_bucket{le=...}` histograms, labeled
+/// per-shard counters): the report's `series` rows, with the stage
+/// histograms after the `STATS_BLOCKS`. Multi-line text — serve it
+/// via [`render_metrics_text`] on the line protocol or dump it raw.
+#[must_use]
+pub fn render_prometheus(report: &MetricsReport) -> String {
+    let rows = series(report);
+    let (stats, rest) = split_stats(&rows);
+    let mut out = String::with_capacity(4096);
+    write_prometheus_rows(&mut out, stats);
     out.push_str("# TYPE rts_adapt_stage_latency_us histogram\n");
     for (stage, histogram) in &report.stages {
         let stage = stage.name();
@@ -646,34 +799,7 @@ pub fn render_prometheus(report: &MetricsReport) -> String {
             histogram.count()
         );
     }
-    // Solver and walk counter names come from the crates that own them
-    // (`phase_stats::*Stats::series`), so an added counter shows up here
-    // without this renderer learning about it.
-    let flat = report
-        .solver
-        .series()
-        .into_iter()
-        .chain(report.walks.series())
-        .chain([
-            ("shared_store_hits", report.shared_store.hits),
-            ("shared_store_misses", report.shared_store.misses),
-            ("shared_store_flushes", report.shared_store.flushes),
-            ("journal_appends", report.journal.appends),
-            ("journal_snapshots", report.journal.snapshots),
-            ("journal_fsyncs", report.journal.fsyncs),
-            ("journal_commits", report.journal.commits),
-            ("journal_torn_tails", report.journal.torn_tails),
-        ]);
-    for (name, value) in flat {
-        let _ = writeln!(out, "# TYPE rts_adapt_{name} counter");
-        let _ = writeln!(out, "rts_adapt_{name} {value}");
-    }
-    out.push_str("# TYPE rts_adapt_shared_store_entries gauge\n");
-    let _ = writeln!(
-        out,
-        "rts_adapt_shared_store_entries {}",
-        report.shared_store.entries
-    );
+    write_prometheus_rows(&mut out, rest);
     out
 }
 
@@ -833,6 +959,7 @@ fn write_ms_array(out: &mut String, durations: &[Duration]) {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use hydra_core::incremental::MemoStats;
 
     fn ms(v: u64) -> Duration {
         Duration::from_ms(v)
@@ -981,19 +1108,25 @@ mod tests {
                 shard: 0,
                 queue_depth: 3,
                 handled: 100,
-                memo_hits: 50,
-                memo_shared_hits: 10,
-                memo_misses: 40,
                 tenants: 7,
+                memo: MemoStats {
+                    hits: 50,
+                    shared_hits: 10,
+                    misses: 40,
+                    ..MemoStats::default()
+                },
             },
             ShardSnapshot {
                 shard: 1,
                 queue_depth: 0,
                 handled: 50,
-                memo_hits: 0,
-                memo_shared_hits: 0,
-                memo_misses: 0,
                 tenants: 2,
+                memo: MemoStats {
+                    hits: 0,
+                    shared_hits: 0,
+                    misses: 0,
+                    ..MemoStats::default()
+                },
             },
         ];
         let report = MetricsReport {
@@ -1267,10 +1400,13 @@ mod tests {
                 shard: 0,
                 queue_depth: 2,
                 handled: 10,
-                memo_hits: 4,
-                memo_shared_hits: 1,
-                memo_misses: 5,
                 tenants: 3,
+                memo: MemoStats {
+                    hits: 4,
+                    shared_hits: 1,
+                    misses: 5,
+                    ..MemoStats::default()
+                },
             }],
             stages,
             solver: hydra_core::phase_stats::SelectionStats {
@@ -1312,26 +1448,214 @@ mod tests {
         }
     }
 
-    /// Every cataloged series is present in the JSON report even when
-    /// its histogram is empty — the field set never depends on load.
+    /// A report with two shards, a non-empty slow ring and a distinct
+    /// non-zero value in every field: the input of the byte pins below.
+    fn golden_report() -> MetricsReport {
+        let stages = Stage::ALL
+            .iter()
+            .enumerate()
+            .map(|(i, &stage)| {
+                let mut histogram = Histogram::new();
+                for k in 0..=i as u64 {
+                    histogram.record(700 + 3_100 * k * k * (i as u64 + 1));
+                }
+                histogram.record(40_000 * (i as u64 + 2));
+                (stage, histogram)
+            })
+            .collect();
+        let slow = |tenant: u64, base: u64| SlowRequest {
+            tenant,
+            conn: tenant + 1,
+            seq: tenant + 2,
+            parse_ns: base + 1_100,
+            queue_ns: base + 2_250,
+            solve_ns: base + 3_333,
+            persist_ns: base + 150_040,
+            respond_ns: base + 4_460,
+            flush_ns: base + 5_575,
+            total_ns: base + 166_758,
+        };
+        MetricsReport {
+            conns: ConnStats {
+                live: 13,
+                refused: 5,
+                max: 96,
+            },
+            reactor: ReactorStats {
+                flush_passes: 411,
+                iovecs_written: 1_907,
+                accept_failures: 17,
+            },
+            shards: vec![
+                ShardSnapshot {
+                    shard: 0,
+                    queue_depth: 3,
+                    handled: 1_021,
+                    tenants: 12,
+                    memo: MemoStats {
+                        hits: 640,
+                        shared_hits: 77,
+                        misses: 29,
+                        ..MemoStats::default()
+                    },
+                },
+                ShardSnapshot {
+                    shard: 1,
+                    queue_depth: 6,
+                    handled: 987,
+                    tenants: 11,
+                    memo: MemoStats {
+                        hits: 601,
+                        shared_hits: 83,
+                        misses: 31,
+                        ..MemoStats::default()
+                    },
+                },
+            ],
+            stages,
+            solver: hydra_core::phase_stats::SelectionStats {
+                selections: 60,
+                probes: 482,
+                cascades: 542,
+                cascade_tasks: 1_399,
+            },
+            walks: rts_analysis::phase_stats::WalkStats {
+                walks: 2_311,
+                evals: 9_874,
+                quick_confirms: 402,
+            },
+            shared_store: hydra_core::SharedStoreStats {
+                hits: 160,
+                misses: 61,
+                entries: 58,
+                flushes: 2,
+            },
+            journal: journal::JournalStats {
+                appends: 1_733,
+                snapshots: 26,
+                fsyncs: 1_180,
+                commits: 318,
+                torn_tails: 4,
+            },
+            slow: vec![slow(21, 9_000_000), slow(8, 2_500_000)],
+        }
+    }
+
+    /// The observability verbs' exact bytes, pinned: `stats`, `metrics`,
+    /// the Prometheus text and its line-protocol wrapper for one report.
+    #[test]
+    fn observability_bytes_are_pinned() {
+        let report = golden_report();
+        for (name, rendered, golden) in [
+            (
+                "stats",
+                render_stats(4, &report),
+                include_str!("../tests/golden/stats.json"),
+            ),
+            (
+                "metrics",
+                render_metrics(5, &report),
+                include_str!("../tests/golden/metrics.json"),
+            ),
+            (
+                "prometheus",
+                render_prometheus(&report),
+                include_str!("../tests/golden/metrics.prom"),
+            ),
+            (
+                "metrics_text",
+                render_metrics_text(6, &report),
+                include_str!("../tests/golden/metrics_text.json"),
+            ),
+        ] {
+            assert_eq!(rendered, golden, "{name} bytes changed");
+        }
+    }
+
+    /// The JSON value a series row names: its block, then the entry
+    /// its label selects, then its field.
+    fn json_value<'a>(parsed: &'a Json, row: &Series) -> Option<&'a Json> {
+        let block = parsed.get(row.block)?;
+        let entry = match row.label {
+            Some((label, index)) => block
+                .as_array()?
+                .iter()
+                .find(|entry| entry.get(label).and_then(Json::as_u64) == Some(index as u64))?,
+            None => block,
+        };
+        entry.get(row.field)
+    }
+
+    /// Every series row is in the JSON report with its value, and the
+    /// report's blocks hold nothing but rows; every stage is present
+    /// even when its histogram is empty — the field set never depends
+    /// on load.
     #[test]
     fn metrics_render_carries_every_cataloged_series() {
-        let line = render_metrics(42, &sample_metrics_report());
-        let parsed = crate::json::parse(&line).unwrap();
-        assert_eq!(parsed.get("seq").and_then(Json::as_u64), Some(42));
-        assert_eq!(
-            parsed.get("verdict").and_then(Json::as_str),
-            Some("metrics")
-        );
-        let stages = parsed.get("stages").unwrap();
-        for stage in Stage::ALL {
-            let entry = stages
-                .get(stage.name())
-                .unwrap_or_else(|| panic!("stage {} missing", stage.name()));
-            for field in ["count", "p50_us", "p90_us", "p99_us", "max_us", "mean_us"] {
-                assert!(entry.get(field).is_some(), "{}.{field}", stage.name());
+        for report in [sample_metrics_report(), golden_report()] {
+            let line = render_metrics(42, &report);
+            let parsed = crate::json::parse(&line).unwrap();
+            assert_eq!(parsed.get("seq").and_then(Json::as_u64), Some(42));
+            assert_eq!(
+                parsed.get("verdict").and_then(Json::as_str),
+                Some("metrics")
+            );
+            let rows = series(&report);
+            for row in &rows {
+                let value = json_value(&parsed, row)
+                    .unwrap_or_else(|| panic!("{}.{} missing", row.block, row.field));
+                match row.value {
+                    SeriesValue::Int(expected) => {
+                        assert_eq!(value.as_u64(), Some(expected), "{row:?}");
+                    }
+                    SeriesValue::Ratio(expected, decimals) => {
+                        let got = value.as_f64().unwrap();
+                        assert!(
+                            (got - expected).abs() <= 0.5 * 10f64.powi(-(decimals as i32)),
+                            "{row:?}: {got}"
+                        );
+                    }
+                }
+            }
+            // Nothing outside the rows, the stages and the slow ring.
+            let fields = |entry: &Json| match entry {
+                Json::Obj(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+                other => panic!("not an object: {other:?}"),
+            };
+            let mut rendered = 0;
+            for key in fields(&parsed) {
+                if ["seq", "verdict", "stages", "slow"].contains(&key.as_str()) {
+                    continue;
+                }
+                let block = parsed.get(&key).unwrap();
+                let entries = match block.as_array() {
+                    Some(entries) => entries.iter().collect(),
+                    None => vec![block],
+                };
+                for entry in entries {
+                    for field in fields(entry) {
+                        let is_row = rows.iter().any(|r| r.block == key && r.field == field);
+                        let is_label = rows
+                            .iter()
+                            .any(|r| r.block == key && r.label.is_some_and(|(l, _)| l == field));
+                        assert!(is_row || is_label, "{key}.{field} is not a series row");
+                        rendered += usize::from(is_row);
+                    }
+                }
+            }
+            assert_eq!(rendered, rows.len());
+            let stages = parsed.get("stages").unwrap();
+            for stage in Stage::ALL {
+                let entry = stages
+                    .get(stage.name())
+                    .unwrap_or_else(|| panic!("stage {} missing", stage.name()));
+                for field in ["count", "p50_us", "p90_us", "p99_us", "max_us", "mean_us"] {
+                    assert!(entry.get(field).is_some(), "{}.{field}", stage.name());
+                }
             }
         }
+        let parsed = crate::json::parse(&render_metrics(42, &sample_metrics_report())).unwrap();
+        let stages = parsed.get("stages").unwrap();
         assert_eq!(
             stages
                 .get("solve")
@@ -1347,77 +1671,6 @@ mod tests {
             .and_then(Json::as_f64)
             .unwrap();
         assert!((1.5..2.0).contains(&p50), "{p50}");
-        assert!(parsed.get("shards").and_then(Json::as_array).is_some());
-        for (block, fields) in [
-            ("conns", &["live", "refused", "max"][..]),
-            (
-                "solver",
-                &[
-                    "selections",
-                    "probes",
-                    "cascades",
-                    "cascade_tasks",
-                    "mean_cascade_tasks",
-                ][..],
-            ),
-            (
-                "walks",
-                &["walks", "evals", "quick_confirms", "mean_evals"][..],
-            ),
-            (
-                "shared_store",
-                &["hits", "misses", "entries", "flushes"][..],
-            ),
-            (
-                "journal",
-                &["appends", "snapshots", "fsyncs", "commits", "torn_tails"][..],
-            ),
-        ] {
-            let value = parsed
-                .get(block)
-                .unwrap_or_else(|| panic!("block {block} missing"));
-            for field in fields {
-                assert!(value.get(field).is_some(), "{block}.{field}");
-            }
-        }
-        let reactors = parsed.get("reactors").and_then(Json::as_array).unwrap();
-        assert_eq!(reactors.len(), 1);
-        for field in [
-            "reactor",
-            "live",
-            "refused",
-            "max",
-            "flush_passes",
-            "iovecs_written",
-            "accept_failures",
-        ] {
-            assert!(reactors[0].get(field).is_some(), "reactors[0].{field}");
-        }
-        assert_eq!(
-            reactors[0].get("flush_passes").and_then(Json::as_u64),
-            Some(6)
-        );
-        let solver = parsed.get("solver").unwrap();
-        assert_eq!(solver.get("probes").and_then(Json::as_u64), Some(40));
-        let walks = parsed.get("walks").unwrap();
-        assert_eq!(walks.get("quick_confirms").and_then(Json::as_u64), Some(2));
-        let store = parsed.get("shared_store").unwrap();
-        assert_eq!(store.get("flushes").and_then(Json::as_u64), Some(1));
-        assert_eq!(
-            stages
-                .get("persist")
-                .and_then(|s| s.get("count"))
-                .and_then(Json::as_u64),
-            Some(1)
-        );
-        let journal = parsed.get("journal").unwrap();
-        assert_eq!(journal.get("fsyncs").and_then(Json::as_u64), Some(4));
-        assert_eq!(journal.get("commits").and_then(Json::as_u64), Some(3));
-        assert!(
-            line.contains("\"fsyncs\":4,\"commits\":3,\"torn_tails\":1}"),
-            "{line}"
-        );
-        assert_eq!(journal.get("torn_tails").and_then(Json::as_u64), Some(1));
         let slow = parsed.get("slow").and_then(Json::as_array).unwrap();
         assert_eq!(slow[0].get("tenant").and_then(Json::as_u64), Some(4));
         assert_eq!(slow[0].get("conn").and_then(Json::as_u64), Some(2));
@@ -1427,31 +1680,58 @@ mod tests {
         );
     }
 
-    /// The Prometheus exposition is structurally sound: cumulative
-    /// non-decreasing buckets capped by `+Inf` = `_count`, and the
-    /// line-protocol wrapper carries it byte-for-byte.
+    /// The Prometheus exposition is structurally sound: one `# TYPE`
+    /// header and one sample per series row (and nothing else besides
+    /// the stage histograms), cumulative non-decreasing buckets capped
+    /// by `+Inf` = `_count`, and the line-protocol wrapper carries it
+    /// byte-for-byte.
     #[test]
     fn prometheus_exposition_is_well_formed() {
+        for report in [sample_metrics_report(), golden_report()] {
+            let text = render_prometheus(&report);
+            let lines: Vec<&str> = text.lines().collect();
+            let rows = series(&report);
+            let mut families = Vec::new();
+            for row in &rows {
+                let Some((name, kind)) = row.prometheus else {
+                    continue;
+                };
+                let labels = row
+                    .label
+                    .map(|(label, index)| format!("{{{label}=\"{index}\"}}"))
+                    .unwrap_or_default();
+                let sample = format!("{name}{labels} {}", row.value);
+                assert_eq!(
+                    lines.iter().filter(|&&l| l == sample).count(),
+                    1,
+                    "{sample}"
+                );
+                let header = format!("# TYPE {name} {kind}");
+                assert_eq!(
+                    lines.iter().filter(|&&l| l == header).count(),
+                    1,
+                    "{header}"
+                );
+                if !families.contains(&name) {
+                    families.push(name);
+                }
+            }
+            let samples = rows.iter().filter(|r| r.prometheus.is_some()).count();
+            let starting_with =
+                |prefix: &str| lines.iter().filter(|l| l.starts_with(prefix)).count();
+            assert_eq!(
+                starting_with("# TYPE"),
+                families.len() + 1,
+                "one header per family plus the stage histogram"
+            );
+            assert_eq!(
+                lines.len() - starting_with("#") - starting_with("rts_adapt_stage_latency_us"),
+                samples
+            );
+        }
         let report = sample_metrics_report();
         let text = render_prometheus(&report);
-        for series in [
-            "rts_adapt_conns_live",
-            "rts_adapt_shard_handled",
-            "rts_adapt_solver_probes",
-            "rts_adapt_walks_total",
-            "rts_adapt_shared_store_hits",
-            "rts_adapt_journal_fsyncs",
-            "rts_adapt_journal_commits 3",
-            "rts_adapt_journal_torn_tails 1",
-            "rts_adapt_stage_latency_us_count{stage=\"persist\"} 1",
-            "rts_adapt_reactor_live{reactor=\"0\"} 3",
-            "rts_adapt_reactor_max{reactor=\"0\"} 64",
-            "rts_adapt_reactor_flush_passes{reactor=\"0\"} 6",
-            "rts_adapt_reactor_iovecs_written{reactor=\"0\"} 18",
-            "rts_adapt_reactor_accept_failures{reactor=\"0\"} 7",
-        ] {
-            assert!(text.contains(series), "missing series {series}");
-        }
+        assert!(text.contains("rts_adapt_stage_latency_us_count{stage=\"persist\"} 1\n"));
         let solve_buckets: Vec<u64> = text
             .lines()
             .filter(|l| l.starts_with("rts_adapt_stage_latency_us_bucket{stage=\"solve\""))

@@ -80,7 +80,7 @@ use crate::conn::{Conn, Flushed};
 use crate::engine::{Request, Response};
 use crate::journal::JournalDir;
 use crate::proto::{self, Command, ConnStats, ReactorStats};
-use crate::shard::{ResponseMeta, ShardReport, ShardedEngine};
+use crate::shard::{ResponseMeta, ShardSnapshot, ShardedEngine};
 use crate::telemetry::{SlowRequest, Stage, Telemetry};
 
 /// The listener's poll token.
@@ -215,8 +215,8 @@ pub struct ReactorSummary {
     pub accepted_conns: u64,
     /// Connections refused over the cap.
     pub refused_conns: u64,
-    /// Per-shard reports from the pool shutdown.
-    pub reports: Vec<ShardReport>,
+    /// Each shard's final snapshot, from the pool shutdown.
+    pub shards: Vec<ShardSnapshot>,
 }
 
 /// What a traced engine answer carries through its connection's egress
@@ -839,7 +839,7 @@ fn serve(
     reactor.conns.clear();
     reactor.listener = None;
     let Reactor { pool, mut run, .. } = reactor;
-    run.reports = pool.shutdown();
+    run.shards = pool.shutdown();
     outcome.map(|()| run)
 }
 
@@ -932,8 +932,8 @@ mod tests {
         assert_eq!(summary.parse_errors, 1);
         assert_eq!(summary.accepted_conns, 1);
         assert_eq!(summary.refused_conns, 0);
-        assert_eq!(summary.reports.len(), 2);
-        assert_eq!(summary.reports.iter().map(|r| r.handled).sum::<u64>(), 4);
+        assert_eq!(summary.shards.len(), 2);
+        assert_eq!(summary.shards.iter().map(|r| r.handled).sum::<u64>(), 4);
     }
 
     #[test]
@@ -1058,7 +1058,7 @@ mod tests {
         shutdown.request();
         let summary = handle.join().unwrap().unwrap();
         assert_eq!(summary.requests, 0);
-        assert_eq!(summary.reports.len(), 2);
+        assert_eq!(summary.shards.len(), 2);
     }
 
     fn stage_count(metrics: &str, stage: &str) -> u64 {

@@ -127,11 +127,30 @@ struct ShardCounters {
     memo_hits: AtomicU64,
     memo_shared_hits: AtomicU64,
     memo_misses: AtomicU64,
+    memo_entries: AtomicUsize,
+    memo_flushes: AtomicU64,
     tenants: AtomicUsize,
 }
 
-/// A point-in-time view of one live shard (the `stats` protocol verb).
-#[derive(Clone, Copy, PartialEq, Debug)]
+impl ShardCounters {
+    /// Publishes the worker's engine state: what the `stats` verb and
+    /// the pool's shutdown read.
+    fn publish(&self, handled: u64, engine: &AdaptEngine) {
+        let memo = engine.memo_stats();
+        self.handled.store(handled, Ordering::Relaxed);
+        self.memo_hits.store(memo.hits, Ordering::Relaxed);
+        self.memo_shared_hits
+            .store(memo.shared_hits, Ordering::Relaxed);
+        self.memo_misses.store(memo.misses, Ordering::Relaxed);
+        self.memo_entries.store(memo.entries, Ordering::Relaxed);
+        self.memo_flushes.store(memo.flushes, Ordering::Relaxed);
+        self.tenants.store(engine.tenant_count(), Ordering::Relaxed);
+    }
+}
+
+/// A point-in-time view of one shard: what the `stats` verb reports
+/// while the pool serves, and what [`ShardedEngine::shutdown`] returns.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ShardSnapshot {
     /// Shard index.
     pub shard: usize,
@@ -139,31 +158,13 @@ pub struct ShardSnapshot {
     pub queue_depth: u64,
     /// Requests the shard has answered so far.
     pub handled: u64,
-    /// Per-tenant selection-memo hits across the shard's tenants.
-    pub memo_hits: u64,
-    /// Selections answered from the pool-wide cross-tenant store (a
-    /// structurally identical tenant — possibly on another shard — had
-    /// already solved the configuration).
-    pub memo_shared_hits: u64,
-    /// Selection-memo misses (full Algorithm 1 runs).
-    pub memo_misses: u64,
     /// Tenants currently registered on the shard.
     pub tenants: usize,
-}
-
-impl ShardSnapshot {
-    /// Fraction of selections answered without running Algorithm 1 —
-    /// per-tenant and shared hits combined — in `[0, 1]`.
-    #[must_use]
-    pub fn memo_hit_rate(&self) -> f64 {
-        let served = self.memo_hits + self.memo_shared_hits;
-        let total = served + self.memo_misses;
-        if total == 0 {
-            0.0
-        } else {
-            served as f64 / total as f64
-        }
-    }
+    /// Selection-memo statistics of the shard's engine
+    /// ([`AdaptEngine::memo_stats`]): its counters only ever grow,
+    /// keeping the counts of tenants the engine dropped and of the
+    /// selections boot recovery made.
+    pub memo: MemoStats,
 }
 
 /// One dispatched batch's answers: one results-channel message.
@@ -258,19 +259,6 @@ fn shard_index(tenant: u64, shards: usize) -> usize {
     (z ^ (z >> 31)) as usize % shards
 }
 
-/// What one worker reports when the pool shuts down.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ShardReport {
-    /// Shard index.
-    pub shard: usize,
-    /// Requests the shard handled.
-    pub handled: u64,
-    /// Tenants registered on the shard.
-    pub tenants: usize,
-    /// Aggregated selection-memo statistics of those tenants.
-    pub memo: MemoStats,
-}
-
 /// A pool of [`AdaptEngine`] workers with tenant-hash dispatch, owned by
 /// one caller (a serving front or an in-process driver) that submits
 /// batches and receives their answers.
@@ -281,7 +269,6 @@ pub struct ShardedEngine {
     /// Responses already pulled off the channel but not yet handed to the
     /// caller (workers answer a whole dispatched batch per message).
     ready: VecDeque<(u64, Response, ResponseMeta)>,
-    reports: Receiver<ShardReport>,
     workers: Vec<JoinHandle<()>>,
     in_flight: usize,
     scratch: Vec<Vec<Envelope>>,
@@ -328,7 +315,6 @@ impl ShardedEngine {
         let shards = shards.max(1);
         let shared = SharedSelectionStore::new();
         let (results_tx, results) = mpsc::channel();
-        let (reports_tx, reports) = mpsc::channel();
         let counters: Vec<Arc<ShardCounters>> = (0..shards)
             .map(|_| Arc::new(ShardCounters::default()))
             .collect();
@@ -339,7 +325,6 @@ impl ShardedEngine {
             senders.push(tx);
             let results_tx = results_tx.clone();
             let notifier = notifier.clone();
-            let reports_tx = reports_tx.clone();
             let journal = journal.clone();
             let counters = Arc::clone(&counters[shard]);
             let shared = Arc::clone(&shared);
@@ -361,6 +346,9 @@ impl ShardedEngine {
                     }
                     None => AdaptEngine::new(strategy).with_shared_store(shared),
                 };
+                // Recovered tenants and the selections their replay made
+                // show before the first request does.
+                counters.publish(0, &engine);
                 let mut handled = 0u64;
                 let mut trace_tick = 0u64;
                 let journaled = engine.journals();
@@ -388,16 +376,7 @@ impl ShardedEngine {
                     // Refresh the live telemetry before the answers
                     // leave, so a stats answer never lags an answer its
                     // client already holds.
-                    counters.handled.store(handled, Ordering::Relaxed);
-                    let memo = engine.memo_stats();
-                    counters.memo_hits.store(memo.hits, Ordering::Relaxed);
-                    counters
-                        .memo_shared_hits
-                        .store(memo.shared_hits, Ordering::Relaxed);
-                    counters.memo_misses.store(memo.misses, Ordering::Relaxed);
-                    counters
-                        .tenants
-                        .store(engine.tenant_count(), Ordering::Relaxed);
+                    counters.publish(handled, &engine);
                     // One channel message and one notifier ping per
                     // dispatched batch — not per request.
                     for answers in answered {
@@ -409,19 +388,12 @@ impl ShardedEngine {
                         }
                     }
                 }
-                let _ = reports_tx.send(ShardReport {
-                    shard,
-                    handled,
-                    tenants: engine.tenant_count(),
-                    memo: engine.memo_stats(),
-                });
             }));
         }
         ShardedEngine {
             senders,
             results,
             ready: VecDeque::new(),
-            reports,
             workers,
             in_flight: 0,
             scratch: (0..shards).map(|_| Vec::new()).collect(),
@@ -581,10 +553,14 @@ impl ShardedEngine {
                     shard,
                     queue_depth: submitted.saturating_sub(handled),
                     handled,
-                    memo_hits: c.memo_hits.load(Ordering::Relaxed),
-                    memo_shared_hits: c.memo_shared_hits.load(Ordering::Relaxed),
-                    memo_misses: c.memo_misses.load(Ordering::Relaxed),
                     tenants: c.tenants.load(Ordering::Relaxed),
+                    memo: MemoStats {
+                        hits: c.memo_hits.load(Ordering::Relaxed),
+                        shared_hits: c.memo_shared_hits.load(Ordering::Relaxed),
+                        misses: c.memo_misses.load(Ordering::Relaxed),
+                        entries: c.memo_entries.load(Ordering::Relaxed),
+                        flushes: c.memo_flushes.load(Ordering::Relaxed),
+                    },
                 }
             })
             .collect()
@@ -654,24 +630,16 @@ impl ShardedEngine {
     }
 
     /// Shuts the pool down: waits for all outstanding responses, stops
-    /// the workers and returns their per-shard reports (ordered by shard
-    /// index).
+    /// the workers and returns each shard's final snapshot (ordered by
+    /// shard index).
     #[must_use]
-    pub fn shutdown(mut self) -> Vec<ShardReport> {
+    pub fn shutdown(mut self) -> Vec<ShardSnapshot> {
         let _ = self.drain();
-        let ShardedEngine {
-            senders,
-            reports,
-            workers,
-            ..
-        } = self;
-        drop(senders); // closes the request channels
-        for worker in workers {
+        drop(std::mem::take(&mut self.senders)); // closes the request channels
+        for worker in std::mem::take(&mut self.workers) {
             worker.join().expect("shard worker panicked");
         }
-        let mut reports: Vec<ShardReport> = reports.try_iter().collect();
-        reports.sort_by_key(|r| r.shard);
-        reports
+        self.snapshots()
     }
 }
 
@@ -743,7 +711,7 @@ mod tests {
 
     /// Structurally identical tenants reuse each other's solved
     /// configurations through the pool-wide store, and every surface
-    /// (store stats, shutdown reports) accounts the shared hits.
+    /// (store stats, shutdown snapshots) accounts the shared hits.
     #[test]
     fn identical_tenants_share_solver_work_across_shards() {
         let workload: Vec<Request> = (0..6).flat_map(rover_requests).collect();
@@ -759,8 +727,8 @@ mod tests {
         let shared: u64 = reports.iter().map(|r| r.memo.shared_hits).sum();
         assert_eq!(shared, store.hits, "every store hit belongs to a tenant");
         let solved: u64 = reports.iter().map(|r| r.memo.misses).sum();
-        // 6 registrations (empty config, solved before the store attaches)
-        // plus the distinct non-empty configurations actually solved.
+        // 6 registrations (the empty configuration) and 12 arrivals,
+        // each the first visit of its configuration for its tenant.
         assert_eq!(solved + shared, 6 + 12, "hits replace solves one-for-one");
     }
 
@@ -939,10 +907,10 @@ mod tests {
         assert_eq!(snaps.iter().map(|s| s.handled).sum::<u64>(), n);
         assert_eq!(snaps.iter().map(|s| s.queue_depth).sum::<u64>(), 0);
         assert_eq!(snaps.iter().map(|s| s.tenants).sum::<usize>(), 1);
-        let memo_total: u64 = snaps.iter().map(|s| s.memo_hits + s.memo_misses).sum();
+        let memo_total: u64 = snaps.iter().map(|s| s.memo.hits + s.memo.misses).sum();
         assert!(memo_total > 0, "selections must be accounted");
         for s in &snaps {
-            let rate = s.memo_hit_rate();
+            let rate = s.memo.hit_rate();
             assert!((0.0..=1.0).contains(&rate));
         }
         let _ = pool.shutdown();

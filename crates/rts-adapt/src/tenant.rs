@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use hydra_core::incremental::{IncrementalSelector, MemoStats, SolvedSelection};
-use hydra_core::{PeriodSelection, SelectionError};
+use hydra_core::{PeriodSelection, SelectionError, SharedSelectionStore};
 use rts_analysis::semi::CarryInStrategy;
 use rts_model::delta::{DeltaEvent, MonitorMode, MonitorSpec};
 use rts_model::{SecurityTaskSet, System};
@@ -125,7 +125,28 @@ impl TenantState {
         strategy: CarryInStrategy,
         monitors: Vec<MonitorEntry>,
     ) -> Result<Self, SelectionError> {
+        TenantState::restore_shared(system, strategy, monitors, None)
+    }
+
+    /// Like [`TenantState::restore`], with `store` (when given) attached
+    /// before the first selection, so even the restoring one consults
+    /// and publishes to it (see [`TenantState::attach_shared`]): the
+    /// store's entry for the identical problem may answer it, exactly
+    /// as Algorithm 1 would.
+    ///
+    /// # Errors
+    ///
+    /// As for [`TenantState::restore`].
+    pub(crate) fn restore_shared(
+        system: &System,
+        strategy: CarryInStrategy,
+        monitors: Vec<MonitorEntry>,
+        store: Option<Arc<SharedSelectionStore>>,
+    ) -> Result<Self, SelectionError> {
         let mut selector = IncrementalSelector::new(system, strategy);
+        if let Some(store) = store {
+            selector.attach_shared(store);
+        }
         if !selector.rt_schedulable() {
             return Err(SelectionError::RtUnschedulable);
         }
@@ -165,7 +186,7 @@ impl TenantState {
     /// hits are *not* reported as `cached` in [`AdmittedDelta`] — that
     /// flag means "this tenant's own memo answered", which stays
     /// deterministic regardless of how tenants are sharded.
-    pub fn attach_shared(&mut self, store: std::sync::Arc<hydra_core::SharedSelectionStore>) {
+    pub fn attach_shared(&mut self, store: Arc<SharedSelectionStore>) {
         self.selector.attach_shared(store);
     }
 

@@ -251,27 +251,76 @@ fn a_three_mib_stdin_line_is_one_error_and_the_next_query_is_answered() {
     assert!(lines[1].contains("unknown tenant 5"), "{}", lines[1]);
 }
 
+/// A lockstep stdin session: one line in, its answer out.
+struct Lockstep {
+    child: Child,
+    stdin: std::process::ChildStdin,
+    stdout: std::io::Lines<BufReader<std::process::ChildStdout>>,
+}
+
+impl Lockstep {
+    fn spawn(args: &[&str]) -> Self {
+        let mut child = Command::new(DAEMON)
+            .args(args)
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("spawn rts_adaptd");
+        let stdin = child.stdin.take().expect("stdin is piped");
+        let stdout = BufReader::new(child.stdout.take().expect("stdout is piped")).lines();
+        Lockstep {
+            child,
+            stdin,
+            stdout,
+        }
+    }
+
+    fn exchange(&mut self, line: &str) -> String {
+        writeln!(self.stdin, "{line}").expect("send a line");
+        self.stdout
+            .next()
+            .expect("an answer")
+            .expect("utf-8 answer")
+    }
+
+    /// The one shard's `stats` entry as `(tenants, [memo_hits,
+    /// memo_shared_hits, memo_misses])`.
+    fn shard_stats(&mut self) -> (u64, [u64; 3]) {
+        let stats = json::parse(&self.exchange("{\"op\":\"stats\"}")).expect("stats is JSON");
+        let shard = &stats
+            .get("shards")
+            .and_then(json::Json::as_array)
+            .expect("a shards array")[0];
+        let field = |name: &str| shard.get(name).and_then(json::Json::as_u64).unwrap();
+        (
+            field("tenants"),
+            ["memo_hits", "memo_shared_hits", "memo_misses"].map(field),
+        )
+    }
+
+    fn finish(mut self) {
+        drop(self.stdin);
+        assert!(
+            self.stdout.next().is_none(),
+            "nothing after the last answer"
+        );
+        let status = wait_bounded(&mut self.child, Duration::from_secs(60));
+        assert!(status.success(), "{status}");
+    }
+}
+
 /// Stdin is one connection of the reactor, and `stats` says so: one
 /// live connection under the default cap, and one gathered write per
 /// earlier answer of a lockstep session.
 #[test]
 fn a_stdin_session_is_one_live_reactor_connection_in_stats() {
-    let mut child = Command::new(DAEMON)
-        .args(["--shards", "1"])
-        .stdin(Stdio::piped())
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn rts_adaptd");
-    let mut stdin = child.stdin.take().expect("stdin is piped");
-    let mut stdout = BufReader::new(child.stdout.take().expect("stdout is piped")).lines();
-    let mut exchange = |line: &str| {
-        writeln!(stdin, "{line}").expect("send a line");
-        stdout.next().expect("an answer").expect("utf-8 answer")
-    };
-    assert!(exchange(REGISTER).contains("\"verdict\":\"accept\""));
-    assert!(exchange("{\"op\":\"query\",\"tenant\":1}").contains("\"verdict\":\"accept\""));
-    let stats = exchange("{\"op\":\"stats\"}");
+    let mut daemon = Lockstep::spawn(&["--shards", "1"]);
+    assert!(daemon.exchange(REGISTER).contains("\"verdict\":\"accept\""));
+    assert!(daemon
+        .exchange("{\"op\":\"query\",\"tenant\":1}")
+        .contains("\"verdict\":\"accept\""));
+    let stats = daemon.exchange("{\"op\":\"stats\"}");
     assert!(
         stats.starts_with(
             "{\"seq\":2,\"verdict\":\"stats\",\"conns\":{\"live\":1,\"refused\":0,\"max\":64},\
@@ -280,10 +329,7 @@ fn a_stdin_session_is_one_live_reactor_connection_in_stats() {
         ),
         "{stats}"
     );
-    drop(stdin);
-    assert!(stdout.next().is_none(), "nothing after the last answer");
-    let status = wait_bounded(&mut child, Duration::from_secs(60));
-    assert!(status.success(), "{status}");
+    daemon.finish();
 }
 
 /// Spawns the daemon in TCP mode under `ulimit -n {limit}` (its own
@@ -528,8 +574,8 @@ fn the_drain_summary_counts_memo_and_shared_hits_and_misses() {
             "{{\"op\":\"mode\",\"tenant\":2,\"slot\":0,\"mode\":\"{mode}\"}}\n"
         ));
     }
-    // Two registrations and four deltas are six selections: each new
-    // tenant solves its empty table, tenant 2 adopts tenant 1's arrival
+    // Two registrations and four deltas are six selections: tenant 1
+    // solves its empty table and its arrival, tenant 2 adopts both
     // from the shared store, its escalation runs Algorithm 1 and its
     // calm-down is its own memo's.
     let (status, answers, log) = stdin_session(&["--shards", "1"], session.into_bytes());
@@ -538,7 +584,113 @@ fn the_drain_summary_counts_memo_and_shared_hits_and_misses() {
     assert!(
         log.iter().any(|line| line
             == "rts_adaptd: 1 shards handled 6 requests \
-                (1 memo hits, 1 shared hits, 4 misses)"),
+                (1 memo hits, 2 shared hits, 3 misses)"),
+        "{log:?}"
+    );
+}
+
+/// Tenants `1..=3` of the rover profile, each given one arrival and
+/// four mode switches: 18 selections over three distinct
+/// configurations per tenant (empty, passive, active).
+fn rover_trio() -> Vec<String> {
+    let mut lines = Vec::new();
+    for t in 1..=3 {
+        lines.push(REGISTER.replace("\"tenant\":1", &format!("\"tenant\":{t}")));
+        lines.push(format!(
+            "{{\"op\":\"arrival\",\"tenant\":{t},\"passive_ms\":100,\"active_ms\":350,\
+             \"t_max_ms\":5000}}"
+        ));
+        for mode in ["active", "passive", "active", "passive"] {
+            lines.push(format!(
+                "{{\"op\":\"mode\",\"tenant\":{t},\"slot\":0,\"mode\":\"{mode}\"}}"
+            ));
+        }
+    }
+    lines
+}
+
+/// The shard's memo counters are counters: evicting a tenant, or
+/// registering over a live tenant id, keeps the dropped tenant's counts.
+#[test]
+fn shard_memo_counters_never_decrease_when_tenants_are_dropped() {
+    let mut daemon = Lockstep::spawn(&["--shards", "1"]);
+    for line in rover_trio() {
+        assert!(daemon.exchange(&line).contains("\"verdict\":\"accept\""));
+    }
+    let (tenants, before) = daemon.shard_stats();
+    assert_eq!(tenants, 3);
+    assert_eq!(before.iter().sum::<u64>(), 18, "{before:?}");
+    let evicted = daemon.exchange("{\"op\":\"evict\",\"tenant\":2}");
+    assert!(evicted.contains("\"verdict\":\"evicted\""), "{evicted}");
+    let (tenants, after_evict) = daemon.shard_stats();
+    assert_eq!(tenants, 2);
+    assert_eq!(after_evict, before, "an eviction selects nothing");
+    assert!(daemon.exchange(REGISTER).contains("\"verdict\":\"accept\""));
+    let (tenants, after_register) = daemon.shard_stats();
+    assert_eq!(tenants, 2);
+    for (counter, (old, new)) in after_evict.iter().zip(after_register).enumerate() {
+        assert!(
+            new >= *old,
+            "counter {counter}: {after_evict:?} -> {after_register:?}"
+        );
+    }
+    assert_eq!(after_register.iter().sum::<u64>(), 19, "one more selection");
+    daemon.finish();
+}
+
+/// A daemon restarted over a journal reports its recovered tenants and
+/// the selections their replay made before any request reaches a shard.
+#[test]
+fn a_restart_shows_recovered_tenants_and_their_replay_in_stats() {
+    let dir = std::env::temp_dir().join(format!("hydra_restart_stats_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = dir.to_str().expect("a UTF-8 temp path");
+    let (status, answers, _) = stdin_session(
+        &["--shards", "1", "--journal", journal],
+        (rover_trio().join("\n") + "\n").into_bytes(),
+    );
+    assert!(status.success(), "{status}");
+    assert_eq!(answers.len(), 18);
+    let mut daemon = Lockstep::spawn(&["--shards", "1", "--journal", journal]);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let (tenants, memo) = loop {
+        let (tenants, memo) = daemon.shard_stats();
+        if tenants == 3 || Instant::now() >= deadline {
+            break (tenants, memo);
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    daemon.finish();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(tenants, 3, "recovered tenants");
+    assert_eq!(
+        memo.iter().sum::<u64>(),
+        18,
+        "replayed selections: {memo:?}"
+    );
+}
+
+/// Boot recovery shares solver work through the pool's store: tenants
+/// of one profile with one history solve each configuration once, and
+/// the drain summary counts the replay.
+#[test]
+fn a_restart_over_same_profile_journals_shares_its_solves() {
+    let dir = std::env::temp_dir().join(format!("hydra_restart_shared_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let journal = dir.to_str().expect("a UTF-8 temp path");
+    let args = ["--shards", "1", "--journal", journal];
+    let (status, _, _) = stdin_session(&args, (rover_trio().join("\n") + "\n").into_bytes());
+    assert!(status.success(), "{status}");
+    let (status, answers, log) = stdin_session(&args, Vec::new());
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(status.success(), "{status}");
+    assert!(answers.is_empty(), "{answers:?}");
+    // Tenant 1 solves its three configurations; tenants 2 and 3 take
+    // them from the store; every revisit is the tenant's own memo's.
+    assert!(
+        log.iter().any(|line| line
+            == "rts_adaptd: 1 shards handled 0 requests \
+                (9 memo hits, 6 shared hits, 3 misses)"),
         "{log:?}"
     );
 }

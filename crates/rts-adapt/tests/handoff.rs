@@ -1,7 +1,4 @@
-//! `handoff_smoke` — the budgeted multi-daemon hand-off exerciser CI
-//! runs (see `.github/workflows/ci.yml`).
-//!
-//! The scenario is the Operations runbook, end to end, over real TCP:
+//! The Operations runbook's hand-off, end to end over real TCP:
 //!
 //! 1. boot daemon A (journaled, compaction on) and drive a seeded load
 //!    of registrations and deltas over a TCP client;
@@ -13,45 +10,20 @@
 //!    tenants but still serves the rest;
 //! 5. stop B, restart it from its journal directory alone and assert
 //!    the moved tenants recover bit-identically.
-//!
-//! Exits non-zero (panics) on any mismatch; prints a one-line summary
-//! on success. Wall time is well under a second — CI wraps it in a hard
-//! `timeout` like the other smoke jobs.
 
-use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+mod common;
 
+use common::{spawn_reactor, Client, Served, TempDir};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rts_adapt::client::{LineClient, RetryPolicy};
 use rts_adapt::journal::JournalDir;
-use rts_adapt::reactor::{serve_reactor, ReactorOptions, ReactorSummary, Shutdown};
+use rts_adapt::reactor::ReactorOptions;
 use rts_adapt::{json, Request, Response, ShardedEngine};
 use rts_analysis::semi::CarryInStrategy;
 
 const TENANTS: u64 = 8;
 const DELTAS: usize = 120;
 const MOVED: [u64; 3] = [2, 5, 7];
-
-/// The bounded-retry line client (`rts_adapt::client`) under the same
-/// discipline the test suite's `retry` helper uses: a daemon still in
-/// its restart window (first-connect `ECONNREFUSED`) is ridden out, a
-/// genuinely dead one still fails the run in seconds.
-struct Client {
-    inner: LineClient,
-}
-
-impl Client {
-    fn connect(addr: std::net::SocketAddr) -> Self {
-        let inner = LineClient::connect(addr, &RetryPolicy::default()).expect("connect to daemon");
-        Client { inner }
-    }
-
-    fn request(&mut self, line: &str) -> String {
-        self.inner.request(line).expect("daemon round trip")
-    }
-}
 
 /// Strips the per-connection `"seq":N,` echo so answers from different
 /// connections/daemons compare byte-identically.
@@ -62,27 +34,15 @@ fn strip_seq(line: &str) -> String {
     }
 }
 
-/// An in-process daemon: its address, drain handle and serve thread.
-type Daemon = (
-    SocketAddr,
-    Arc<Shutdown>,
-    JoinHandle<std::io::Result<ReactorSummary>>,
-);
-
-/// Boots a journaled reactor on an ephemeral port.
-fn spawn_daemon(journal: JournalDir, shards: usize) -> Daemon {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind an ephemeral port");
-    let addr = listener.local_addr().unwrap();
+/// A journaled reactor with `shards` workers on a loopback port.
+fn spawn_daemon(journal: JournalDir, shards: usize) -> Served {
     let mut options = ReactorOptions::new(CarryInStrategy::TopDiff, shards);
     options.journal = Some(journal);
-    let shutdown = Shutdown::new();
-    let remote = Arc::clone(&shutdown);
-    let serving = std::thread::spawn(move || serve_reactor(listener, &options, &remote));
-    (addr, shutdown, serving)
+    spawn_reactor(options)
 }
 
 /// Drains a daemon and joins its shard workers.
-fn stop((_, shutdown, serving): Daemon) {
+fn stop((_, shutdown, serving): Served) {
     shutdown.request();
     serving
         .join()
@@ -90,12 +50,11 @@ fn stop((_, shutdown, serving): Daemon) {
         .expect("the daemon drains cleanly");
 }
 
-fn main() {
-    let started = std::time::Instant::now();
-    let root = std::env::temp_dir().join(format!("hydra_handoff_smoke_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
-    let dir_a = JournalDir::at(root.join("daemon_a")).with_compaction(8);
-    let dir_b = JournalDir::at(root.join("daemon_b")).with_compaction(8);
+#[test]
+fn handed_off_tenants_answer_identically_on_b_and_after_b_restarts() {
+    let root = TempDir::new("handoff");
+    let dir_a = JournalDir::at(root.path().join("daemon_a")).with_compaction(8);
+    let dir_b = JournalDir::at(root.path().join("daemon_b")).with_compaction(8);
 
     // 1. Daemon A under a seeded load.
     let daemon_a = spawn_daemon(dir_a, 3);
@@ -211,11 +170,4 @@ fn main() {
     let _ = revived.shutdown();
     drop(client);
     stop(daemon_a);
-    let _ = std::fs::remove_dir_all(&root);
-    println!(
-        "handoff-smoke OK: {TENANTS} tenants, {DELTAS} deltas ({accepted} accepted, \
-         {rejected} rejected, {errored} errors), {} handed off and recovered, {:.2}s",
-        MOVED.len(),
-        started.elapsed().as_secs_f64(),
-    );
 }

@@ -44,18 +44,6 @@ impl WalkStats {
             self.evals as f64 / self.walks as f64
         }
     }
-
-    /// The counters as `(series name, value)` pairs in a stable order —
-    /// the single naming source for metric expositions, kept next to
-    /// the counters they describe.
-    #[must_use]
-    pub fn series(&self) -> [(&'static str, u64); 3] {
-        [
-            ("walks_total", self.walks),
-            ("walk_evals", self.evals),
-            ("walk_quick_confirms", self.quick_confirms),
-        ]
-    }
 }
 
 /// Reads the counters.
