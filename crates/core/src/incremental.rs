@@ -9,8 +9,13 @@
 //!    their partition never change at runtime (that is the paper's
 //!    framing: security is integrated *around* a frozen legacy system).
 //!    So the RT interference environment ([`rt_environment`]) and the
-//!    Eq. 1 precondition are computed once and reused for every request
-//!    via [`select_periods_with_env`].
+//!    Eq. 1 precondition are computed once per RT profile — once per
+//!    selector, or once per identity for every selector attached to one
+//!    [`SharedSelectionStore`] — and reused for every request. A
+//!    selector that runs Algorithm 1 clones that environment once, on
+//!    its first miss, into a workspace of its own, and hands the
+//!    workspace to [`select_periods_with_env`] on every later miss; a
+//!    selector answered only by memos never builds one.
 //! 2. **Security configurations recur.** A reactive monitor oscillates
 //!    between Passive and Active; each flip re-visits a configuration
 //!    that was already admitted before. Memoizing selection outcomes by a
@@ -26,9 +31,11 @@
 //! testing alone:
 //!
 //! * cache misses execute the *same* code path a fresh run would
-//!   (`select_periods_with_env` over an environment equal to a freshly
-//!   built one — [`Environment`] equality is defined over the registered
-//!   tasks, and selection runs leave the environment migrating-free);
+//!   (`select_periods_with_env` over a workspace equal to a freshly
+//!   built environment — it is cloned from the profile's environment,
+//!   which nothing walks, [`Environment`] equality is defined over the
+//!   registered tasks, and selection runs leave the workspace
+//!   migrating-free);
 //! * cache hits return the stored [`SolvedSelection`] of a miss — the
 //!   same allocation, not a copy;
 //! * the memo key is the **exact** configuration — every `(C_s, T^max_s)`
@@ -48,6 +55,8 @@
 //! allocation. The memo is a set of those references, looked up by the
 //! exact configuration read straight from the [`SecurityTaskSet`]: a
 //! hit builds no [`SecFingerprint`] and copies no selection.
+//!
+//! [`rt_environment`]: crate::period_selection::rt_environment
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
@@ -58,8 +67,8 @@ use rts_analysis::semi::{CarryInStrategy, Environment};
 use rts_model::{SecurityTaskSet, System};
 
 use crate::error::SelectionError;
-use crate::period_selection::{rt_environment, select_periods_with_env, PeriodSelection};
-use crate::shared_store::{SharedHandle, SharedSelectionStore, SystemIdentity};
+use crate::period_selection::{select_periods_with_env, PeriodSelection};
+use crate::shared_store::{RtProfile, SharedSelectionStore};
 
 /// The exact identity of a security configuration: the `(C_s, T^max_s)`
 /// tick pairs in priority order.
@@ -336,12 +345,17 @@ impl MemoStats {
 /// ```
 #[derive(Clone, Debug)]
 pub struct IncrementalSelector {
-    env: Environment,
-    rt_ok: bool,
+    /// The frozen RT side: the attached store's profile for this
+    /// identity, or the selector's own.
+    profile: Arc<RtProfile>,
+    /// The environment Algorithm 1 walks, cloned from the profile's on
+    /// the first miss and kept for the selector's life. Never shared:
+    /// its walk scratch carries evaluations keyed by a curve epoch that
+    /// is unique only within one environment.
+    workspace: Option<Box<Environment>>,
     strategy: CarryInStrategy,
-    identity: SystemIdentity,
     memo: HashSet<MemoSlot>,
-    shared: Option<SharedHandle>,
+    shared: Option<Arc<SharedSelectionStore>>,
     hits: u64,
     shared_hits: u64,
     misses: u64,
@@ -355,13 +369,35 @@ impl IncrementalSelector {
     /// environment and the Eq. 1 precondition are evaluated once, now.
     #[must_use]
     pub fn new(system: &System, strategy: CarryInStrategy) -> Self {
+        IncrementalSelector::with_profile(Arc::new(RtProfile::of(system)), strategy, None)
+    }
+
+    /// Like [`IncrementalSelector::new`] followed by
+    /// [`IncrementalSelector::attach_shared`], except that the RT side
+    /// comes from `store`: when a live selector of an equal
+    /// [`SystemIdentity`](crate::SystemIdentity) is attached to it, this
+    /// one shares that selector's RT environment and Eq. 1 verdict and
+    /// builds neither.
+    #[must_use]
+    pub fn with_store(
+        system: &System,
+        strategy: CarryInStrategy,
+        store: Arc<SharedSelectionStore>,
+    ) -> Self {
+        IncrementalSelector::with_profile(store.profile(system), strategy, Some(store))
+    }
+
+    fn with_profile(
+        profile: Arc<RtProfile>,
+        strategy: CarryInStrategy,
+        shared: Option<Arc<SharedSelectionStore>>,
+    ) -> Self {
         IncrementalSelector {
-            env: rt_environment(system),
-            rt_ok: rts_analysis::rt_schedulable(system),
+            profile,
+            workspace: None,
             strategy,
-            identity: SystemIdentity::of(system),
             memo: HashSet::new(),
-            shared: None,
+            shared,
             hits: 0,
             shared_hits: 0,
             misses: 0,
@@ -371,13 +407,17 @@ impl IncrementalSelector {
 
     /// Attaches a cross-tenant [`SharedSelectionStore`]. From now on a
     /// per-tenant memo miss consults the store before running Algorithm 1
-    /// (keyed by this tenant's exact [`SystemIdentity`], the exact
+    /// (keyed by this tenant's exact
+    /// [`SystemIdentity`](crate::SystemIdentity), the exact
     /// configuration and the strategy — see the `shared_store` module
     /// docs for why a store hit is bit-identical to a cold solve), and
     /// every solved configuration is published back for structurally
-    /// identical tenants. Detached selectors behave exactly as before.
+    /// identical tenants. The selector takes the store's RT profile for
+    /// its identity, or registers its own there. Detached selectors
+    /// behave exactly as before.
     pub fn attach_shared(&mut self, store: Arc<SharedSelectionStore>) {
-        self.shared = Some(SharedHandle::new(store, self.identity.clone()));
+        self.profile = store.share(&self.profile);
+        self.shared = Some(store);
     }
 
     /// Whether the frozen RT side passed Eq. 1. When `false`, every
@@ -386,7 +426,7 @@ impl IncrementalSelector {
     /// [`select_periods`](crate::select_periods) would.
     #[must_use]
     pub fn rt_schedulable(&self) -> bool {
-        self.rt_ok
+        self.profile.rt_ok
     }
 
     /// The carry-in strategy every selection runs under.
@@ -403,7 +443,7 @@ impl IncrementalSelector {
     /// equivalent system. Rejections are memoized too: re-asking about
     /// a known-infeasible configuration is also a cache hit.
     pub fn select(&mut self, sec: &SecurityTaskSet) -> Arc<SolvedSelection> {
-        if !self.rt_ok {
+        if !self.profile.rt_ok {
             return Arc::new(SolvedSelection::new(
                 SecFingerprint::of(sec),
                 Err(SelectionError::RtUnschedulable),
@@ -420,29 +460,33 @@ impl IncrementalSelector {
         let shared = self
             .shared
             .as_ref()
-            .and_then(|shared| shared.lookup(&config, self.strategy));
+            .and_then(|shared| shared.lookup(&self.profile, &config, self.strategy));
         let solved = if let Some(solved) = shared {
             self.shared_hits += 1;
             solved
         } else {
             self.misses += 1;
-            // Unwind safety for the long-lived environment: a panic
-            // inside selection (analysis assertion, arithmetic overflow)
-            // would leak the cascade's migrating entries into `self.env`,
-            // silently inflating interference for every later selection
-            // on this tenant. Restore the migrating-free invariant before
+            let profile = &self.profile;
+            let env = self
+                .workspace
+                .get_or_insert_with(|| Box::new(profile.template.clone()));
+            // Unwind safety for the long-lived workspace: a panic inside
+            // selection (analysis assertion, arithmetic overflow) would
+            // leak the cascade's migrating entries into it, silently
+            // inflating interference for every later selection on this
+            // tenant. Restore the migrating-free invariant before
             // re-raising so a caller that contains the panic keeps a
             // correct engine.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                select_periods_with_env(sec, &mut self.env, self.strategy)
+                select_periods_with_env(sec, env, self.strategy)
             }))
             .unwrap_or_else(|payload| {
-                self.env.truncate_migrating(0);
+                env.truncate_migrating(0);
                 std::panic::resume_unwind(payload);
             });
             let solved = Arc::new(SolvedSelection::new(config, outcome));
             if let Some(shared) = &self.shared {
-                shared.publish(self.strategy, Arc::clone(&solved));
+                shared.publish(&self.profile, self.strategy, Arc::clone(&solved));
             }
             solved
         };
@@ -686,6 +730,111 @@ mod tests {
         let sc = c.stats();
         assert_eq!((sc.shared_hits, sc.misses), (0, 1));
         assert_eq!(store.stats().entries, 2);
+    }
+
+    #[test]
+    fn equal_systems_on_one_store_share_one_rt_profile() {
+        use crate::shared_store::SharedSelectionStore;
+
+        let store = SharedSelectionStore::new();
+        let strategy = CarryInStrategy::TopDiff;
+        let a = IncrementalSelector::with_store(&rover(), strategy, Arc::clone(&store));
+        let b = IncrementalSelector::with_store(&rover(), strategy, Arc::clone(&store));
+        assert!(Arc::ptr_eq(&a.profile, &b.profile));
+        // A selector built on its own takes the store's profile when it
+        // attaches.
+        let mut c = IncrementalSelector::new(&rover(), strategy);
+        assert!(!Arc::ptr_eq(&a.profile, &c.profile));
+        c.attach_shared(Arc::clone(&store));
+        assert!(Arc::ptr_eq(&a.profile, &c.profile));
+
+        // The rover's tasks pinned the other way round are another RT side.
+        let base = rover();
+        let swapped = System::new(
+            base.platform(),
+            base.rt_tasks().clone(),
+            Partition::new(base.platform(), vec![CoreId::new(1), CoreId::new(0)]).unwrap(),
+            SecurityTaskSet::default(),
+        )
+        .unwrap();
+        let d = IncrementalSelector::with_store(&swapped, strategy, Arc::clone(&store));
+        assert!(!Arc::ptr_eq(&a.profile, &d.profile));
+        assert_ne!(a.profile.identity, d.profile.identity);
+    }
+
+    #[test]
+    fn a_store_answered_selector_builds_its_workspace_on_the_first_miss() {
+        use crate::shared_store::SharedSelectionStore;
+
+        let base = rover();
+        let task = |c, t| SecurityTask::new(ms(c), ms(t)).unwrap();
+        let solved_by_another = SecurityTaskSet::new(vec![task(5342, 10_000), task(223, 10_000)]);
+        let misses = [
+            vec![task(223, 10_000)],
+            vec![task(100, 5000), task(40, 2000)],
+            vec![task(5342, 10_000), task(9000, 10_000)],
+            vec![task(350, 5000), task(223, 10_000), task(90, 2000)],
+        ];
+        for strategy in [CarryInStrategy::Exhaustive, CarryInStrategy::TopDiff] {
+            let store = SharedSelectionStore::new();
+            let mut a = IncrementalSelector::with_store(&base, strategy, Arc::clone(&store));
+            let mut b = IncrementalSelector::with_store(&rover(), strategy, Arc::clone(&store));
+            a.select(&solved_by_another);
+            assert!(a.workspace.is_some());
+            b.select(&solved_by_another);
+            assert_eq!(b.stats().shared_hits, 1);
+            assert!(b.workspace.is_none(), "{strategy:?}: no miss, no workspace");
+            for (i, tasks) in misses.iter().enumerate() {
+                let sec = SecurityTaskSet::new(tasks.clone());
+                let incremental = b.select(&sec);
+                let cold = select_periods(&with_security(&base, sec), strategy);
+                assert_eq!(
+                    incremental.outcome(),
+                    cold.as_ref().map_err(|e| *e),
+                    "{strategy:?}, miss {i}"
+                );
+                assert!(b.workspace.is_some());
+            }
+            assert_eq!(b.stats().misses, misses.len() as u64);
+            // The workspace is the selector's own, and stays
+            // migrating-free between runs.
+            let workspace = b.workspace.as_deref().unwrap();
+            assert_eq!(workspace, &b.profile.template);
+            assert!(!std::ptr::eq(workspace, a.workspace.as_deref().unwrap()));
+        }
+    }
+
+    #[test]
+    fn the_profile_table_stays_bounded_by_the_live_profiles() {
+        use crate::shared_store::SharedSelectionStore;
+        use std::collections::VecDeque;
+
+        let store = SharedSelectionStore::new();
+        let platform = Platform::uniprocessor();
+        let mut live = VecDeque::new();
+        for wcet in 1..=10_000 {
+            let rt = RtTaskSet::new_rate_monotonic(vec![RtTask::new(
+                Duration::from_ticks(wcet),
+                Duration::from_ticks(100_000),
+            )
+            .unwrap()]);
+            let partition = Partition::new(platform, vec![CoreId::new(0)]).unwrap();
+            let system = System::new(platform, rt, partition, SecurityTaskSet::default()).unwrap();
+            live.push_back(IncrementalSelector::with_store(
+                &system,
+                CarryInStrategy::TopDiff,
+                Arc::clone(&store),
+            ));
+            if live.len() > 4 {
+                live.pop_front();
+            }
+            assert!(
+                store.profile_table_len() <= 2 * live.len() + 16,
+                "{} entries for {} live profiles",
+                store.profile_table_len(),
+                live.len()
+            );
+        }
     }
 
     #[test]

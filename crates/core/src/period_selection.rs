@@ -50,10 +50,11 @@ impl PeriodSelection {
 ///
 /// Building this is the only part of a selection run that reads the RT
 /// side of the system. Long-running callers (the `rts-adapt` admission
-/// service) therefore build it **once** per tenant and pass it to
-/// [`select_periods_with_env`] for every subsequent security
-/// reconfiguration, instead of paying the reconstruction per request —
-/// see [`crate::incremental::IncrementalSelector`].
+/// service) therefore build it **once** per RT profile, and each tenant
+/// passes its own clone of it to [`select_periods_with_env`] for every
+/// subsequent security reconfiguration, instead of paying the
+/// reconstruction per request — see
+/// [`crate::incremental::IncrementalSelector`].
 #[must_use]
 pub fn rt_environment(system: &System) -> Environment {
     let mut env = Environment::new(system.num_cores());
@@ -162,7 +163,7 @@ pub fn select_periods(
 /// environment serves an arbitrary sequence of selection runs against
 /// changing security task sets. The Eq. 1 RT-schedulability precondition
 /// is the caller's responsibility — [`select_periods`] checks it per
-/// call, [`crate::incremental::IncrementalSelector`] once per tenant.
+/// call, [`crate::incremental::IncrementalSelector`] once per RT profile.
 ///
 /// Semantically this *is* `select_periods` (the wrapper delegates here):
 /// for any `sec` equal to `system.security_tasks()` and `env` freshly

@@ -42,25 +42,45 @@
 //! that tenant memos still hold stays alive, and those tenants keep
 //! answering from it; the store simply stops handing it out.
 //!
+//! # One RT profile per identity
+//!
+//! The store also holds the frozen RT side itself, once per
+//! [`SystemIdentity`]: an RT profile is the identity, the migrating-free
+//! interference environment ([`rt_environment`]) that selection starts
+//! from, and the Eq. 1 verdict. A selector attached to the store takes
+//! the store's profile instead of building its own, so registering a
+//! tenant of a known profile builds only the identity it looks the
+//! profile up by. Sharing the profile is exact for the reason sharing
+//! answers is: the environment and the verdict are pure functions of the
+//! identity (equal identities make the same `pin` calls in the same
+//! order, and Eq. 1 reads the same lists). Nothing walks the shared
+//! environment: a selector's first Algorithm 1 run clones it into a
+//! workspace of its own, because the solver's carried evaluations are
+//! keyed by a curve epoch that is unique only within one environment.
+//! The table holds profiles weakly, keyed by the exact identity value,
+//! so a profile lives exactly as long as a selector uses it; dead
+//! entries are dropped whenever the table reaches twice the live count
+//! it had at the last pruning.
+//!
 //! [`rt_environment`]: crate::period_selection::rt_environment
 //! [`SolvedSelection`]: crate::incremental::SolvedSelection
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, Weak};
 
-use rts_analysis::semi::CarryInStrategy;
+use rts_analysis::semi::{CarryInStrategy, Environment};
 use rts_model::System;
 
 use crate::incremental::{SecFingerprint, SolvedSelection};
+use crate::period_selection::rt_environment;
 
 /// The exact identity of a frozen RT side: core count plus every core's
 /// `(wcet, period)` tick pairs in pinned (priority) order — precisely
-/// the inputs [`rt_environment`](crate::period_selection::rt_environment)
-/// and the Eq. 1 check read. Equal identities therefore yield equal
-/// interference environments and equal selection outcomes for any
-/// security configuration.
+/// the inputs [`rt_environment`] and the Eq. 1 check read. Equal
+/// identities therefore yield equal interference environments and equal
+/// selection outcomes for any security configuration.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct SystemIdentity {
     cores: usize,
@@ -93,6 +113,67 @@ impl SystemIdentity {
     }
 }
 
+/// The frozen RT side of one [`SystemIdentity`]: everything selection
+/// reads from it, built once per identity. Every field is a pure
+/// function of the identity, which is why tenants of one identity may
+/// share one profile (see the module docs).
+#[derive(Debug)]
+pub(crate) struct RtProfile {
+    /// The identity, shared with the store's keys.
+    pub(crate) identity: Arc<SystemIdentity>,
+    /// The migrating-free [`rt_environment`]. Never walked: a selector
+    /// clones it into its own workspace on its first Algorithm 1 run.
+    pub(crate) template: Environment,
+    /// Whether the RT side passes Eq. 1.
+    pub(crate) rt_ok: bool,
+}
+
+impl RtProfile {
+    /// Builds the profile of `system`'s RT side.
+    pub(crate) fn of(system: &System) -> Self {
+        RtProfile::with_identity(system, SystemIdentity::of(system))
+    }
+
+    fn with_identity(system: &System, identity: SystemIdentity) -> Self {
+        RtProfile {
+            identity: Arc::new(identity),
+            template: rt_environment(system),
+            rt_ok: rts_analysis::rt_schedulable(system),
+        }
+    }
+}
+
+/// Fewest entries at which the profile table drops its dead entries.
+const PROFILE_PRUNE_MIN: usize = 16;
+
+/// The store's RT profiles, held weakly and keyed by the exact identity.
+#[derive(Debug, Default)]
+struct Profiles {
+    table: HashMap<Arc<SystemIdentity>, Weak<RtProfile>>,
+    /// Table size at which the next registration first drops the dead
+    /// entries: twice the live count at the last pruning, so pruning
+    /// costs O(1) amortized per registration.
+    prune_at: usize,
+}
+
+impl Profiles {
+    fn live(&self, identity: &SystemIdentity) -> Option<Arc<RtProfile>> {
+        self.table.get(identity).and_then(Weak::upgrade)
+    }
+
+    fn register(&mut self, profile: &Arc<RtProfile>) {
+        if self.table.len() >= self.prune_at {
+            self.table.retain(|_, held| held.strong_count() > 0);
+            self.prune_at = (2 * self.table.len()).max(PROFILE_PRUNE_MIN);
+        }
+        // Replace a dead entry's key too: it is an identity allocation of
+        // its own.
+        self.table.remove(&*profile.identity);
+        self.table
+            .insert(Arc::clone(&profile.identity), Arc::downgrade(profile));
+    }
+}
+
 /// One shared-store key: the full selection problem. See the module docs
 /// for why equality of this key implies equality of the answer.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -104,6 +185,16 @@ struct SharedKey {
     config: SecFingerprint,
     /// The carry-in strategy the answer was computed under.
     strategy: CarryInStrategy,
+}
+
+impl SharedKey {
+    fn new(profile: &RtProfile, config: &SecFingerprint, strategy: CarryInStrategy) -> Self {
+        SharedKey {
+            system: Arc::clone(&profile.identity),
+            config: config.clone(),
+            strategy,
+        }
+    }
 }
 
 /// Stripe count (fixed; keys hash onto stripes).
@@ -133,6 +224,7 @@ type Stripe = HashMap<SharedKey, Arc<SolvedSelection>>;
 #[derive(Debug, Default)]
 pub struct SharedSelectionStore {
     stripes: [Mutex<Stripe>; STRIPES],
+    profiles: Mutex<Profiles>,
     hits: AtomicU64,
     misses: AtomicU64,
     flushes: AtomicU64,
@@ -151,12 +243,55 @@ impl SharedSelectionStore {
         hasher.finish() as usize % STRIPES
     }
 
-    /// Looks `key` up, counting a hit or a miss.
-    fn lookup(&self, key: &SharedKey) -> Option<Arc<SolvedSelection>> {
-        let stripe = self.stripes[Self::stripe_of(key)]
+    /// The store's RT profile for `system`: the live one of an equal
+    /// identity when there is one (then only the identity is built, and
+    /// dropped again), else a new one, registered for the next tenant.
+    pub(crate) fn profile(&self, system: &System) -> Arc<RtProfile> {
+        let identity = SystemIdentity::of(system);
+        let live = self
+            .profiles
+            .lock()
+            .expect("profile table poisoned")
+            .live(&identity);
+        // Built outside the lock, so a panic in the RT analysis fails
+        // this registration alone instead of poisoning the table.
+        live.unwrap_or_else(|| self.share(&Arc::new(RtProfile::with_identity(system, identity))))
+    }
+
+    /// The store's live profile equal to `profile`, or `profile` itself,
+    /// registered, when the store holds none.
+    pub(crate) fn share(&self, profile: &Arc<RtProfile>) -> Arc<RtProfile> {
+        let mut profiles = self.profiles.lock().expect("profile table poisoned");
+        if let Some(live) = profiles.live(&profile.identity) {
+            return live;
+        }
+        profiles.register(profile);
+        Arc::clone(profile)
+    }
+
+    /// Entries of the profile table, dead ones included.
+    #[cfg(test)]
+    pub(crate) fn profile_table_len(&self) -> usize {
+        self.profiles
+            .lock()
+            .expect("profile table poisoned")
+            .table
+            .len()
+    }
+
+    /// Looks up `profile`'s answer for `config` under `strategy`,
+    /// counting a hit or a miss.
+    pub(crate) fn lookup(
+        &self,
+        profile: &RtProfile,
+        config: &SecFingerprint,
+        strategy: CarryInStrategy,
+    ) -> Option<Arc<SolvedSelection>> {
+        let key = SharedKey::new(profile, config, strategy);
+        let stripe = self.stripes[Self::stripe_of(&key)]
             .lock()
             .expect("shared-store stripe poisoned");
-        match stripe.get(key) {
+        match stripe.get(&key) {
             Some(cached) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(Arc::clone(cached))
@@ -168,11 +303,18 @@ impl SharedSelectionStore {
         }
     }
 
-    /// Publishes a solved configuration, flushing the stripe first if it
-    /// is at capacity. Concurrent solvers of the same key may both
-    /// insert; the entries are equal (pure function of the key), so the
+    /// Publishes an entry `profile`'s tenant solved under `strategy`,
+    /// keyed by the entry's own configuration, flushing the stripe first
+    /// if it is at capacity. Concurrent solvers of the same key may both
+    /// publish; the entries are equal (pure function of the key), so the
     /// last write is as good as the first.
-    fn insert(&self, key: SharedKey, value: Arc<SolvedSelection>) {
+    pub(crate) fn publish(
+        &self,
+        profile: &RtProfile,
+        strategy: CarryInStrategy,
+        value: Arc<SolvedSelection>,
+    ) {
+        let key = SharedKey::new(profile, value.config(), strategy);
         let mut stripe = self.stripes[Self::stripe_of(&key)]
             .lock()
             .expect("shared-store stripe poisoned");
@@ -196,48 +338,6 @@ impl SharedSelectionStore {
                 .sum(),
             flushes: self.flushes.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// One tenant's handle on the shared store: the `Arc`'d store plus the
-/// tenant's precomputed [`SystemIdentity`], so the per-request cost of a
-/// shared lookup is one fingerprint clone and one hash — never an
-/// identity rebuild.
-#[derive(Clone, Debug)]
-pub(crate) struct SharedHandle {
-    store: Arc<SharedSelectionStore>,
-    identity: Arc<SystemIdentity>,
-}
-
-impl SharedHandle {
-    pub(crate) fn new(store: Arc<SharedSelectionStore>, identity: SystemIdentity) -> Self {
-        SharedHandle {
-            store,
-            identity: Arc::new(identity),
-        }
-    }
-
-    fn key(&self, config: &SecFingerprint, strategy: CarryInStrategy) -> SharedKey {
-        SharedKey {
-            system: Arc::clone(&self.identity),
-            config: config.clone(),
-            strategy,
-        }
-    }
-
-    pub(crate) fn lookup(
-        &self,
-        config: &SecFingerprint,
-        strategy: CarryInStrategy,
-    ) -> Option<Arc<SolvedSelection>> {
-        self.store.lookup(&self.key(config, strategy))
-    }
-
-    /// Publishes an entry this tenant solved under `strategy`, keyed by
-    /// the entry's own configuration.
-    pub(crate) fn publish(&self, strategy: CarryInStrategy, solved: Arc<SolvedSelection>) {
-        let key = self.key(solved.config(), strategy);
-        self.store.insert(key, solved);
     }
 }
 
@@ -285,20 +385,36 @@ mod tests {
     }
 
     #[test]
+    fn a_profile_whose_analysis_panics_leaves_the_table_usable() {
+        let store = SharedSelectionStore::new();
+        // Four tasks of 2^62 ticks on one core: Eq. 1's first demand of
+        // the lowest-priority task is 2^64 ticks, and `Duration`
+        // addition panics on overflow.
+        let platform = Platform::uniprocessor();
+        let task = RtTask::new(
+            Duration::from_ticks(1 << 62),
+            Duration::from_ticks(u64::MAX),
+        );
+        let rt = RtTaskSet::new_rate_monotonic(vec![task.unwrap(); 4]);
+        let partition = Partition::new(platform, vec![CoreId::new(0); 4]).unwrap();
+        let overflowing = System::new(platform, rt, partition, SecurityTaskSet::default()).unwrap();
+        let built = std::panic::catch_unwind(|| store.profile(&overflowing));
+        assert!(built.is_err(), "the Eq. 1 check must overflow");
+        // The next registration still finds a working table.
+        let rover = system(&[(240, 500, 0), (1120, 5000, 1)], 2);
+        let profile = store.profile(&rover);
+        assert!(profile.rt_ok);
+        assert!(Arc::ptr_eq(&profile, &store.profile(&rover)));
+    }
+
+    #[test]
     fn store_hits_only_on_equal_problems_and_counts() {
         let store = SharedSelectionStore::new();
-        let a = SharedHandle::new(
-            Arc::clone(&store),
-            SystemIdentity::of(&system(&[(240, 500, 0)], 1)),
-        );
-        let b = SharedHandle::new(
-            Arc::clone(&store),
-            SystemIdentity::of(&system(&[(240, 500, 0)], 1)),
-        );
-        let other = SharedHandle::new(
-            Arc::clone(&store),
-            SystemIdentity::of(&system(&[(250, 500, 0)], 1)),
-        );
+        let a = store.profile(&system(&[(240, 500, 0)], 1));
+        // An equal RT side whose profile the store did not build: keys
+        // compare identities by value, never by allocation.
+        let b = RtProfile::of(&system(&[(240, 500, 0)], 1));
+        let other = store.profile(&system(&[(250, 500, 0)], 1));
         let sec =
             SecurityTaskSet::new(vec![rts_model::SecurityTask::new(ms(10), ms(1000)).unwrap()]);
         let config = SecFingerprint::of(&sec);
@@ -309,13 +425,22 @@ mod tests {
                 response_times: vec![ms(45)],
             }),
         ));
-        assert!(a.lookup(&config, CarryInStrategy::TopDiff).is_none());
-        a.publish(CarryInStrategy::TopDiff, Arc::clone(&value));
+        assert!(store
+            .lookup(&a, &config, CarryInStrategy::TopDiff)
+            .is_none());
+        store.publish(&a, CarryInStrategy::TopDiff, Arc::clone(&value));
         // The structurally identical tenant hits; different system or
         // strategy misses.
-        assert_eq!(b.lookup(&config, CarryInStrategy::TopDiff), Some(value));
-        assert!(other.lookup(&config, CarryInStrategy::TopDiff).is_none());
-        assert!(b.lookup(&config, CarryInStrategy::Exhaustive).is_none());
+        assert_eq!(
+            store.lookup(&b, &config, CarryInStrategy::TopDiff),
+            Some(value)
+        );
+        assert!(store
+            .lookup(&other, &config, CarryInStrategy::TopDiff)
+            .is_none());
+        assert!(store
+            .lookup(&b, &config, CarryInStrategy::Exhaustive)
+            .is_none());
         let stats = store.stats();
         assert_eq!((stats.hits, stats.misses), (1, 3));
         assert_eq!(stats.entries, 1);

@@ -246,7 +246,8 @@ struct TenantSlot {
 #[derive(Debug)]
 pub struct AdaptEngine {
     strategy: CarryInStrategy,
-    tenants: HashMap<u64, TenantSlot>,
+    /// Boxed, so an empty bucket of the map costs a pointer, not a slot.
+    tenants: HashMap<u64, Box<TenantSlot>>,
     /// Optional event-log persistence: registrations and *accepted*
     /// deltas are appended per tenant (see [`crate::journal`]). Journal
     /// I/O failures are reported on stderr but never change an admission
@@ -261,11 +262,12 @@ pub struct AdaptEngine {
     /// identical tenants share solved configurations. The sharded pool
     /// hands all its workers one store.
     shared: Option<Arc<SharedSelectionStore>>,
-    /// Memo counts of the tenants this engine dropped (evicted, or
+    /// What [`AdaptEngine::memo_stats`] answers, kept current as
+    /// tenants change: the live tenants' entries, and counters that also
+    /// keep the counts of every tenant the engine dropped (evicted, or
     /// replaced by a registration, import or adopt of the same id), so
-    /// [`AdaptEngine::memo_stats`]'s counters never go backwards.
-    /// `entries` stays 0: dropped entries are not cached here.
-    retired: MemoStats,
+    /// they never go backwards.
+    totals: MemoStats,
     /// The standby role's replica store, beside `journal`: written by
     /// [`Request::Replicate`], promoted by [`Request::Adopt`], and never
     /// seen by recovery or queries.
@@ -284,7 +286,7 @@ impl AdaptEngine {
             tenants: HashMap::new(),
             journal: None,
             shared: None,
-            retired: MemoStats::default(),
+            totals: MemoStats::default(),
             replica: None,
             group: AppendGroup::default(),
         }
@@ -302,7 +304,7 @@ impl AdaptEngine {
             replica: Some(ReplicaStore::open(&journal)),
             journal: Some(journal),
             shared: None,
-            retired: MemoStats::default(),
+            totals: MemoStats::default(),
             group: AppendGroup::default(),
         }
     }
@@ -336,31 +338,30 @@ impl AdaptEngine {
     /// registration for future snapshots/exports. The tail length
     /// continues from the on-disk tail so the compaction policy keeps
     /// counting correctly across restarts.
-    fn replay_slot(&self, history: &TenantHistory) -> Result<TenantSlot, ReplayError> {
+    fn replay_slot(&self, history: &TenantHistory) -> Result<Box<TenantSlot>, ReplayError> {
         let state =
             journal::replay_from(history, |system, monitors| self.new_state(system, monitors))?;
-        Ok(TenantSlot {
+        Ok(Box::new(TenantSlot {
             cores: history.cores,
             rt: history.rt.clone(),
             state,
             tail_len: history.events.len(),
-        })
+        }))
     }
 
     /// Installs `slot` as `tenant`, keeping the memo counts of the
     /// tenant it replaces, if any.
-    fn install(&mut self, tenant: u64, slot: TenantSlot) {
+    fn install(&mut self, tenant: u64, slot: Box<TenantSlot>) {
+        self.totals += slot.state.memo_stats();
         if let Some(replaced) = self.tenants.insert(tenant, slot) {
-            self.retire(&replaced);
+            self.drop_entries(&replaced);
         }
     }
 
-    /// Folds a dropped tenant's memo counters into `retired`.
-    fn retire(&mut self, slot: &TenantSlot) {
-        self.retired += MemoStats {
-            entries: 0,
-            ..slot.state.memo_stats()
-        };
+    /// Takes a dropped tenant's memo entries out of `totals`; its
+    /// counters stay.
+    fn drop_entries(&mut self, slot: &TenantSlot) {
+        self.totals.entries -= slot.state.memo_stats().entries;
     }
 
     /// Boot-time recovery: replays every journaled tenant accepted by
@@ -403,14 +404,12 @@ impl AdaptEngine {
 
     /// Aggregated memo statistics: the live tenants' entries, and
     /// counters that also keep the counts of every tenant the engine
-    /// dropped, so they never go backwards.
+    /// dropped, so they never go backwards. Kept as running totals, so a
+    /// read costs the same at any tenant count (shard workers read them
+    /// after every group).
     #[must_use]
     pub fn memo_stats(&self) -> MemoStats {
-        let mut total = self.retired;
-        for t in self.tenants.values() {
-            total += t.state.memo_stats();
-        }
-        total
+        self.totals
     }
 
     /// Read-only access to a tenant's state (for validation harnesses).
@@ -478,12 +477,12 @@ impl AdaptEngine {
                 let fingerprint = state.admitted_fingerprint();
                 self.install(
                     tenant,
-                    TenantSlot {
+                    Box::new(TenantSlot {
                         cores,
                         rt: rt.to_vec(),
                         state,
                         tail_len: 0,
-                    },
+                    }),
                 );
                 self.commit();
                 if let Some(journal) = &self.journal {
@@ -511,7 +510,13 @@ impl AdaptEngine {
         let Some(slot) = self.tenants.get_mut(&tenant) else {
             return unknown_tenant(tenant);
         };
-        let out = match slot.state.apply(event) {
+        // Move `totals` with the tenant's counters, also when the solver
+        // panics: the shard worker contains the panic and serves on.
+        let before = slot.state.memo_stats();
+        let applied =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.state.apply(event)));
+        recount(&mut self.totals, before, slot.state.memo_stats());
+        let out = match applied.unwrap_or_else(|payload| std::panic::resume_unwind(payload)) {
             Ok(out) => out,
             Err(ApplyError::Rejected(e)) => {
                 return Response::Rejected {
@@ -646,7 +651,7 @@ impl AdaptEngine {
             }
         }
         if let Some(evicted) = self.tenants.remove(&tenant) {
-            self.retire(&evicted);
+            self.drop_entries(&evicted);
         }
         Response::Evicted {
             tenant,
@@ -751,6 +756,18 @@ pub(crate) fn poison_after_failed_write(journal: &JournalDir, tenant: u64) {
              a restart may recover a DIVERGENT state for this tenant"
         );
     }
+}
+
+/// Moves `totals` from counting one tenant's memo at `before` to
+/// counting it at `after`, a later reading of the same selector: its
+/// counters only grow, and `totals.entries` includes `before.entries`,
+/// so nothing underflows.
+fn recount(totals: &mut MemoStats, before: MemoStats, after: MemoStats) {
+    totals.hits += after.hits - before.hits;
+    totals.shared_hits += after.shared_hits - before.shared_hits;
+    totals.misses += after.misses - before.misses;
+    totals.flushes += after.flushes - before.flushes;
+    totals.entries = totals.entries - before.entries + after.entries;
 }
 
 /// The `Admitted` answer carrying `state`'s committed configuration.
@@ -1170,5 +1187,139 @@ mod tests {
         }
         let stats = engine.memo_stats();
         assert_eq!(stats.hits, 3);
+    }
+
+    /// A request whose solve panics still moves the running totals with
+    /// its tenant's counters (the miss it counted), and the engine
+    /// serves on. Needs overflow checks, which make the solver panic on
+    /// a monitor whose WCET is near `u64::MAX` ticks.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn memo_stats_stay_exact_when_the_solver_panics() {
+        let mut engine = AdaptEngine::new(CarryInStrategy::TopDiff);
+        engine.handle(&rover_register(1));
+        let huge = MonitorSpec::fixed(
+            Duration::from_ticks(u64::MAX - 10),
+            Duration::from_ticks(u64::MAX),
+        )
+        .unwrap();
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.handle(&Request::Delta {
+                tenant: 1,
+                event: DeltaEvent::Arrival { monitor: huge },
+            })
+        }));
+        assert!(panicked.is_err(), "the solver must overflow");
+        let tenant = engine.tenant(1).unwrap().memo_stats();
+        assert_eq!(tenant.misses, 2, "the registration and the panicked solve");
+        assert_eq!(engine.memo_stats(), tenant);
+        let out = engine.handle(&Request::Delta {
+            tenant: 1,
+            event: DeltaEvent::Arrival {
+                monitor: MonitorSpec::fixed(ms(5342), ms(10_000)).unwrap(),
+            },
+        });
+        let Response::Admitted(a) = out else {
+            panic!("expected admission, got {out:?}");
+        };
+        assert_eq!(a.periods, vec![ms(7582)]);
+        assert_eq!(engine.memo_stats(), engine.tenant(1).unwrap().memo_stats());
+    }
+
+    /// The engine's running memo totals equal the fold over its tenants
+    /// (plus the counters of the tenants it dropped) after every request
+    /// of a seeded sequence that registers, re-registers live ids,
+    /// applies deltas, queries, exports, imports and evicts.
+    #[test]
+    fn memo_stats_equal_the_full_fold_after_every_request() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        const IDS: u64 = 6;
+        let mut engine = AdaptEngine::new(CarryInStrategy::TopDiff)
+            .with_shared_store(SharedSelectionStore::new());
+        let monitors = [
+            MonitorSpec::modal(ms(100), ms(350), ms(5000)).unwrap(),
+            MonitorSpec::fixed(ms(223), ms(10_000)).unwrap(),
+            MonitorSpec::modal(ms(40), ms(90), ms(2000)).unwrap(),
+            MonitorSpec::fixed(ms(5342), ms(10_000)).unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(30);
+        let mut exported = None;
+        let mut dropped = MemoStats::default();
+        let (mut replaced, mut evicted, mut imported) = (0, 0, 0);
+        for step in 0..800 {
+            let tenant = rng.gen_range(1..=IDS);
+            let slot = rng.gen_range(0..3usize);
+            let request = match rng.gen_range(0..12) {
+                0 | 1 => rover_register(tenant),
+                2..=4 => Request::Delta {
+                    tenant,
+                    event: DeltaEvent::Arrival {
+                        monitor: monitors[rng.gen_range(0..monitors.len())],
+                    },
+                },
+                5 | 6 => Request::Delta {
+                    tenant,
+                    event: DeltaEvent::ModeChange {
+                        slot,
+                        mode: if rng.gen_range(0..2) == 0 {
+                            MonitorMode::Active
+                        } else {
+                            MonitorMode::Passive
+                        },
+                    },
+                },
+                7 => Request::Delta {
+                    tenant,
+                    event: DeltaEvent::Departure { slot },
+                },
+                8 => Request::Query { tenant },
+                9 | 10 => match exported.take() {
+                    Some(history) => Request::Import { tenant, history },
+                    None => Request::Export { tenant },
+                },
+                _ => Request::Evict { tenant },
+            };
+            let prior = engine.tenant(tenant).map(TenantState::memo_stats);
+            let response = engine.handle(&request);
+            let drops = match (&request, &response) {
+                (Request::Register { .. }, Response::Admitted(_)) => prior.is_some(),
+                (Request::Import { .. }, Response::Admitted(_)) => {
+                    imported += 1;
+                    prior.is_some()
+                }
+                (Request::Evict { .. }, Response::Evicted { .. }) => true,
+                (_, Response::Exported { history, .. }) => {
+                    exported = Some(history.clone());
+                    false
+                }
+                _ => false,
+            };
+            if let (true, Some(prior)) = (drops, prior) {
+                match request {
+                    Request::Evict { .. } => evicted += 1,
+                    _ => replaced += 1,
+                }
+                dropped += MemoStats {
+                    entries: 0,
+                    ..prior
+                };
+            }
+            let fold = (1..=IDS)
+                .filter_map(|id| engine.tenant(id))
+                .map(TenantState::memo_stats)
+                .fold(dropped, |mut total, stats| {
+                    total += stats;
+                    total
+                });
+            assert_eq!(engine.memo_stats(), fold, "step {step}: {request:?}");
+        }
+        let totals = engine.memo_stats();
+        assert!(
+            replaced > 0 && evicted > 0 && imported > 0,
+            "{replaced} replaced, {evicted} evicted, {imported} imported"
+        );
+        assert!(totals.hits > 0 && totals.shared_hits > 0 && totals.misses > 0);
     }
 }

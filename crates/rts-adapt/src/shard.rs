@@ -192,11 +192,12 @@ fn answer_batch(
             submit_ns,
         } = envelope;
         // Contain per-request panics: the tenant table is transactional
-        // (it commits only on success) and the selector restores its
-        // environment's migrating-free invariant on unwind
-        // (hydra_core::incremental), so answering an error and serving
-        // on keeps the pool healthy — a dead worker would instead wedge
-        // every drain() forever.
+        // (it commits only on success), the selector restores its
+        // workspace's migrating-free invariant on unwind
+        // (hydra_core::incremental) and the engine's memo totals follow
+        // the tenant's counters through it, so answering an error and
+        // serving on keeps the pool healthy — a dead worker would
+        // instead wedge every drain() forever.
         let sampled = traced && *trace_tick % TRACE_SAMPLE == 0;
         *trace_tick += 1;
         // Sampled requests pay two clock reads (queue exit, verdict);

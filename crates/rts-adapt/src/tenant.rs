@@ -143,10 +143,10 @@ impl TenantState {
         monitors: Vec<MonitorEntry>,
         store: Option<Arc<SharedSelectionStore>>,
     ) -> Result<Self, SelectionError> {
-        let mut selector = IncrementalSelector::new(system, strategy);
-        if let Some(store) = store {
-            selector.attach_shared(store);
-        }
+        let mut selector = match store {
+            Some(store) => IncrementalSelector::with_store(system, strategy, store),
+            None => IncrementalSelector::new(system, strategy),
+        };
         if !selector.rt_schedulable() {
             return Err(SelectionError::RtUnschedulable);
         }
